@@ -32,7 +32,6 @@ from .frames import (
     mercedes_frame,
     shannon_limit_frame,
     weights_from_directions,
-    young_frame,
 )
 from .inequality import (
     check_blachmann_stam,

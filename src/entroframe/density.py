@@ -29,7 +29,7 @@ from .errors import (DomainTruncation, GridError, NormalizationError, NotSPD,
                      ReferenceMismatch, RenormalizationWarning, Singular,
                      ZeroScale)
 from .frames import Direction
-from .quadrature import (sample_coefficients, simpson_weights,
+from .quadrature import (sample_coefficients, sheared_sum, simpson_weights,
                          spline_coefficients, validate_axis)
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -140,6 +140,19 @@ def _readonly(a):
     return a
 
 
+def _cached(obj, name, compute):
+    """compute() once per object, kept on the object under name.
+
+    Densities are frozen and their arrays read-only, so a value derived
+    from them stays valid for the object's lifetime and dies with it.
+    """
+    value = obj.__dict__.get(name)
+    if value is None:
+        value = compute()
+        object.__setattr__(obj, name, value)
+    return value
+
+
 # === grid containers ======================================================
 
 @dataclass(frozen=True, eq=False)
@@ -168,11 +181,7 @@ class GridFunction1D:
         return (self.x[-1] - self.x[0]) / (self.x.size - 1)
 
     def spline_coeffs(self):
-        c = getattr(self, "_coeffs_memo", None)
-        if c is None:
-            c = spline_coefficients(self.values)
-            object.__setattr__(self, "_coeffs_memo", c)
-        return c
+        return _cached(self, "_coeffs_memo", lambda: spline_coefficients(self.values))
 
     def __call__(self, points):
         """Cubic-spline evaluation; zero outside the grid."""
@@ -221,11 +230,7 @@ class GridDensity1D:
                      @ (self.values * reference_weight_1d(self.reference, self.x)))
 
     def spline_coeffs(self):
-        c = getattr(self, "_coeffs_memo", None)
-        if c is None:
-            c = spline_coefficients(self.values)
-            object.__setattr__(self, "_coeffs_memo", c)
-        return c
+        return _cached(self, "_coeffs_memo", lambda: spline_coefficients(self.values))
 
     def as_function(self):
         return GridFunction1D(self.x, self.values)
@@ -282,11 +287,19 @@ class GridDensity2D:
                      @ simpson_weights(self.y.size, self.hy))
 
     def spline_coeffs(self):
-        c = getattr(self, "_coeffs_memo", None)
-        if c is None:
-            c = spline_coefficients(self.values)
-            object.__setattr__(self, "_coeffs_memo", c)
-        return c
+        return _cached(self, "_coeffs_memo", lambda: spline_coefficients(self.values))
+
+    def line_coeffs(self, axis):
+        """Values prefiltered along `axis` only, as one row per node of the other axis.
+
+        Row j holds the 1d spline coefficients of the grid line through the
+        j-th node of the other axis: values[:, j] for axis 0, values[j, :]
+        for axis 1.
+        """
+        def compute():
+            c = spline_coefficients(self.values, axis=axis)
+            return _readonly(c.T if axis == 0 else c)
+        return _cached(self, f"_line_coeffs_memo{axis}", compute)
 
 
 # === Gaussian densities ===================================================
@@ -330,13 +343,19 @@ class GaussianDensity:
             pts = pts[..., None]
         return pts
 
+    def _precision(self):
+        """(inverse covariance, log det covariance), computed once per density."""
+        def compute():
+            p = np.linalg.inv(self.covariance)
+            return _readonly(0.5 * (p + p.T)), np.linalg.slogdet(self.covariance)[1]
+        return _cached(self, "_precision_memo", compute)
+
     def log_pdf_lebesgue(self, points):
         """log of the Lebesgue-density at points of shape (..., dim)."""
         pts = self._shaped(points)
         d = pts - self.mean
-        sol = np.linalg.solve(self.covariance, d[..., None])[..., 0]
-        quad = np.einsum("...i,...i->...", d, sol)
-        _, logdet = np.linalg.slogdet(self.covariance)
+        precision, logdet = self._precision()
+        quad = np.einsum("...i,ij,...j->...", d, precision, d)
         return -0.5 * (quad + self.dim * LOG_2PI + logdet)
 
     def pdf(self, points):
@@ -357,10 +376,27 @@ class GaussianDensity:
         if self.dim == 2:
             x = default_axis(length, points)
             y = default_axis(length, points)
-            pts = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1)
             return GridDensity2D.from_values(
-                self.reference, x, y, self.pdf(pts), what="gaussian grid")
+                self.reference, x, y, self._grid_pdf_2d(x, y), what="gaussian grid")
         raise GridError(f"no grid sampling for dimension {self.dim}")
+
+    def _grid_pdf_2d(self, x, y):
+        """pdf on the product grid x by y, values[i, j] = pdf(x_i, y_j).
+
+        The quadratic form a dx^2 + 2b dx dy + c dy^2 is split into its
+        per-axis parts and one outer product, so no per-point solve and no
+        (n, n, 2) point array is built.
+        """
+        precision, logdet = self._precision()
+        (a, b), (_, c) = precision
+        dx = x - self.mean[0]
+        dy = y - self.mean[1]
+        log_x = -0.5 * (a * dx * dx + 2.0 * LOG_2PI + logdet)
+        log_y = -0.5 * c * dy * dy
+        if self.reference is Reference.GAUSSIAN:
+            log_x = log_x + 0.5 * x * x + LOG_2PI
+            log_y = log_y + 0.5 * y * y
+        return np.exp(log_x[:, None] + (-b * dx)[:, None] * dy[None, :] + log_y[None, :])
 
 
 def gaussian(reference, mean, covariance):
@@ -433,32 +469,49 @@ def _as_direction(d):
 def marginal(f, direction, x_out=None):
     """Directional marginal of a 2d density: f_u(t) = int f(t u + s u_perp) w(s) ds.
 
-    The line integral uses Simpson on an s-grid with step min(hx, hy) over
-    the support half-diagonal, with the reference weight in the s-slot for
-    the Gaussian reference.  The result is renormalized (factor recorded);
+    With u = (cos a, sin a) and |cos a| >= |sin a|, the line through t u
+    crosses the grid line y = y_j at x = t / cos a - y_j tan a, so
+
+        f_u(t) = |cos a|^-1 int f(t / cos a - y tan a, y) w(s) dy,
+        s = (y - t sin a) / cos a.
+
+    The integral runs over the grid's own y nodes with Simpson weights; each
+    node's term is one 1d cubic-spline evaluation along x, on coefficients
+    prefiltered along x only.  Steeper directions swap the roles of x and
+    y.  w is 1 for the Lebesgue reference and the standard gaussian density
+    for the Gaussian one.  The result is renormalized (factor recorded);
     DomainTruncation is raised if more than TRUNCATION_TOL of the mass
-    falls outside the grid.
+    falls outside the output axis.
+
+    Without x_out the marginal lives on f.x and is memoized on f per
+    canonical direction angle, so equal directions return the same
+    object for as long as f lives.  An explicit x_out bypasses the memo.
     """
     if not isinstance(f, GridDensity2D):
         raise ReferenceMismatch(f"marginal needs a GridDensity2D, got {type(f).__name__}")
-    u = _as_direction(direction).unit_vector()
-    t = np.asarray(f.x if x_out is None else x_out, dtype=float)
+    theta = _as_direction(direction).theta
+    if x_out is not None:
+        return _marginal(f, theta, np.asarray(x_out, dtype=float))
+    memo = _cached(f, "_marginals_memo", dict)
+    if theta not in memo:
+        memo[theta] = _marginal(f, theta, f.x)
+    return memo[theta]
 
-    step = min(f.hx, f.hy)
-    half = math.hypot(max(abs(f.x[0]), abs(f.x[-1])), max(abs(f.y[0]), abs(f.y[-1])))
-    ns = 2 * int(math.ceil(half / step)) + 1
-    s = np.linspace(-half, half, ns)
 
-    px = t[:, None] * u[0] - s[None, :] * u[1]
-    py = t[:, None] * u[1] + s[None, :] * u[0]
-    ix = (px - f.x[0]) / f.hx
-    iy = (py - f.y[0]) / f.hy
-    lines = sample_coefficients(f.spline_coeffs(), [ix.ravel(), iy.ravel()]).reshape(px.shape)
-
-    w = simpson_weights(ns, s[1] - s[0])
+def _marginal(f, theta, t):
+    cos_a, sin_a = math.cos(theta), math.sin(theta)
+    if abs(cos_a) >= abs(sin_a):
+        axis, along, h_along, across, h_across = 0, f.x, f.hx, f.y, f.hy
+    else:
+        # x = t / sin a - y cot a: the same shear with the axes swapped
+        axis, along, h_along, across, h_across = 1, f.y, f.hy, f.x, f.hx
+        cos_a, sin_a = sin_a, cos_a
+    index0 = (t / cos_a - along[0]) / h_along
+    shifts = across * (sin_a / cos_a / h_along)
+    w = simpson_weights(across.size, h_across)[:, None] / abs(cos_a)
     if f.reference is Reference.GAUSSIAN:
-        w = w * np.exp(log_gaussian_weight(s))
-    raw = lines @ w
+        w = w * np.exp(log_gaussian_weight((across[:, None] - t * sin_a) / cos_a))
+    raw = sheared_sum(f.line_coeffs(axis), index0, shifts, w)
 
     ht = (t[-1] - t[0]) / (t.size - 1)
     raw_mass = float(simpson_weights(t.size, ht)

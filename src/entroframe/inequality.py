@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (ExpFunction, GaussianDensity, GridDensity1D,
-                      GridDensity2D, GridFunction1D, Reference, convolve,
-                      default_axis, linear_combination, marginal,
+                      GridDensity2D, GridFunction1D, Reference, _cached,
+                      convolve, default_axis, linear_combination, marginal,
                       reference_weight_1d, reference_weight_2d, scale1d)
 from .errors import InvalidExponents, ReferenceMismatch
 from .frames import (ExponentTriple, Frame2, angles_from_exponents,
@@ -99,11 +99,14 @@ def _canon(part):
     if isinstance(part, GaussianDensity):
         return _canon(("gaussian", part.reference, part.mean, part.covariance))
     if isinstance(part, GridDensity1D):
-        return _canon(("grid1d", part.reference, part.x, part.values))
+        return _cached(part, "_canon_memo", lambda: _canon(
+            ("grid1d", part.reference, part.x, part.values)))
     if isinstance(part, GridDensity2D):
-        return _canon(("grid2d", part.reference, part.x, part.y, part.values))
+        return _cached(part, "_canon_memo", lambda: _canon(
+            ("grid2d", part.reference, part.x, part.y, part.values)))
     if isinstance(part, GridFunction1D):
-        return _canon(("gridfn", part.x, part.values))
+        return _cached(part, "_canon_memo", lambda: _canon(
+            ("gridfn", part.x, part.values)))
     if isinstance(part, ExpFunction):
         return f"exp(a={part.a!r})"
     if isinstance(part, (tuple, list)):

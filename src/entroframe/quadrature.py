@@ -39,18 +39,6 @@ def simpson_weights(n, h):
     return w * (h / 3.0)
 
 
-def simpson_1d(values, h):
-    return float(simpson_weights(values.shape[-1], h) @ np.asarray(values, dtype=float))
-
-
-def simpson_2d(values, hx, hy):
-    """Tensor-product Simpson over a (nx, ny) table."""
-    values = np.asarray(values, dtype=float)
-    wx = simpson_weights(values.shape[0], hx)
-    wy = simpson_weights(values.shape[1], hy)
-    return float(wx @ values @ wy)
-
-
 # === Gauss-Hermite ========================================================
 
 def gauss_hermite(n=64):
@@ -70,11 +58,14 @@ def gauss_hermite(n=64):
 SPLINE_ORDER = 3
 
 
-def spline_coefficients(values, order=SPLINE_ORDER):
+def spline_coefficients(values, order=SPLINE_ORDER, axis=None):
+    """Prefiltered spline coefficients along every axis, or along one axis only."""
     if order <= 1:
         return np.asarray(values, dtype=float)
-    return ndimage.spline_filter(np.asarray(values, dtype=float), order=order,
-                                 mode="constant")
+    values = np.asarray(values, dtype=float)
+    if axis is None:
+        return ndimage.spline_filter(values, order=order, mode="constant")
+    return ndimage.spline_filter1d(values, order=order, axis=axis, mode="constant")
 
 
 def sample_coefficients(coeffs, indices, order=SPLINE_ORDER):
@@ -87,13 +78,21 @@ def sample_coefficients(coeffs, indices, order=SPLINE_ORDER):
                                    mode="constant", cval=0.0, prefilter=False)
 
 
-def sample_grid_1d(x0, h, coeffs, points, order=SPLINE_ORDER):
-    idx = (np.asarray(points, dtype=float) - x0) / h
-    return sample_coefficients(coeffs, [idx.ravel()], order=order).reshape(np.shape(points))
+def sheared_sum(rows, index0, shifts, weights):
+    """sum_j weights[j] * s_j(index0 - shifts[j]), s_j the 1d spline of rows[j].
 
-
-def sample_grid_2d(x0, hx, y0, hy, coeffs, px, py, order=SPLINE_ORDER):
-    px = np.asarray(px, dtype=float)
-    ix = (px - x0) / hx
-    iy = (np.asarray(py, dtype=float) - y0) / hy
-    return sample_coefficients(coeffs, [ix.ravel(), iy.ravel()], order=order).reshape(px.shape)
+    rows: (m, n) coefficients, each row prefiltered along itself only;
+    index0: (k,) fractional indices, shifted by shifts[j] in row j;
+    weights: broadcastable to (m, k).  One 4-tap evaluation per point of
+    each row; points outside a row evaluate to 0.
+    """
+    index0 = np.asarray(index0, dtype=float)
+    weights = np.broadcast_to(weights, (len(rows), index0.size))
+    out = np.zeros(index0.size)
+    samples = np.empty(index0.size)
+    for row, shift, w in zip(rows, shifts, weights):
+        ndimage.map_coordinates(row, (index0 - shift)[None, :], output=samples,
+                                order=SPLINE_ORDER, mode="constant", cval=0.0,
+                                prefilter=False)
+        out += w * samples
+    return out

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroframe import (
     DomainTruncation,
@@ -35,7 +37,8 @@ from entroframe import (
     scale1d,
     uniform_density,
 )
-from entroframe.density import DEFAULT_POINTS, GRID_ENV_VAR
+from entroframe.density import DEFAULT_POINTS, GRID_ENV_VAR, LOG_2PI
+from entroframe.frames import Direction
 
 LEB = Reference.LEBESGUE
 GAM = Reference.GAUSSIAN
@@ -43,6 +46,13 @@ GAM = Reference.GAUSSIAN
 
 def lebesgue_gaussian_values(x, mean, var):
     return np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+
+
+def closed_form_marginal(g, theta, t):
+    """Values of the marginal of the Gaussian g along Direction(theta)."""
+    u = Direction(theta).unit_vector()
+    return GaussianDensity(g.reference, [float(u @ g.mean)],
+                           [[float(u @ g.covariance @ u)]]).pdf(t)
 
 
 # === grid configuration ===================================================
@@ -150,6 +160,25 @@ class TestGaussianDensity:
         g = d.to_grid()
         np.testing.assert_allclose(g.values, d.pdf(g.x), rtol=1e-13)
 
+    @pytest.mark.parametrize("ref", [LEB, GAM])
+    @pytest.mark.parametrize("cov", [[[2.0, 0.7], [0.7, 1.2]],
+                                     [[0.6, 0.25], [0.25, 0.4]]])
+    def test_to_grid_2d_matches_per_point_solve(self, ref, cov):
+        """The separable 2d grid equals a per-point solve to 1e-14 of the peak."""
+        d = gaussian(ref, [0.2, -0.3], cov)
+        g = d.to_grid(points=257)
+        pts = np.stack(np.meshgrid(g.x, g.y, indexing="ij"), axis=-1)
+        diff = pts - d.mean
+        sol = np.linalg.solve(d.covariance, diff[..., None])[..., 0]
+        logp = -0.5 * (np.einsum("...i,...i->...", diff, sol) + 2.0 * LOG_2PI
+                       + np.linalg.slogdet(d.covariance)[1])
+        if ref is GAM:
+            logp += 0.5 * np.einsum("...i,...i->...", pts, pts) + LOG_2PI
+        want = np.exp(logp)
+        assert np.max(np.abs(g.values - want)) <= 1e-14 * want.max()
+        np.testing.assert_allclose(d.pdf(pts), g.values, rtol=0.0,
+                                   atol=1e-14 * want.max())
+
 
 class TestGaussianMixture:
     def test_mass_one(self):
@@ -253,6 +282,88 @@ class TestMarginal:
         d = gaussian(LEB, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]).to_grid()
         with pytest.raises(DomainTruncation):
             marginal(d, 0.0, x_out=np.linspace(-1.0, 1.0, 101))
+        # the memo must not turn a truncated axis into a cached success
+        marginal(d, 0.0)
+        with pytest.raises(DomainTruncation):
+            marginal(d, 0.0, x_out=np.linspace(-1.0, 1.0, 101))
+
+    @pytest.mark.parametrize("theta", [
+        0.0, math.pi / 4.0 - 1e-3, math.pi / 4.0 + 1e-3, math.pi / 2.0,
+        3.0 * math.pi / 4.0 - 1e-3, 3.0 * math.pi / 4.0 + 1e-3,
+        math.pi + 0.4])
+    def test_closed_form_around_axis_swap(self, theta):
+        """Values match N(u^T m, u^T Sigma u) on both sides of |cos| = |sin|.
+
+        theta >= pi names the same line as theta - pi, whose unit vector is
+        the one the marginal is taken along.
+        """
+        g = gaussian(LEB, [0.2, -0.3], [[2.0, 0.7], [0.7, 1.2]])
+        m = marginal(g.to_grid(), theta)
+        np.testing.assert_allclose(m.values, closed_form_marginal(g, theta, m.x),
+                                   atol=1e-10)
+
+    @pytest.mark.parametrize("theta", [1.3, 2.0])
+    def test_gamma_reference_steep_values(self, theta):
+        """Steep directions (|sin| > |cos|) weight the line by gamma in s."""
+        g = gaussian(GAM, [0.2, -0.1], [[0.8, 0.3], [0.3, 0.6]])
+        m = marginal(g.to_grid(), theta)
+        assert m.reference is GAM
+        np.testing.assert_allclose(m.values, closed_form_marginal(g, theta, m.x),
+                                   atol=5e-10)
+
+    def test_memo_per_density_and_direction(self):
+        d = gaussian(LEB, [0.2, -0.3], [[2.0, 0.7], [0.7, 1.2]]).to_grid()
+        m = marginal(d, 0.4)
+        assert marginal(d, Direction(0.4)) is m
+        assert marginal(d, 0.5) is not m
+        # keyed on the canonical angle; wrapped - pi is exact (Sterbenz)
+        wrapped = 0.4 + math.pi
+        assert marginal(d, wrapped) is marginal(d, wrapped - math.pi)
+
+    def test_memo_is_not_shared_between_densities(self):
+        cov = [[2.0, 0.7], [0.7, 1.2]]
+        a = gaussian(LEB, [0.2, -0.3], cov).to_grid()
+        b = gaussian(LEB, [-0.2, 0.3], cov).to_grid()
+        ma, mb = marginal(a, 0.4), marginal(b, 0.4)
+        assert ma is not mb
+        assert marginal(a, 0.4) is ma and marginal(b, 0.4) is mb
+        assert not np.allclose(ma.values, mb.values)
+
+    def test_x_out_bypasses_memo(self):
+        d = gaussian(LEB, [0.2, -0.3], [[2.0, 0.7], [0.7, 1.2]]).to_grid()
+        explicit = marginal(d, 0.4, x_out=d.x)
+        memoized = marginal(d, 0.4)
+        assert explicit is not memoized
+        assert marginal(d, 0.4, x_out=d.x) is not explicit
+        assert marginal(d, 0.4) is memoized
+        np.testing.assert_array_equal(explicit.values, memoized.values)
+
+
+class TestMarginalRotationInvariance:
+    POINTS = 513
+    # test_functional's 1e-7 2d entropy bound, loosened for the coarse grid
+    # as selftest does: by ((2049 - 1)/(n - 1))^2
+    BOUND = 1e-7 * ((DEFAULT_POINTS - 1) / (POINTS - 1)) ** 2
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(ref=st.sampled_from([LEB, GAM]),
+           eigenvalues=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           rotation=st.floats(0.0, math.pi),
+           mean=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           theta=st.floats(0.0, 2.0 * math.pi))
+    def test_marginal_entropy_matches_closed_form(self, ref, eigenvalues,
+                                                  rotation, mean, theta):
+        """S(f_u) = S(N(u^T m, u^T Sigma u)) for any SPD Sigma and direction."""
+        c, s = math.cos(rotation), math.sin(rotation)
+        r = np.array([[c, -s], [s, c]])
+        cov = r @ np.diag(eigenvalues) @ r.T
+        cov = 0.5 * (cov + cov.T)
+        g = gaussian(ref, mean, cov)
+        m = marginal(g.to_grid(points=self.POINTS), theta)
+        u = Direction(theta).unit_vector()
+        want = entropy(GaussianDensity(ref, [float(u @ g.mean)],
+                                       [[float(u @ cov @ u)]]))
+        assert abs(float(entropy(m)) - float(want)) <= self.BOUND
 
 
 # === convolution and dilation =============================================

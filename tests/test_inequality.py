@@ -6,6 +6,7 @@ valid inequality shows slack >= 0 and every equality case shows
 frames and covariances that produce them.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -43,6 +44,7 @@ from entroframe.inequality import (
     check_young_entropy,
     exp_norm_gamma,
     hyper_threshold,
+    _canon,
     inputs_digest,
     mehler_exp_norm,
     shannon_taylor_check,
@@ -89,6 +91,18 @@ class TestReportPlumbing:
             assert name in DEFAULT_TOLERANCES
         assert "blachmann-stam-harmonic" in DEFAULT_TOLERANCES
         assert "blachmann-stam-harmonic" not in CHECK_NAMES
+
+    def test_grid_digest_cache_matches_uncached(self):
+        """The digest cached on a grid density equals a fresh hash of its arrays."""
+        grids = (gaussian(LEB, [0.2, -0.3], [[2.0, 0.7], [0.7, 1.2]]).to_grid(points=129),
+                 gaussian(LEB, 0.3, 1.4).to_grid(points=129))
+        uncached = (("grid2d", LEB, grids[0].x, grids[0].y, grids[0].values),
+                    ("grid1d", LEB, grids[1].x, grids[1].values))
+        for grid, parts in zip(grids, uncached):
+            want = hashlib.sha1(_canon(("x", parts)).encode()).hexdigest()[:12]
+            assert inputs_digest("x", grid) == want
+            assert inputs_digest("x", grid) == want  # served from the cache
+            assert _canon(grid) == _canon(parts)
 
     def test_reports_carry_inputs_digest(self):
         d = gaussian(LEB, [0.0, 0.0], [[4.0, 0.0], [0.0, 1.0]])
