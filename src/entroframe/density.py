@@ -116,7 +116,7 @@ def _clip_values(values, what):
         raise NormalizationError(
             f"{what}: negative values down to {low:.3e} (peak {peak:.3e})")
     if low < 0.0:
-        values = np.maximum(values, 0.0)
+        values = _freeze(np.maximum(values, 0.0))
     return values
 
 
@@ -129,13 +129,26 @@ def _mass_policy(values, mass, tight, what):
         warnings.warn(
             f"{what}: mass {mass:.8f} off by {deviation:.2e}; renormalizing",
             RenormalizationWarning, stacklevel=4)
-        return values / mass, 1.0 / mass
+        return _freeze(values / mass), 1.0 / mass
     raise NormalizationError(
         f"{what}: mass {mass:.8f} deviates from 1 by {deviation:.2e} (> {MASS_LOOSE:g})")
 
 
 def _readonly(a):
-    a = np.ascontiguousarray(a, dtype=float)
+    """a as a read-only C-contiguous float array that no caller can write to.
+
+    An array the caller could still write to is copied, so a density
+    neither aliases nor freezes its caller's data; an array already
+    read-only (a producer's own, passed through _freeze) is kept as is.
+    """
+    if (isinstance(a, np.ndarray) and not a.flags.writeable
+            and a.dtype == np.float64 and a.flags.c_contiguous):
+        return a
+    return _freeze(np.array(a, dtype=float, order="C"))
+
+
+def _freeze(a):
+    """Mark an array this package just made, and shares with no one, read-only."""
     a.flags.writeable = False
     return a
 
@@ -298,7 +311,7 @@ class GridDensity2D:
         """
         def compute():
             c = spline_coefficients(self.values, axis=axis)
-            return _readonly(c.T if axis == 0 else c)
+            return _freeze(np.ascontiguousarray(c.T) if axis == 0 else c)
         return _cached(self, f"_line_coeffs_memo{axis}", compute)
 
 
@@ -347,7 +360,7 @@ class GaussianDensity:
         """(inverse covariance, log det covariance), computed once per density."""
         def compute():
             p = np.linalg.inv(self.covariance)
-            return _readonly(0.5 * (p + p.T)), np.linalg.slogdet(self.covariance)[1]
+            return _freeze(0.5 * (p + p.T)), np.linalg.slogdet(self.covariance)[1]
         return _cached(self, "_precision_memo", compute)
 
     def log_pdf_lebesgue(self, points):
@@ -370,14 +383,14 @@ class GaussianDensity:
     def to_grid(self, length=None, points=None):
         """Sample onto the default (or given) grid; mass policy applies."""
         if self.dim == 1:
-            x = default_axis(length, points)
+            x = _freeze(default_axis(length, points))
             return GridDensity1D.from_values(
-                self.reference, x, self.pdf(x[:, None]), what="gaussian grid")
+                self.reference, x, _freeze(self.pdf(x[:, None])), what="gaussian grid")
         if self.dim == 2:
-            x = default_axis(length, points)
-            y = default_axis(length, points)
+            x = _freeze(default_axis(length, points))
+            y = _freeze(default_axis(length, points))
             return GridDensity2D.from_values(
-                self.reference, x, y, self._grid_pdf_2d(x, y), what="gaussian grid")
+                self.reference, x, y, _freeze(self._grid_pdf_2d(x, y)), what="gaussian grid")
         raise GridError(f"no grid sampling for dimension {self.dim}")
 
     def _grid_pdf_2d(self, x, y):
@@ -423,12 +436,12 @@ def gaussian_mixture(reference, weights, means, variances, length=None, points=N
     if np.any(v <= 0.0):
         raise NotSPD("mixture variances must be positive")
     w = w / w.sum()
-    x = default_axis(length, points)
+    x = _freeze(default_axis(length, points))
     logs = (-0.5 * (x[:, None] - m[None, :]) ** 2 / v[None, :]
             - 0.5 * (LOG_2PI + np.log(v))[None, :])
     if reference is Reference.GAUSSIAN:
         logs = logs - log_gaussian_weight(x)[:, None]
-    vals = np.exp(logs) @ w
+    vals = _freeze(np.exp(logs) @ w)
     return GridDensity1D.from_values(reference, x, vals, what="gaussian mixture")
 
 
@@ -442,12 +455,12 @@ def uniform_density(a, b, smoothing=0.05, length=None, points=None):
     a, b = float(a), float(b)
     if not b > a:
         raise NormalizationError(f"uniform needs a < b, got [{a}, {b}]")
-    x = default_axis(length, points)
+    x = _freeze(default_axis(length, points))
     if smoothing > 0.0:
         vals = (ndtr((x - a) / smoothing) - ndtr((x - b) / smoothing)) / (b - a)
     else:
         vals = np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
-    return GridDensity1D.from_values(Reference.LEBESGUE, x, vals, what="uniform")
+    return GridDensity1D.from_values(Reference.LEBESGUE, x, _freeze(vals), what="uniform")
 
 
 class ExpFunction:
@@ -520,7 +533,7 @@ def _marginal(f, theta, t):
         raise DomainTruncation(
             f"marginal mass {raw_mass:.6f}; more than {TRUNCATION_TOL:g} lost off-grid")
     vals = np.maximum(raw, 0.0) / raw_mass
-    return GridDensity1D(f.reference, t, _readonly(vals),
+    return GridDensity1D(f.reference, t, _freeze(vals),
                          renormalization=1.0 / raw_mass)
 
 
@@ -545,8 +558,9 @@ def convolve(f, g, method="direct"):
     else:
         raise GridError(f"unknown convolution method {method!r}")
     n = f.x.size + g.x.size - 1
-    x = np.linspace(f.x[0] + g.x[0], f.x[-1] + g.x[-1], n)
-    return GridDensity1D.from_values(Reference.LEBESGUE, x, vals, what="convolution")
+    x = _freeze(np.linspace(f.x[0] + g.x[0], f.x[-1] + g.x[-1], n))
+    return GridDensity1D.from_values(Reference.LEBESGUE, x, _freeze(vals),
+                                     what="convolution")
 
 
 def scale1d(f, a):
@@ -562,13 +576,10 @@ def scale1d(f, a):
     a = float(a)
     if abs(a) < 1e-12:
         raise ZeroScale(f"dilation factor {a!r} is numerically zero")
-    x = f.x * a
-    vals = f.values / abs(a)
-    if a < 0:
-        x = x[::-1]
-        vals = vals[::-1]
-    return GridDensity1D(Reference.LEBESGUE, x, _readonly(vals),
-                         renormalization=f.renormalization)
+    ascending = slice(None, None, -1 if a < 0 else 1)
+    x = _freeze(f.x[ascending] * a)
+    vals = _freeze(f.values[ascending] / abs(a))
+    return GridDensity1D(Reference.LEBESGUE, x, vals, renormalization=f.renormalization)
 
 
 def affine_pushforward(f, matrix):
@@ -588,7 +599,7 @@ def affine_pushforward(f, matrix):
     ix = (px - f.x[0]) / f.hx
     iy = (py - f.y[0]) / f.hy
     vals = sample_coefficients(f.spline_coeffs(), [ix.ravel(), iy.ravel()]).reshape(X.shape)
-    vals = np.maximum(vals, 0.0) / abs(det)
+    vals = _freeze(np.maximum(vals, 0.0) / abs(det))
     return GridDensity2D.from_values(Reference.LEBESGUE, f.x, f.y, vals,
                                      what="pushforward")
 
@@ -600,7 +611,7 @@ def independent_product(f, g):
             raise ReferenceMismatch(f"product needs GridDensity1D, got {type(d).__name__}")
     if f.reference is not g.reference:
         raise ReferenceMismatch("product factors carry different references")
-    vals = np.outer(f.values, g.values)
+    vals = _freeze(np.outer(f.values, g.values))
     return GridDensity2D.from_values(f.reference, f.x, g.x, vals, what="product")
 
 
@@ -624,7 +635,7 @@ def linear_combination(f, g, a, b):
     lo = min(a * f.x[0], a * f.x[-1]) + min(b * g.x[0], b * g.x[-1])
     hi = max(a * f.x[0], a * f.x[-1]) + max(b * g.x[0], b * g.x[-1])
     n = f.x.size + g.x.size - 1
-    t = np.linspace(lo, hi, n)
+    t = _freeze(np.linspace(lo, hi, n))
     pts = (t[:, None] - b * g.x[None, :]) / a
     idx = (pts - f.x[0]) / f.h
     samp = sample_coefficients(f.spline_coeffs(), [idx.ravel()]).reshape(pts.shape)
@@ -634,5 +645,5 @@ def linear_combination(f, g, a, b):
     if raw_mass < 1.0 - TRUNCATION_TOL:
         raise DomainTruncation(
             f"combination mass {raw_mass:.6f}; more than {TRUNCATION_TOL:g} lost off-grid")
-    return GridDensity1D(Reference.LEBESGUE, t, _readonly(vals / raw_mass),
+    return GridDensity1D(Reference.LEBESGUE, t, _freeze(vals / raw_mass),
                          renormalization=1.0 / raw_mass)

@@ -6,7 +6,7 @@ endpoints.
 """
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 
 # === grids ================================================================
@@ -76,6 +76,43 @@ def sample_coefficients(coeffs, indices, order=SPLINE_ORDER):
     """
     return ndimage.map_coordinates(coeffs, indices, order=order,
                                    mode="constant", cval=0.0, prefilter=False)
+
+
+def spline_matrix(index, weights, n):
+    """Sparse (m, n) matrix S with (S @ c)[i] = sum_k weights[k] * s(index[i, k]).
+
+    s is the cubic spline of the n prefiltered coefficients c, evaluated as
+    sample_coefficients does: taps past an edge read the mirrored
+    coefficient (c[-1] = c[1]) and points outside [0, n - 1] evaluate to 0.
+    index is (m, k), weights (k,).  Each row is built as one dense band, so
+    no duplicate entries are summed afterwards.
+    """
+    index = np.asarray(index, dtype=float)
+    m = index.shape[0]
+    base = np.floor(index)
+    u = index - base
+    v = 1.0 - u
+    scale = np.asarray(weights, dtype=float) * ((index >= 0.0) & (index <= n - 1)) / 6.0
+    # cubic B-spline weights of the taps at base - 1 .. base + 2
+    taps = np.empty((4,) + index.shape)
+    np.multiply(v * v * v, scale, out=taps[0])
+    np.multiply(4.0 - 3.0 * u * u * (2.0 - u), scale, out=taps[1])
+    np.multiply(4.0 - 3.0 * v * v * (2.0 - v), scale, out=taps[2])
+    np.multiply(u * u * u, scale, out=taps[3])
+    # row i is one band of columns lo[i] .. lo[i] + width - 1 (before mirroring)
+    first = base.astype(np.intp) - 1
+    lo = first.min(axis=1)
+    first -= lo[:, None]
+    width = int(first.max()) + 4
+    first += np.arange(0, m * width, width)[:, None]
+    band = np.bincount((first + np.arange(4)[:, None, None]).ravel(), taps.ravel(),
+                       minlength=m * width)
+    cols = np.abs(lo[:, None] + np.arange(width))
+    cols = np.where(cols > n - 1, 2 * (n - 1) - cols, cols)
+    # columns still out of range after mirroring carry only zero weights
+    cols = np.clip(cols, 0, n - 1)
+    return sparse.csr_matrix((band, cols.ravel(), np.arange(0, m * width + 1, width)),
+                             shape=(m, n))
 
 
 def sheared_sum(rows, index0, shifts, weights):

@@ -5,11 +5,18 @@ OU flow acts on Gaussian-reference densities; by reversibility the
 density evolves by the Mehler operator itself,
 
     (P_t f)(x) = int f(x cos theta + y sin theta) dgamma(y),
-    cos theta = e^{-t},
+    cos theta = e^{-t}.
 
-implemented as a blur with N(0, sin^2 theta) followed by dilation by
-cos theta.  de Bruijn's identity dS/dt = -I holds along both flows and is
-checked by a centered finite difference.
+In d dimensions both operators are tensor products of 1d ones, so grid
+densities are flowed one axis at a time: a 1d density along its axis, a 2d
+density along x and then along y.  The 1d OU operator blurs with
+N(0, sin^2 theta) and dilates by cos theta; for a blur narrower than
+MIN_BLUR_STEPS grid steps it is the 64-node Gauss-Hermite quadrature of
+the Mehler integral instead.  Either way the values are prefiltered along
+that axis only and sampled through one banded sparse matrix
+(quadrature.spline_matrix), so no 2d spline is ever evaluated.  de Bruijn's
+identity dS/dt = -I holds along both flows and is checked by a centered
+finite difference.
 """
 
 from __future__ import annotations
@@ -21,14 +28,15 @@ import numpy as np
 from scipy import signal
 
 from .density import (GaussianDensity, GridDensity1D, GridDensity2D,
-                      GridFunction1D, Reference, default_axis, marginal)
+                      GridFunction1D, Reference, _freeze, default_axis,
+                      marginal)
 from .errors import InvalidFlowTime, ReferenceMismatch
 from .functional import entropy, fisher
-from .quadrature import gauss_hermite, sample_coefficients, spline_coefficients
+from .quadrature import (gauss_hermite, sample_coefficients, spline_coefficients,
+                         spline_matrix)
 
 # Below this blur width (in grid steps) the sampled kernel is too coarse
-# and the OU flow falls back to Gauss-Hermite evaluation of the Mehler
-# integral.
+# and the OU flow evaluates the Mehler integral at Gauss-Hermite nodes.
 MIN_BLUR_STEPS = 4.0
 
 KERNEL_RADIUS_SIGMAS = 8.0
@@ -63,7 +71,20 @@ def _coerce_time(t):
     return ft.t
 
 
-# === kernels ==============================================================
+# === per-axis operators ===================================================
+
+def _grid_axes(f):
+    """(nodes, step) of each axis of a grid density."""
+    if isinstance(f, GridDensity1D):
+        return [(f.x, f.h)]
+    return [(f.x, f.hx), (f.y, f.hy)]
+
+
+def _grid_like(f, axes, values):
+    """A density of f's kind and reference on the given axes."""
+    values = _freeze(np.maximum(values, 0.0, order="C"))
+    return type(f)(f.reference, *axes, values, renormalization=f.renormalization)
+
 
 def _blur_kernel(sigma, h):
     """Discrete Gaussian kernel with exact unit mass; returns (weights, radius)."""
@@ -73,9 +94,53 @@ def _blur_kernel(sigma, h):
     return w / w.sum(), radius
 
 
-def _extended_axis(x, radius):
-    h = (x[-1] - x[0]) / (x.size - 1)
+def _blur_along(values, axis, sigma, h):
+    """Full convolution of every line along axis with the sampled N(0, sigma^2).
+
+    The axis grows by the kernel radius at each end; returns (values, radius).
+    """
+    w, radius = _blur_kernel(sigma, h)
+    if values.ndim == 1:
+        # A single line is summed directly, which keeps each output's
+        # rounding local; FFT rounding spreads eps * max|values| (4.5e4 at
+        # the edge of a Gaussian-reference grid) over the whole axis.
+        return np.convolve(values, w), radius
+    shape = [1] * values.ndim
+    shape[axis] = w.size
+    return signal.fftconvolve(values, w.reshape(shape), axes=axis), radius
+
+
+def _extended_axis(x, h, radius):
     return np.linspace(x[0] - radius * h, x[-1] + radius * h, x.size + 2 * radius)
+
+
+def _mehler_rows(values, x, h, t):
+    """The 1d Mehler operator P_t on every line of values along its last axis.
+
+    x are the nodes of that axis.  The result has the flowed axis first, so
+    a 2d array flowed once per axis comes back in its own orientation, and
+    every FFT, prefilter and copy runs along contiguous memory.
+    """
+    c = math.exp(-t)
+    a = math.sqrt(max(1.0 - c * c, 0.0))
+    if a == 0.0:
+        return values.T
+    if a < MIN_BLUR_STEPS * h:
+        # Blur below grid resolution: Gauss-Hermite quadrature of the Mehler
+        # integral, sum_k w_k s(c x + a z_k), against the spline instead.
+        z, w = gauss_hermite()
+        coeffs = spline_coefficients(values, axis=-1)
+        index = (c * x[:, None] + a * z[None, :] - x[0]) / h
+    else:
+        blurred, radius = _blur_along(values, -1, a, h)
+        coeffs = spline_coefficients(blurred, axis=-1)
+        index = ((c * x - (x[0] - radius * h)) / h)[:, None]
+        w = np.ones(1)
+    if coeffs.ndim == 1:
+        # a lone line samples its points directly, cheaper than building
+        # the matrix
+        return sample_coefficients(coeffs, [index.ravel()]).reshape(index.shape) @ w
+    return spline_matrix(index, w, coeffs.shape[-1]) @ coeffs.T
 
 
 # === heat flow ============================================================
@@ -83,8 +148,8 @@ def _extended_axis(x, radius):
 def heat_flow(f, t):
     """e^{t Laplacian} applied to a Lebesgue density; variance grows by 2t per axis.
 
-    Grid densities convolve with the sampled kernel on an axis extended by
-    the kernel radius, so no mass leaves the domain.
+    Grid densities convolve each axis in turn with the sampled kernel, on
+    an axis extended by the kernel radius, so no mass leaves the domain.
     """
     t = _coerce_time(t)
     if isinstance(f, GaussianDensity):
@@ -92,95 +157,33 @@ def heat_flow(f, t):
             raise ReferenceMismatch("heat flow acts on Lebesgue densities")
         return GaussianDensity(Reference.LEBESGUE, f.mean,
                                f.covariance + 2.0 * t * np.eye(f.dim))
-    if isinstance(f, GridDensity1D):
+    if isinstance(f, (GridDensity1D, GridDensity2D)):
         if f.reference is not Reference.LEBESGUE:
             raise ReferenceMismatch("heat flow acts on Lebesgue densities")
         sigma = math.sqrt(2.0 * t)
         if sigma == 0.0:
             return f
-        w, radius = _blur_kernel(sigma, f.h)
-        vals = np.convolve(f.values, w)
-        return GridDensity1D(Reference.LEBESGUE, _extended_axis(f.x, radius),
-                             vals, renormalization=f.renormalization)
-    if isinstance(f, GridDensity2D):
-        if f.reference is not Reference.LEBESGUE:
-            raise ReferenceMismatch("heat flow acts on Lebesgue densities")
-        sigma = math.sqrt(2.0 * t)
-        if sigma == 0.0:
-            return f
-        wx, rx = _blur_kernel(sigma, f.hx)
-        wy, ry = _blur_kernel(sigma, f.hy)
-        vals = signal.fftconvolve(f.values, wx[:, None])
-        vals = signal.fftconvolve(vals, wy[None, :])
-        vals = np.maximum(vals, 0.0)
-        return GridDensity2D(Reference.LEBESGUE, _extended_axis(f.x, rx),
-                             _extended_axis(f.y, ry), vals,
-                             renormalization=f.renormalization)
+        vals, axes = f.values, []
+        for axis, (x, h) in enumerate(_grid_axes(f)):
+            vals, radius = _blur_along(vals, axis, sigma, h)
+            axes.append(_extended_axis(x, h, radius))
+        return _grid_like(f, axes, vals)
     raise ReferenceMismatch(f"heat flow is not defined for {type(f).__name__}")
 
 
 # === OU flow ==============================================================
 
-def _mehler_axis_params(t):
-    c = math.exp(-t)
-    return c, math.sqrt(max(1.0 - c * c, 0.0))
-
-
-def _ou_grid_1d(x, values, t):
-    c, a = _mehler_axis_params(t)
-    h = (x[-1] - x[0]) / (x.size - 1)
-    if a == 0.0:
-        return values.copy()
-    if a < MIN_BLUR_STEPS * h:
-        # Blur below grid resolution: evaluate the Mehler integral at
-        # Gauss-Hermite nodes against the spline instead.
-        z, w = gauss_hermite()
-        coeffs = spline_coefficients(values)
-        idx = ((c * x[:, None] + a * z[None, :]) - x[0]) / h
-        samples = sample_coefficients(coeffs, [idx.ravel()]).reshape(idx.shape)
-        return samples @ w
-    w, radius = _blur_kernel(a, h)
-    blurred = np.convolve(values, w)
-    coeffs = spline_coefficients(blurred)
-    idx = (c * x - (x[0] - radius * h)) / h
-    return sample_coefficients(coeffs, [idx])
-
-
-def _ou_grid_2d(f, t):
-    c, a = _mehler_axis_params(t)
-    if a == 0.0:
-        return f.values.copy()
-    if a < MIN_BLUR_STEPS * min(f.hx, f.hy):
-        # Blur below grid resolution: tensorized Gauss-Hermite against the
-        # 2d spline, accumulated one x-node at a time.
-        z, w = gauss_hermite()
-        coeffs = f.spline_coeffs()
-        out = np.zeros((f.x.size, f.y.size))
-        py = (c * f.y[:, None] + a * z[None, :] - f.y[0]) / f.hy
-        for k in range(z.size):
-            px = (c * f.x + a * z[k] - f.x[0]) / f.hx
-            ix = np.broadcast_to(px[:, None, None], (f.x.size,) + py.shape)
-            iy = np.broadcast_to(py[None, :, :], ix.shape)
-            vals = sample_coefficients(coeffs, [ix.ravel(), iy.ravel()]).reshape(ix.shape)
-            out += w[k] * (vals @ w)
-        return out
-    wx, rx = _blur_kernel(a, f.hx)
-    wy, ry = _blur_kernel(a, f.hy)
-    blurred = signal.fftconvolve(f.values, wx[:, None])
-    blurred = signal.fftconvolve(blurred, wy[None, :])
-    coeffs = spline_coefficients(blurred)
-    ix = (c * f.x - (f.x[0] - rx * f.hx)) / f.hx
-    iy = (c * f.y - (f.y[0] - ry * f.hy)) / f.hy
-    IX, IY = np.meshgrid(ix, iy, indexing="ij")
-    return sample_coefficients(coeffs, [IX.ravel(), IY.ravel()]).reshape(IX.shape)
-
-
 def ou_flow(f, t):
     """Ornstein-Uhlenbeck evolution of a Gaussian-reference density.
 
     The reversibility of the OU semigroup in L^2(gamma) means the relative
-    density itself evolves by the Mehler operator: blur by
-    N(0, 1 - e^{-2t}), then dilate the argument by e^{-t}.
+    density itself evolves by the Mehler operator P_t.  On a grid P_t is
+    the tensor product of 1d operators, applied one axis at a time: blur
+    by N(0, 1 - e^{-2t}), then dilate the argument by e^{-t}; below
+    MIN_BLUR_STEPS grid steps of blur (chosen per axis), 64-node
+    Gauss-Hermite quadrature of the Mehler integral instead.  Each pass
+    prefilters along its own axis and samples through one banded sparse
+    matrix, so a 2d flow costs two 1d passes and no 2d spline evaluation.
     """
     t = _coerce_time(t)
     if isinstance(f, GaussianDensity):
@@ -190,18 +193,16 @@ def ou_flow(f, t):
         n = f.dim
         cov = c * c * f.covariance + (1.0 - c * c) * np.eye(n)
         return GaussianDensity(Reference.GAUSSIAN, c * f.mean, cov)
-    if isinstance(f, GridDensity1D):
+    if isinstance(f, (GridDensity1D, GridDensity2D)):
         if f.reference is not Reference.GAUSSIAN:
             raise ReferenceMismatch("OU flow acts on Gaussian-reference densities")
-        vals = np.maximum(_ou_grid_1d(f.x, f.values, t), 0.0)
-        return GridDensity1D(Reference.GAUSSIAN, f.x, vals,
-                             renormalization=f.renormalization)
-    if isinstance(f, GridDensity2D):
-        if f.reference is not Reference.GAUSSIAN:
-            raise ReferenceMismatch("OU flow acts on Gaussian-reference densities")
-        vals = np.maximum(_ou_grid_2d(f, t), 0.0)
-        return GridDensity2D(Reference.GAUSSIAN, f.x, f.y, vals,
-                             renormalization=f.renormalization)
+        axes = _grid_axes(f)
+        # Each pass flows the last axis and moves it to the front, so the
+        # passes start from the transpose and end in f's orientation.
+        vals = np.ascontiguousarray(f.values.T)
+        for x, h in axes:
+            vals = _mehler_rows(vals, x, h, t)
+        return _grid_like(f, [x for x, _ in axes], vals.T)
     raise ReferenceMismatch(f"OU flow is not defined for {type(f).__name__}")
 
 
@@ -233,7 +234,7 @@ def hermite_p_theta(f, theta, x=None, nodes=64):
         samples = sample_coefficients(f.spline_coeffs(), [idx.ravel()]).reshape(pts.shape)
     else:
         raise ReferenceMismatch(f"cannot evaluate {type(f).__name__} at Mehler points")
-    return GridFunction1D(x, samples @ w)
+    return GridFunction1D(x, _freeze(samples @ w))
 
 
 # === flow diagnostics =====================================================

@@ -18,6 +18,7 @@ from entroframe import (
     GaussianDensity,
     GridDensity1D,
     GridDensity2D,
+    GridFunction1D,
     NormalizationError,
     NotSPD,
     Reference,
@@ -116,6 +117,46 @@ class TestMassPolicy:
         vals[x.size // 2] = -0.1
         with pytest.raises(NormalizationError):
             GridDensity1D.from_values(LEB, x, vals)
+
+
+# === ownership of the caller's arrays =====================================
+
+class TestCallerArrays:
+    """A density copies any array its caller can still write to."""
+
+    @pytest.mark.parametrize("build", [
+        lambda x, v: GridDensity1D(LEB, x, v),
+        lambda x, v: GridDensity1D.from_values(LEB, x, v),
+        lambda x, v: GridFunction1D(x, v),
+        lambda x, v: GridDensity2D(LEB, x, x, np.outer(v, v)),
+    ])
+    def test_caller_arrays_stay_writeable_and_unshared(self, build):
+        x = default_axis(points=129)
+        v = lebesgue_gaussian_values(x, 0.0, 1.0)
+        d = build(x, v)
+        assert x.flags.writeable and v.flags.writeable
+        assert d.x is not x and d.values is not v
+        kept_x, kept_values = d.x.copy(), d.values.copy()
+        x[:] = 0.0
+        v[:] = 7.0
+        np.testing.assert_array_equal(d.x, kept_x)
+        np.testing.assert_array_equal(d.values, kept_values)
+        assert not d.values.flags.writeable
+
+    def test_gaussian_parameters_are_copied(self):
+        mean, cov = np.array([0.5, 0.0]), np.eye(2)
+        g = gaussian(LEB, mean, cov)
+        mean[0] = 3.0
+        cov[0, 0] = 9.0
+        assert mean.flags.writeable and cov.flags.writeable
+        np.testing.assert_array_equal(g.mean, [0.5, 0.0])
+        np.testing.assert_array_equal(g.covariance, np.eye(2))
+
+    def test_read_only_arrays_are_shared_not_copied(self):
+        """Arrays a density already owns pass through without a copy."""
+        d = gaussian(LEB, [0.0, 0.0], np.eye(2)).to_grid(points=129)
+        again = GridDensity2D(LEB, d.x, d.y, d.values)
+        assert again.x is d.x and again.values is d.values
 
 
 # === parametric families ==================================================

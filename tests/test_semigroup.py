@@ -8,10 +8,16 @@ where an absolute sup norm measures nothing useful.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+from scipy import signal
 
+import entroframe
 from entroframe import (
     ExpFunction,
     GridFunction1D,
@@ -19,11 +25,20 @@ from entroframe import (
     default_axis,
     gaussian,
     gaussian_mixture,
+    independent_product,
 )
 from entroframe.errors import InvalidFlowTime, ReferenceMismatch
-from entroframe.quadrature import gauss_hermite, simpson_weights
-from entroframe.semigroup import (FlowTime, de_bruijn_check, heat_flow,
-                                  hermite_p_theta, ou_flow, stability_check)
+from entroframe.quadrature import (gauss_hermite, sample_coefficients,
+                                   simpson_weights, spline_coefficients,
+                                   spline_matrix)
+from entroframe.semigroup import (MIN_BLUR_STEPS, FlowTime, _blur_kernel,
+                                  de_bruijn_check, heat_flow, hermite_p_theta,
+                                  ou_flow, stability_check)
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 LEB = Reference.LEBESGUE
 GAM = Reference.GAUSSIAN
@@ -143,6 +158,132 @@ class TestOUFlow:
     def test_lebesgue_reference_rejected(self):
         with pytest.raises(ReferenceMismatch):
             ou_flow(gaussian(LEB, 0.0, 1.0), 0.1)
+
+
+# === per-axis operators ===================================================
+
+def direct_ou_2d(f, t, rows):
+    """Rows x[rows] of the OU-flowed values of f by 2d spline evaluation.
+
+    The direct 2d route the per-axis flow must reproduce: at least
+    MIN_BLUR_STEPS grid steps of blur convolves both axes, prefilters in 2d
+    and samples the dilated meshgrid; below that, the 64 x 64 tensorized
+    Gauss-Hermite sum against the 2d spline.
+    """
+    c = math.exp(-t)
+    a = math.sqrt(1.0 - c * c)
+    if a < MIN_BLUR_STEPS * min(f.hx, f.hy):
+        z, w = gauss_hermite()
+        coeffs = spline_coefficients(f.values)
+        x = f.x[rows]
+        out = np.zeros((x.size, f.y.size))
+        py = (c * f.y[:, None] + a * z[None, :] - f.y[0]) / f.hy
+        for k in range(z.size):
+            px = (c * x + a * z[k] - f.x[0]) / f.hx
+            ix = np.broadcast_to(px[:, None, None], (x.size,) + py.shape)
+            iy = np.broadcast_to(py[None, :, :], ix.shape)
+            vals = sample_coefficients(coeffs, [ix.ravel(), iy.ravel()]).reshape(ix.shape)
+            out += w[k] * (vals @ w)
+        return np.maximum(out, 0.0)
+    wx, rx = _blur_kernel(a, f.hx)
+    wy, ry = _blur_kernel(a, f.hy)
+    blurred = signal.fftconvolve(f.values, wx[:, None])
+    blurred = signal.fftconvolve(blurred, wy[None, :])
+    ix = (c * f.x[rows] - (f.x[0] - rx * f.hx)) / f.hx
+    iy = (c * f.y - (f.y[0] - ry * f.hy)) / f.hy
+    IX, IY = np.meshgrid(ix, iy, indexing="ij")
+    vals = sample_coefficients(spline_coefficients(blurred), [IX.ravel(), IY.ravel()])
+    return np.maximum(vals.reshape(IX.shape), 0.0)
+
+
+class TestSplineMatrix:
+    N = 40
+
+    def indices(self):
+        rng = np.random.default_rng(7)
+        n = self.N
+        edges = [0.0, 1e-13, 0.5, 1.0, n - 2.0, n - 1.5, n - 1.0 - 1e-13, n - 1.0]
+        outside = [-1e-15, -0.5, -3.0, n - 1.0 + 1e-13, n - 0.5, n + 2.5]
+        return np.concatenate([rng.uniform(-2.0, n + 1.0, 200), edges, outside])
+
+    def test_matches_map_coordinates(self):
+        """Column j is the spline of the j-th unit coefficient vector."""
+        index = self.indices()
+        dense = np.stack([sample_coefficients(e, [index]) for e in np.eye(self.N)], axis=1)
+        got = spline_matrix(index[:, None], [1.0], self.N).toarray()
+        np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-15)
+        assert not got[-6:].any()
+
+    def test_weighted_rows_sum_nodes(self):
+        rng = np.random.default_rng(8)
+        index = self.indices().reshape(-1, 2)
+        weights = np.array([0.3, 0.7])
+        coeffs = rng.normal(size=self.N)
+        want = sample_coefficients(coeffs, [index.ravel()]).reshape(index.shape) @ weights
+        np.testing.assert_allclose(spline_matrix(index, weights, self.N) @ coeffs, want,
+                                   rtol=0.0, atol=1e-14)
+
+
+class TestTensorProductFlows:
+    """2d flows are the per-axis 1d flows, one axis after the other."""
+
+    @pytest.mark.parametrize("t", [1e-5, 0.5])
+    def test_ou_on_product_is_product_of_1d_flows(self, t):
+        f = gaussian(GAM, 0.3, 1.2).to_grid(points=513)
+        g = gaussian(GAM, -0.4, 0.8).to_grid(points=513)
+        both = ou_flow(independent_product(f, g), t)
+        want = np.outer(ou_flow(f, t).values, ou_flow(g, t).values)
+        np.testing.assert_allclose(both.values, want, rtol=1e-12,
+                                   atol=1e-14 * want.max())
+
+    @pytest.mark.parametrize("t", [1e-5, 0.5])
+    def test_heat_on_product_is_product_of_1d_flows(self, t):
+        f = gaussian(LEB, 0.3, 1.2).to_grid(points=513)
+        g = gaussian(LEB, -0.4, 0.8).to_grid(points=513)
+        both = heat_flow(independent_product(f, g), t)
+        ff, gg = heat_flow(f, t), heat_flow(g, t)
+        np.testing.assert_array_equal(both.x, ff.x)
+        np.testing.assert_array_equal(both.y, gg.x)
+        want = np.outer(ff.values, gg.values)
+        np.testing.assert_allclose(both.values, want, rtol=0.0, atol=1e-14 * want.max())
+
+    @pytest.mark.parametrize("t", [1e-5, 0.5])
+    def test_ou_matches_direct_2d_evaluation(self, t):
+        """Both branches agree with 2d spline evaluation at n = 129: t = 1e-5
+        is far below MIN_BLUR_STEPS grid steps of blur, t = 0.5 above."""
+        cov = np.array([[1.1, 0.3], [0.3, 0.8]])
+        f = gaussian(GAM, [0.3, -0.2], cov).to_grid(points=129)
+        rows = np.arange(0, 129, 16)
+        want = direct_ou_2d(f, t, rows)
+        got = ou_flow(f, t).values[rows]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * want.max())
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_small_time_2d_ou_default_grid_fits_in_memory(self):
+        """The Gauss-Hermite branch in 2d on the default grid, under a 2 GiB
+        address-space cap, stays accurate and under 1 GB resident."""
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from entroframe import Reference, entropy, gaussian
+            from entroframe.density import DEFAULT_POINTS
+            from entroframe.semigroup import ou_flow
+            g = gaussian(Reference.GAUSSIAN, [0.3, -0.2], [[1.1, 0.3], [0.3, 0.8]])
+            flowed = ou_flow(g.to_grid(points=DEFAULT_POINTS), 1e-5)
+            err = float(entropy(flowed)) - float(entropy(ou_flow(g, 1e-5)))
+            print(err, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(entroframe.__file__)))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        err, maxrss = done.stdout.split()
+        # ru_maxrss is in kilobytes on Linux and in bytes on macOS
+        rss_bytes = int(maxrss) * (1 if sys.platform == "darwin" else 1024)
+        assert abs(float(err)) <= 1e-7
+        assert rss_bytes < 1e9
 
 
 # === Mehler operator ======================================================
