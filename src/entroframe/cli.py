@@ -147,10 +147,8 @@ def _check_loaded(density, reference, dim, what):
             f"needs {reference.value}")
     if isinstance(density, GaussianDensity):
         actual = density.dim
-    elif isinstance(density, GridDensity1D):
-        actual = 1
-    elif isinstance(density, GridDensity2D):
-        actual = 2
+    elif isinstance(density, (GridDensity1D, GridDensity2D)):
+        actual = len(density.axes)
     else:
         actual = dim
     if actual != dim:

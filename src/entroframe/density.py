@@ -90,16 +90,27 @@ def log_gaussian_weight(x):
     return -0.5 * x * x - 0.5 * LOG_2PI
 
 
-def reference_weight_1d(reference, x):
-    if reference is Reference.GAUSSIAN:
-        return np.exp(log_gaussian_weight(x))
-    return np.ones_like(np.asarray(x, dtype=float))
+def reference_weight(reference, *axes):
+    """d(mu)/dx on the product grid of axes: 1 for Lebesgue, else the
+    product of the standard gaussian densities of the axes."""
+    if reference is Reference.LEBESGUE:
+        return 1.0
+    logs = [log_gaussian_weight(x) for x in axes]
+    return np.exp(logs[0] if len(logs) == 1 else logs[0][:, None] + logs[1][None, :])
 
 
-def reference_weight_2d(reference, x, y):
-    if reference is Reference.GAUSSIAN:
-        return np.exp(log_gaussian_weight(x)[:, None] + log_gaussian_weight(y)[None, :])
-    return np.ones((len(x), len(y)))
+def integral(reference, values, *axes):
+    """int g dmu over the product grid of axes, each an (x, h) pair.
+
+    values[i, ...] = g(x_i, ...).  The Simpson weights of each axis are
+    contracted in axis order, wx @ v or wx @ v @ wy.
+    """
+    weighted = values * reference_weight(reference, *(x for x, _ in axes))
+    (x, h), *rest = axes
+    total = simpson_weights(x.size, h) @ weighted
+    for x, h in rest:
+        total = total @ simpson_weights(x.size, h)
+    return float(total)
 
 
 # === value policy =========================================================
@@ -168,33 +179,47 @@ def _cached(obj, name, compute):
 
 # === grid containers ======================================================
 
-@dataclass(frozen=True, eq=False)
-class GridFunction1D:
-    """An arbitrary sampled function on a uniform axis (no mass policy)."""
+def _axis_step(x, name="x"):
+    """The step of x if it is a uniform ascending grid axis; GridError otherwise."""
+    try:
+        return validate_axis(x, name)
+    except ValueError as exc:
+        raise GridError(str(exc)) from None
 
-    x: np.ndarray
-    values: np.ndarray
 
-    def __post_init__(self):
-        x = _readonly(self.x)
-        v = _readonly(self.values)
-        try:
-            validate_axis(x, "x")
-        except ValueError as exc:
-            raise GridError(str(exc)) from None
-        if v.shape != x.shape:
-            raise GridError(f"values shape {v.shape} != axis shape {x.shape}")
-        if not np.all(np.isfinite(v)):
-            raise GridError("values must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", v)
+class _Grid:
+    """Base of the grid containers: read-only values on checked axes.
 
-    @property
-    def h(self):
-        return (self.x[-1] - self.x[0]) / (self.x.size - 1)
+    After construction, axes holds one (nodes, step) pair per axis, and
+    each step is also kept by name: h (1d), or hx and hy (2d).
+    """
+
+    def _own_axes(self, **steps):
+        """Check and freeze the axis fields and the values; steps maps each
+        axis field to the attribute that keeps its step."""
+        axes = []
+        for name, step in steps.items():
+            x = _readonly(getattr(self, name))
+            h = _axis_step(x, name)
+            object.__setattr__(self, name, x)
+            object.__setattr__(self, step, h)
+            axes.append((x, h))
+        values = _readonly(self.values)
+        shape = tuple(x.size for x, _ in axes)
+        if values.shape != shape:
+            raise GridError(f"values shape {values.shape} != grid shape {shape}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "axes", tuple(axes))
 
     def spline_coeffs(self):
         return _cached(self, "_coeffs_memo", lambda: spline_coefficients(self.values))
+
+
+class _Grid1D(_Grid):
+    """Base of the 1d grid containers: one axis x with step h, callable at points."""
+
+    def __post_init__(self):
+        self._own_axes(x="h")
 
     def __call__(self, points):
         """Cubic-spline evaluation; zero outside the grid."""
@@ -202,56 +227,59 @@ class GridFunction1D:
         return sample_coefficients(self.spline_coeffs(), [idx.ravel()]).reshape(np.shape(points))
 
 
+class _GridDensity(_Grid):
+    """Base of the grid densities: the mass policy and the mass against the reference."""
+
+    @classmethod
+    def from_values(cls, reference, *grid, what="density"):
+        """Validated constructor applying the mass policy.
+
+        grid is the axes, then the values: (x, values) or (x, y, values).
+        """
+        *axes, values = grid
+        density = cls(reference, *axes, _clip_values(values, what))
+        values, factor = _mass_policy(density.values, density.mass(), cls._mass_tight, what)
+        if factor == 1.0:
+            return density
+        return cls(reference, *(x for x, _ in density.axes), values, renormalization=factor)
+
+    def mass(self):
+        return integral(self.reference, self.values, *self.axes)
+
+
 @dataclass(frozen=True, eq=False)
-class GridDensity1D:
+class GridFunction1D(_Grid1D):
+    """An arbitrary sampled function on a uniform axis (no mass policy)."""
+
+    x: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.values)):
+            raise GridError("values must be finite")
+
+
+@dataclass(frozen=True, eq=False)
+class GridDensity1D(_Grid1D, _GridDensity):
     """A probability density on a uniform axis w.r.t. its reference."""
+
+    _mass_tight = MASS_TIGHT_1D
 
     reference: Reference
     x: np.ndarray
     values: np.ndarray
     renormalization: float = 1.0
 
-    def __post_init__(self):
-        x = _readonly(self.x)
-        v = _readonly(self.values)
-        try:
-            validate_axis(x, "x")
-        except ValueError as exc:
-            raise GridError(str(exc)) from None
-        if v.shape != x.shape:
-            raise GridError(f"values shape {v.shape} != axis shape {x.shape}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_values(cls, reference, x, values, what="density"):
-        """Validated constructor applying the mass policy."""
-        x = np.asarray(x, dtype=float)
-        values = _clip_values(values, what)
-        h = (x[-1] - x[0]) / (x.size - 1)
-        mass = float(simpson_weights(x.size, h)
-                     @ (values * reference_weight_1d(reference, x)))
-        values, factor = _mass_policy(values, mass, MASS_TIGHT_1D, what)
-        return cls(reference, x, values, renormalization=factor)
-
-    @property
-    def h(self):
-        return (self.x[-1] - self.x[0]) / (self.x.size - 1)
-
-    def mass(self):
-        return float(simpson_weights(self.x.size, self.h)
-                     @ (self.values * reference_weight_1d(self.reference, self.x)))
-
-    def spline_coeffs(self):
-        return _cached(self, "_coeffs_memo", lambda: spline_coefficients(self.values))
-
     def as_function(self):
         return GridFunction1D(self.x, self.values)
 
 
 @dataclass(frozen=True, eq=False)
-class GridDensity2D:
+class GridDensity2D(_GridDensity):
     """A probability density on a uniform product grid, values[i, j] = f(x_i, y_j)."""
+
+    _mass_tight = MASS_TIGHT_2D
 
     reference: Reference
     x: np.ndarray
@@ -260,47 +288,7 @@ class GridDensity2D:
     renormalization: float = 1.0
 
     def __post_init__(self):
-        x = _readonly(self.x)
-        y = _readonly(self.y)
-        v = _readonly(self.values)
-        try:
-            validate_axis(x, "x")
-            validate_axis(y, "y")
-        except ValueError as exc:
-            raise GridError(str(exc)) from None
-        if v.shape != (x.size, y.size):
-            raise GridError(f"values shape {v.shape} != {(x.size, y.size)}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_values(cls, reference, x, y, values, what="density"):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        values = _clip_values(values, what)
-        hx = (x[-1] - x[0]) / (x.size - 1)
-        hy = (y[-1] - y[0]) / (y.size - 1)
-        w = values * reference_weight_2d(reference, x, y)
-        mass = float(simpson_weights(x.size, hx) @ w @ simpson_weights(y.size, hy))
-        values, factor = _mass_policy(values, mass, MASS_TIGHT_2D, what)
-        return cls(reference, x, y, values, renormalization=factor)
-
-    @property
-    def hx(self):
-        return (self.x[-1] - self.x[0]) / (self.x.size - 1)
-
-    @property
-    def hy(self):
-        return (self.y[-1] - self.y[0]) / (self.y.size - 1)
-
-    def mass(self):
-        w = self.values * reference_weight_2d(self.reference, self.x, self.y)
-        return float(simpson_weights(self.x.size, self.hx) @ w
-                     @ simpson_weights(self.y.size, self.hy))
-
-    def spline_coeffs(self):
-        return _cached(self, "_coeffs_memo", lambda: spline_coefficients(self.values))
+        self._own_axes(x="hx", y="hy")
 
     def line_coeffs(self, axis):
         """Values prefiltered along `axis` only, as one row per node of the other axis.
@@ -504,36 +492,34 @@ def marginal(f, direction, x_out=None):
         raise ReferenceMismatch(f"marginal needs a GridDensity2D, got {type(f).__name__}")
     theta = _as_direction(direction).theta
     if x_out is not None:
-        return _marginal(f, theta, np.asarray(x_out, dtype=float))
+        t = np.asarray(x_out, dtype=float)
+        return _marginal(f, theta, (t, _axis_step(t, "x_out")))
     memo = _cached(f, "_marginals_memo", dict)
     if theta not in memo:
-        memo[theta] = _marginal(f, theta, f.x)
+        memo[theta] = _marginal(f, theta, f.axes[0])
     return memo[theta]
 
 
-def _marginal(f, theta, t):
+def _marginal(f, theta, out_axis):
+    t, _ = out_axis
     cos_a, sin_a = math.cos(theta), math.sin(theta)
     if abs(cos_a) >= abs(sin_a):
-        axis, along, h_along, across, h_across = 0, f.x, f.hx, f.y, f.hy
+        axis, (along, h_along), (across, h_across) = 0, *f.axes
     else:
         # x = t / sin a - y cot a: the same shear with the axes swapped
-        axis, along, h_along, across, h_across = 1, f.y, f.hy, f.x, f.hx
+        axis, (across, h_across), (along, h_along) = 1, *f.axes
         cos_a, sin_a = sin_a, cos_a
     index0 = (t / cos_a - along[0]) / h_along
     shifts = across * (sin_a / cos_a / h_along)
     w = simpson_weights(across.size, h_across)[:, None] / abs(cos_a)
     if f.reference is Reference.GAUSSIAN:
         w = w * np.exp(log_gaussian_weight((across[:, None] - t * sin_a) / cos_a))
-    raw = sheared_sum(f.line_coeffs(axis), index0, shifts, w)
-
-    ht = (t[-1] - t[0]) / (t.size - 1)
-    raw_mass = float(simpson_weights(t.size, ht)
-                     @ (np.maximum(raw, 0.0) * reference_weight_1d(f.reference, t)))
+    vals = np.maximum(sheared_sum(f.line_coeffs(axis), index0, shifts, w), 0.0)
+    raw_mass = integral(f.reference, vals, out_axis)
     if raw_mass < 1.0 - TRUNCATION_TOL:
         raise DomainTruncation(
             f"marginal mass {raw_mass:.6f}; more than {TRUNCATION_TOL:g} lost off-grid")
-    vals = np.maximum(raw, 0.0) / raw_mass
-    return GridDensity1D(f.reference, t, _freeze(vals),
+    return GridDensity1D(f.reference, t, _freeze(vals / raw_mass),
                          renormalization=1.0 / raw_mass)
 
 
@@ -636,12 +622,9 @@ def linear_combination(f, g, a, b):
     hi = max(a * f.x[0], a * f.x[-1]) + max(b * g.x[0], b * g.x[-1])
     n = f.x.size + g.x.size - 1
     t = _freeze(np.linspace(lo, hi, n))
-    pts = (t[:, None] - b * g.x[None, :]) / a
-    idx = (pts - f.x[0]) / f.h
-    samp = sample_coefficients(f.spline_coeffs(), [idx.ravel()]).reshape(pts.shape)
+    samp = f((t[:, None] - b * g.x[None, :]) / a)
     vals = np.maximum(samp, 0.0) @ (simpson_weights(g.x.size, g.h) * g.values) / abs(a)
-    ht = (t[-1] - t[0]) / (n - 1)
-    raw_mass = float(simpson_weights(n, ht) @ vals)
+    raw_mass = integral(Reference.LEBESGUE, vals, (t, _axis_step(t, "t")))
     if raw_mass < 1.0 - TRUNCATION_TOL:
         raise DomainTruncation(
             f"combination mass {raw_mass:.6f}; more than {TRUNCATION_TOL:g} lost off-grid")

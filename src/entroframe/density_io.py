@@ -27,14 +27,6 @@ def _parse_reference(raw):
 
 # === CSV ==================================================================
 
-def save_csv_1d(f, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "f"])
-        for xv, fv in zip(f.x, f.values):
-            writer.writerow([repr(float(xv)), repr(float(fv))])
-
-
 def load_csv_1d(path, reference):
     reference = _parse_reference(reference) if not isinstance(reference, Reference) else reference
     with open(path, newline="") as fh:
@@ -48,16 +40,6 @@ def load_csv_1d(path, reference):
     x = np.array([r[0] for r in rows])
     vals = np.array([r[1] for r in rows])
     return GridDensity1D.from_values(reference, x, vals, what=str(path))
-
-
-def save_csv_2d(f, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "f"])
-        for i, xv in enumerate(f.x):
-            for j, yv in enumerate(f.y):
-                writer.writerow([repr(float(xv)), repr(float(yv)),
-                                 repr(float(f.values[i, j]))])
 
 
 def load_csv_2d(path, reference):
@@ -117,9 +99,3 @@ def load_json(path, length=None, points=None):
     with open(path) as fh:
         spec = json.load(fh)
     return density_from_spec(spec, length=length, points=points)
-
-
-def save_json(spec, path):
-    with open(path, "w") as fh:
-        json.dump(spec, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -285,6 +285,13 @@ def young_frame(p, q, r):
     All of p, q, r must exceed 1.  Example: young_frame(3/2, 3/2, 3) is the
     Mercedes frame (triple (3/2, 3/2, 3/2)).
     """
+    p, q, r = validate_young(p, q, r)
+    return angles_from_exponents((conjugate_exponent(r), p, q))
+
+
+def validate_young(p, q, r):
+    """The Young triple as floats: each exponent > 1 and 1/p + 1/q = 1 + 1/r
+    within CONSTRAINT_TOL; raises InvalidExponents otherwise."""
     p, q, r = float(p), float(q), float(r)
     for v in (p, q, r):
         if not v > 1.0:
@@ -292,7 +299,7 @@ def young_frame(p, q, r):
     if abs(1.0 / p + 1.0 / q - 1.0 - 1.0 / r) > CONSTRAINT_TOL:
         raise InvalidExponents(
             f"Young scaling violated: 1/{p} + 1/{q} != 1 + 1/{r}")
-    return angles_from_exponents((conjugate_exponent(r), p, q))
+    return p, q, r
 
 
 # === the Shannon limit ====================================================

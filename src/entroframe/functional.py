@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (GaussianDensity, GridDensity1D, GridDensity2D,
-                      GridFunction1D, Reference, reference_weight_1d,
-                      reference_weight_2d)
+                      GridFunction1D, Reference, _axis_step, integral)
 from .errors import InvalidExponents, NonSmoothWarning, ReferenceMismatch
-from .quadrature import simpson_weights
 
 VALUE_FLOOR = 1e-300
 
@@ -80,17 +78,6 @@ def _grad_sq_over_f(values, grads):
 
 # === entropy ==============================================================
 
-def _entropy_grid_1d(x, values, reference):
-    h = (x[-1] - x[0]) / (x.size - 1)
-    return float(simpson_weights(x.size, h)
-                 @ (xlogx(values) * reference_weight_1d(reference, x)))
-
-
-def _entropy_grid_2d(f):
-    w = xlogx(f.values) * reference_weight_2d(f.reference, f.x, f.y)
-    return float(simpson_weights(f.x.size, f.hx) @ w @ simpson_weights(f.y.size, f.hy))
-
-
 def _entropy_gaussian(f):
     sign, logdet = np.linalg.slogdet(f.covariance)
     n = f.dim
@@ -104,29 +91,16 @@ def entropy(f):
     """S_mu(f) for a grid or Gaussian density."""
     if isinstance(f, GaussianDensity):
         return EntropyValue(_entropy_gaussian(f), "closed-form")
-    if isinstance(f, GridDensity1D):
-        return EntropyValue(_entropy_grid_1d(f.x, f.values, f.reference), "quadrature")
-    if isinstance(f, GridDensity2D):
-        return EntropyValue(_entropy_grid_2d(f), "quadrature")
+    if isinstance(f, (GridDensity1D, GridDensity2D)):
+        return EntropyValue(integral(f.reference, xlogx(f.values), *f.axes), "quadrature")
     raise ReferenceMismatch(f"entropy is not defined for {type(f).__name__}")
 
 
 # === Fisher information ===================================================
 
-def _fisher_estimate_1d(x, values, reference):
-    h = (x[-1] - x[0]) / (x.size - 1)
-    g = np.gradient(values, h, edge_order=2)
-    integrand = _grad_sq_over_f(values, (g,)) * reference_weight_1d(reference, x)
-    return float(simpson_weights(x.size, h) @ integrand)
-
-
-def _fisher_estimate_2d(x, y, values, reference):
-    hx = (x[-1] - x[0]) / (x.size - 1)
-    hy = (y[-1] - y[0]) / (y.size - 1)
-    gx = np.gradient(values, hx, axis=0, edge_order=2)
-    gy = np.gradient(values, hy, axis=1, edge_order=2)
-    integrand = _grad_sq_over_f(values, (gx, gy)) * reference_weight_2d(reference, x, y)
-    return float(simpson_weights(x.size, hx) @ integrand @ simpson_weights(y.size, hy))
+def _fisher_estimate(values, axes, reference):
+    grads = [np.gradient(values, h, axis=i, edge_order=2) for i, (_, h) in enumerate(axes)]
+    return integral(reference, _grad_sq_over_f(values, grads), *axes)
 
 
 def _coarse_slice(n):
@@ -164,33 +138,30 @@ def fisher(f):
     """
     if isinstance(f, GaussianDensity):
         return FisherValue(_fisher_gaussian(f), "closed-form")
-    if isinstance(f, GridDensity1D):
-        sx = _coarse_slice(f.x.size)
-        fine = _fisher_estimate_1d(f.x, f.values, f.reference)
-        coarse = _fisher_estimate_1d(f.x[sx], f.values[sx], f.reference)
-        return FisherValue(_richardson(fine, coarse, "fisher"), "quadrature")
-    if isinstance(f, GridDensity2D):
-        sx = _coarse_slice(f.x.size)
-        sy = _coarse_slice(f.y.size)
-        fine = _fisher_estimate_2d(f.x, f.y, f.values, f.reference)
-        coarse = _fisher_estimate_2d(f.x[sx], f.y[sy], f.values[sx, sy], f.reference)
+    if isinstance(f, (GridDensity1D, GridDensity2D)):
+        slices = tuple(_coarse_slice(x.size) for x, _ in f.axes)
+        fine = _fisher_estimate(f.values, f.axes, f.reference)
+        coarse = _fisher_estimate(f.values[slices],
+                                  [(x[s], 2.0 * h) for (x, h), s in zip(f.axes, slices)],
+                                  f.reference)
         return FisherValue(_richardson(fine, coarse, "fisher"), "quadrature")
     raise ReferenceMismatch(f"fisher information is not defined for {type(f).__name__}")
 
 
 # === L^p norms ============================================================
 
-def lp_norm_values(x, values, p, reference):
-    """||f||_{L^p(mu)} from samples on a uniform axis."""
+def _lp_norm(values, p, reference, axis):
     p = float(p)
     if not p >= 1.0 or not math.isfinite(p):
         raise InvalidExponents(f"norm exponent must be finite and >= 1, got {p!r}")
+    integrand = np.abs(np.asarray(values, dtype=float)) ** p
+    return integral(reference, integrand, axis) ** (1.0 / p)
+
+
+def lp_norm_values(x, values, p, reference):
+    """||f||_{L^p(mu)} from samples on a uniform axis."""
     x = np.asarray(x, dtype=float)
-    h = (x[-1] - x[0]) / (x.size - 1)
-    integrand = np.abs(np.asarray(values, dtype=float)) ** p \
-        * reference_weight_1d(reference, x)
-    total = float(simpson_weights(x.size, h) @ integrand)
-    return total ** (1.0 / p)
+    return _lp_norm(values, p, reference, (x, _axis_step(x)))
 
 
 def lp_norm(f, p, reference=None):
@@ -198,11 +169,10 @@ def lp_norm(f, p, reference=None):
 
     GridFunction1D needs the reference spelled out; densities carry theirs.
     """
-    if isinstance(f, GridDensity1D):
-        ref = f.reference if reference is None else reference
-        return lp_norm_values(f.x, f.values, p, ref)
-    if isinstance(f, GridFunction1D):
-        if reference is None:
+    if not isinstance(f, (GridDensity1D, GridFunction1D)):
+        raise ReferenceMismatch(f"lp_norm is not defined for {type(f).__name__}")
+    if reference is None:
+        if isinstance(f, GridFunction1D):
             raise ReferenceMismatch("lp_norm of a grid function needs an explicit reference")
-        return lp_norm_values(f.x, f.values, p, reference)
-    raise ReferenceMismatch(f"lp_norm is not defined for {type(f).__name__}")
+        reference = f.reference
+    return _lp_norm(f.values, p, reference, f.axes[0])

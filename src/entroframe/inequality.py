@@ -21,14 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (ExpFunction, GaussianDensity, GridDensity1D,
-                      GridDensity2D, GridFunction1D, Reference, _cached,
-                      convolve, default_axis, linear_combination, marginal,
-                      reference_weight_1d, reference_weight_2d, scale1d)
+                      GridDensity2D, GridFunction1D, Reference, _axis_step,
+                      _cached, convolve, default_axis, integral,
+                      linear_combination, marginal, scale1d)
 from .errors import InvalidExponents, ReferenceMismatch
-from .frames import (ExponentTriple, Frame2, angles_from_exponents,
-                     conjugate_exponent, shannon_limit_frame)
-from .functional import entropy, fisher, lp_norm, lp_norm_values
-from .quadrature import gauss_hermite, sample_coefficients, simpson_weights
+from .frames import (ExponentTriple, Frame2, _coerce_triple,
+                     angles_from_exponents, conjugate_exponent,
+                     shannon_limit_frame, validate_young)
+from .functional import _lp_norm, entropy, fisher, lp_norm
+from .quadrature import gauss_hermite, simpson_weights
 from .semigroup import FlowTime, hermite_p_theta, ou_flow
 
 SQRT2 = math.sqrt(2.0)
@@ -138,20 +139,9 @@ def _ct(t):
     return math.sqrt(t ** (1.0 / t) / tc ** (1.0 / tc))
 
 
-def _validate_young(p, q, r):
-    p, q, r = float(p), float(q), float(r)
-    for v in (p, q, r):
-        if not v > 1.0:
-            raise InvalidExponents(f"Young exponent {v!r} must be > 1")
-    if abs(1.0 / p + 1.0 / q - 1.0 - 1.0 / r) > 1e-9:
-        raise InvalidExponents(
-            f"Young scaling violated: 1/{p} + 1/{q} - 1 != 1/{r}")
-    return p, q, r
-
-
 def young_constant(p, q, r):
     """Sharp constant C_p C_q / C_r for ||f * g||_r <= C ||f||_p ||g||_q."""
-    p, q, r = _validate_young(p, q, r)
+    p, q, r = validate_young(p, q, r)
     return _ct(p) * _ct(q) / _ct(r)
 
 
@@ -161,7 +151,7 @@ def young_log_constant(p, q, r):
     Equals (1/2) [ (log p)/p - (log p')/p' + (log q)/q - (log q')/q'
                    - (log r)/r + (log r')/r' ].
     """
-    p, q, r = _validate_young(p, q, r)
+    p, q, r = validate_young(p, q, r)
     pc, qc, rc = (conjugate_exponent(v) for v in (p, q, r))
     return 0.5 * (math.log(p) / p - math.log(pc) / pc
                   + math.log(q) / q - math.log(qc) / qc
@@ -176,7 +166,7 @@ def young_extremal_covariance(p, q, r):
     its diagonal swapped, [[M22, M12], [M12, M11]].  Any positive multiple
     is extremal as well.
     """
-    p, q, r = _validate_young(p, q, r)
+    p, q, r = validate_young(p, q, r)
     frame = angles_from_exponents((conjugate_exponent(r), p, q))
     t2, t3 = frame.thetas[1], frame.thetas[2]
     ct2, ct3 = 1.0 / math.tan(t2), 1.0 / math.tan(t3)
@@ -244,7 +234,7 @@ class GaussianExtremizer:
         return g
 
     def pair(self, triple, reference):
-        t = triple if isinstance(triple, ExponentTriple) else ExponentTriple(*triple)
+        t = _coerce_triple(triple)
         return (self.factor(2, t.p2, reference), self.factor(3, t.p3, reference))
 
 
@@ -252,10 +242,7 @@ class GaussianExtremizer:
 
 def _eval_at(f, pts):
     """Evaluate a callable / grid function / grid density at points."""
-    if isinstance(f, GridDensity1D):
-        idx = (np.asarray(pts, dtype=float) - f.x[0]) / f.h
-        return sample_coefficients(f.spline_coeffs(), [idx.ravel()]).reshape(np.shape(pts))
-    if callable(f):  # includes GridFunction1D
+    if callable(f):  # the 1d grid containers evaluate their spline
         return np.asarray(f(pts), dtype=float)
     raise ReferenceMismatch(f"cannot evaluate {type(f).__name__} pointwise")
 
@@ -265,10 +252,6 @@ def _values_on(f, x):
             and abs(f.x[0] - x[0]) < 1e-12 and abs(f.x[-1] - x[-1]) < 1e-12:
         return f.values
     return _eval_at(f, x)
-
-
-def _coerce_triple(t):
-    return t if isinstance(t, ExponentTriple) else ExponentTriple(*t)
 
 
 # === marginal entropy / Fisher subadditivity ==============================
@@ -319,17 +302,18 @@ def _two_function_integral(triple, g, h, reference, length=None, points=None):
     t2, t3 = frame.thetas[1], frame.thetas[2]
     outer = conjugate_exponent(t.p1)
     x = default_axis(length, points)
+    axis = (x, _axis_step(x))
     if reference is Reference.GAUSSIAN:
         y, wy = gauss_hermite()
     else:
         y = x
-        wy = simpson_weights(x.size, x[1] - x[0])
+        wy = simpson_weights(x.size, axis[1])
     gx = _eval_at(g, math.cos(t2) * x[:, None] + math.sin(t2) * y[None, :])
     hx = _eval_at(h, math.cos(t3) * x[:, None] + math.sin(t3) * y[None, :])
     inner = (gx * hx) @ wy
-    lhs = lp_norm_values(x, inner, outer, reference)
-    rhs = lp_norm_values(x, _values_on(g, x), t.p2, reference) \
-        * lp_norm_values(x, _values_on(h, x), t.p3, reference)
+    lhs = _lp_norm(inner, outer, reference, axis)
+    rhs = _lp_norm(_values_on(g, x), t.p2, reference, axis) \
+        * _lp_norm(_values_on(h, x), t.p3, reference, axis)
     return lhs, rhs, t
 
 
@@ -362,7 +346,7 @@ def check_hyper_two_function(f, g, p, r, tolerance=None, length=None, points=Non
 
 def check_young_convolution(g, h, p, q, r, tolerance=None):
     """||g * h||_r <= C_p C_q / C_r ||g||_p ||h||_q on Lebesgue densities."""
-    p, q, r = _validate_young(p, q, r)
+    p, q, r = validate_young(p, q, r)
     conv = convolve(g, h)
     constant = young_constant(p, q, r)
     lhs = lp_norm(conv, r, Reference.LEBESGUE)
@@ -398,7 +382,7 @@ def check_young_entropy(f, p, q, r, tolerance=None):
     Equality for centered Gaussians with covariance proportional to
     young_extremal_covariance(p, q, r).
     """
-    p, q, r = _validate_young(p, q, r)
+    p, q, r = validate_young(p, q, r)
     s_x, s_y, s_d, s_xy = _young_entropy_terms(f)
     constant = young_log_constant(p, q, r)
     lhs = s_x / conjugate_exponent(r) + s_d / p + s_y / q
@@ -530,7 +514,7 @@ def check_hypercontractivity(f, p, q, theta, tolerance=None,
         x = default_axis(length, points)
     pf = hermite_p_theta(f, theta, x=x)
     lhs = lp_norm(pf, q, Reference.GAUSSIAN)
-    rhs = lp_norm_values(x, _values_on(f, x), p, Reference.GAUSSIAN)
+    rhs = _lp_norm(_values_on(f, x), p, Reference.GAUSSIAN, pf.axes[0])
     return _report("hyper", lhs, rhs, 1.0, tolerance, (f, p, q, float(theta)))
 
 
@@ -560,23 +544,16 @@ def check_brascamp_lieb(frame, f1, f2, f3, reference=Reference.LEBESGUE,
     """int prod_i f_i(x . u_i)^{c_i} dmu_2 <= prod_i (int f_i dmu)^{c_i}
     for nonnegative f_i along the frame directions."""
     x = default_axis(length, points)
-    h = x[1] - x[0]
+    axis = (x, _axis_step(x))
     X = x[:, None]
     Y = x[None, :]
     prod = np.ones((x.size, x.size))
     rhs = 1.0
-    w1 = simpson_weights(x.size, h)
-    if reference is Reference.GAUSSIAN:
-        w1 = w1 * reference_weight_1d(reference, x)
-        w2 = reference_weight_2d(reference, x, x)
-    else:
-        w2 = 1.0
     for d, c, f in zip(frame.directions, frame.weights, (f1, f2, f3)):
         u = d.unit_vector()
         vals = np.maximum(_eval_at(f, u[0] * X + u[1] * Y), 0.0)
         prod *= vals ** c
-        rhs *= float(w1 @ np.maximum(_values_on(f, x), 0.0)) ** c
-    wx = simpson_weights(x.size, h)
-    lhs = float(wx @ (prod * w2) @ wx)
+        rhs *= integral(reference, np.maximum(_values_on(f, x), 0.0), axis) ** c
+    lhs = integral(reference, prod, axis, axis)
     return _report("brascamp-lieb", lhs, rhs, 1.0, tolerance,
                    (frame, f1, f2, f3, reference))

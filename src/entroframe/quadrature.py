@@ -5,6 +5,8 @@ composite Simpson weights are exact and subsampling by 2 keeps the
 endpoints.
 """
 
+import functools
+
 import numpy as np
 from scipy import ndimage, sparse
 
@@ -45,9 +47,17 @@ def gauss_hermite(n=64):
     """Nodes and weights integrating f against the standard gaussian.
 
     Probabilists' normalization: sum w_k f(z_k) ~ int f d(gamma_1).
+    Computed once per n; the arrays are read-only and shared by all callers.
     """
+    return _gauss_hermite(int(n))
+
+
+@functools.cache
+def _gauss_hermite(n):
     z, w = np.polynomial.hermite.hermgauss(n)
-    return z * np.sqrt(2.0), w / np.sqrt(np.pi)
+    z, w = z * np.sqrt(2.0), w / np.sqrt(np.pi)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
 # === spline sampling ======================================================

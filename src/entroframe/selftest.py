@@ -23,6 +23,7 @@ from .density import (
     ExpFunction,
     Reference,
     RenormalizationWarning,
+    default_axis,
     default_grid_points,
     gaussian,
     gaussian_mixture,
@@ -72,9 +73,8 @@ class CriterionResult:
                 f"{self.detail} [{self.elapsed:.2f}s]")
 
 
-def _tolerance_scale():
-    """Loosen quadrature-bound tolerances on grids coarser than the default."""
-    n = default_grid_points()
+def _tolerance_scale(n):
+    """Loosen quadrature-bound tolerances on n-point grids coarser than the default."""
     if n >= DEFAULT_POINTS:
         return 1.0
     return ((DEFAULT_POINTS - 1) / (n - 1)) ** 2
@@ -94,18 +94,18 @@ def _random_weight_triples(rng, count, low=0.05, high=0.95):
     return triples
 
 
-def _random_mixture(rng, reference, components=(2, 3),
+def _random_mixture(rng, reference, n, components=(2, 3),
                     mean_range=(-2.0, 2.0), var_range=(0.4, 2.5)):
     k = int(rng.integers(components[0], components[1] + 1))
     w = rng.uniform(0.2, 1.0, size=k)
     means = rng.uniform(*mean_range, size=k)
     variances = rng.uniform(*var_range, size=k)
-    return gaussian_mixture(reference, w / w.sum(), means, variances)
+    return gaussian_mixture(reference, w / w.sum(), means, variances, points=n)
 
 
 # === criteria =============================================================
 
-def _criterion_1(scale):
+def _criterion_1(scale, n):
     """Frame round-trip over 100 random weight triples."""
     rng = _rng(1)
     t0 = time.perf_counter()
@@ -123,14 +123,14 @@ def _criterion_1(scale):
                 f"residual {max_res:.2e} (<=1e-12), {elapsed:.3f}s (<1s)")
 
 
-def _criterion_2(scale):
+def _criterion_2(scale, n):
     """Mercedes identity: angles (0, pi/3, 2pi/3) -> weights 2/3."""
     frame = weights_from_directions(0.0, math.pi / 3.0, 2.0 * math.pi / 3.0)
     dev = float(np.max(np.abs(np.asarray(frame.weights) - 2.0 / 3.0)))
     return dev <= 1e-13, f"max |c_i - 2/3| = {dev:.2e} (<=1e-13)"
 
 
-def _criterion_3(scale):
+def _criterion_3(scale, n):
     """Sharp Young constant, closed form and six-term log display."""
     c = young_constant(4.0 / 3.0, 4.0 / 3.0, 2.0)
     target = (4.0 / 3.0) ** 0.75 * 4.0 ** -0.25
@@ -151,14 +151,14 @@ def _criterion_3(scale):
                 f"log form dev {dev_log:.2e} over 20 triples (<=1e-12)")
 
 
-def _criterion_4(scale):
+def _criterion_4(scale, n):
     """Young equality attainment along a Gaussian width scan at (4/3,4/3,2)."""
     t0 = time.perf_counter()
-    g = gaussian(LEB, 0.0, 1.0).to_grid()
+    g = gaussian(LEB, 0.0, 1.0).to_grid(points=n)
     best = math.inf
     worst_violation = 0.0
     for sigma in np.geomspace(0.5, 2.0, 21):
-        f = gaussian(LEB, 0.0, float(sigma) ** 2).to_grid()
+        f = gaussian(LEB, 0.0, float(sigma) ** 2).to_grid(points=n)
         rep = check_young_convolution(f, g, 4.0 / 3.0, 4.0 / 3.0, 2.0)
         best = min(best, abs(rep.slack) / rep.rhs)
         worst_violation = min(worst_violation, rep.slack)
@@ -169,17 +169,17 @@ def _criterion_4(scale):
                 f"{elapsed:.1f}s (<30s)")
 
 
-def _criterion_5(scale):
+def _criterion_5(scale, n):
     """Shannon on random mixtures, iid equality, and the N(0,1),N(0,4) case."""
     rng = _rng(5)
     worst = math.inf
     for _ in range(50):
-        rep = check_shannon(_random_mixture(rng, LEB),
-                            _random_mixture(rng, LEB))
+        rep = check_shannon(_random_mixture(rng, LEB, n),
+                            _random_mixture(rng, LEB, n))
         worst = min(worst, rep.slack)
-    std = gaussian(LEB, 0.0, 1.0).to_grid()
+    std = gaussian(LEB, 0.0, 1.0).to_grid(points=n)
     iid = abs(check_shannon(std, std).slack)
-    wide = gaussian(LEB, 0.0, 4.0).to_grid()
+    wide = gaussian(LEB, 0.0, 4.0).to_grid(points=n)
     closed = abs(check_shannon(std, wide).slack - 0.5 * math.log(1.25))
     ok = (worst >= -1e-4 * scale and iid <= 1e-5 * scale
           and closed <= 1e-4 * scale)
@@ -189,7 +189,7 @@ def _criterion_5(scale):
                 f"(<={1e-4 * scale:.0e})")
 
 
-def _criterion_6(scale):
+def _criterion_6(scale, n):
     """Shannon limit: weight expansion error <= 5 s^2 and Taylor residual.
 
     The middle weight of the limiting frame is -2 sin(2s)/(1 - sin(2s)) =
@@ -223,13 +223,13 @@ def _criterion_6(scale):
         f"and decreasing, iid rho {iid:.1e}")
 
 
-def _criterion_7(scale):
+def _criterion_7(scale, n):
     """Hypercontractivity sign change at cos^2(theta) = 1/3 for (p,q)=(2,4)."""
     f = ExpFunction(1.0)
     lo, hi = 0.80, 1.10
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if check_hypercontractivity(f, 2.0, 4.0, mid).slack < 0.0:
+        if check_hypercontractivity(f, 2.0, 4.0, mid, points=n).slack < 0.0:
             lo = mid
         else:
             hi = mid
@@ -238,7 +238,7 @@ def _criterion_7(scale):
     quad_dev = 0.0
     rhs_closed = exp_norm_gamma(1.0, 2.0)
     for theta in (0.6, hyper_threshold(2.0, 4.0), 1.2):
-        rep = check_hypercontractivity(f, 2.0, 4.0, theta)
+        rep = check_hypercontractivity(f, 2.0, 4.0, theta, points=n)
         lhs_closed = mehler_exp_norm(1.0, 4.0, theta)
         quad_dev = max(quad_dev, abs(rep.lhs - lhs_closed) / lhs_closed,
                        abs(rep.rhs - rhs_closed) / rhs_closed)
@@ -247,18 +247,18 @@ def _criterion_7(scale):
                 f"quadrature vs closed norms {quad_dev:.2e} (<=1e-6)")
 
 
-def _criterion_8(scale):
+def _criterion_8(scale, n):
     """Log-Sobolev equality family and nonnegativity on gamma mixtures."""
     worst_family = 0.0
     for a in (0.5, 1.0, 2.0):
-        f = gaussian(GAM, a, 1.0).to_grid()
+        f = gaussian(GAM, a, 1.0).to_grid(points=n)
         worst_family = max(worst_family,
                            abs(float(entropy(f)) - a * a / 2.0),
                            abs(float(fisher(f)) - a * a))
     rng = _rng(8)
     worst = math.inf
     for _ in range(50):
-        mix = _random_mixture(rng, GAM, mean_range=(-1.0, 1.0),
+        mix = _random_mixture(rng, GAM, n, mean_range=(-1.0, 1.0),
                               var_range=(0.5, 1.5))
         worst = min(worst, check_log_sobolev(mix).slack)
     ok = worst_family <= 1e-5 * scale and worst >= -1e-5 * scale
@@ -267,7 +267,7 @@ def _criterion_8(scale):
                 f"mixtures (>=-{1e-5 * scale:.0e})")
 
 
-def _criterion_9(scale):
+def _criterion_9(scale, n):
     """de Bruijn identity along both flows plus marginal-flow stability."""
     closed = 0.0
     for dens in (gaussian(LEB, 0.0, 1.0), gaussian(LEB, 0.5, 2.0)):
@@ -280,11 +280,11 @@ def _criterion_9(scale):
     gridded = 0.0
     for reference in (LEB, GAM):
         rngs = (-1.5, 1.5) if reference is LEB else (-1.0, 1.0)
-        mix = _random_mixture(rng, reference, mean_range=rngs,
+        mix = _random_mixture(rng, reference, n, mean_range=rngs,
                               var_range=(0.5, 1.5))
         for t in (0.1, 0.5):
             gridded = max(gridded, de_bruijn_check(mix, t))
-    corr = gaussian(LEB, [0.0, 0.0], [[2.0, 1.0], [1.0, 2.0]]).to_grid()
+    corr = gaussian(LEB, [0.0, 0.0], [[2.0, 1.0], [1.0, 2.0]]).to_grid(points=n)
     stability = max(stability_check(corr, math.pi / 6.0, 0.1),
                     stability_check(corr, math.pi / 3.0, 0.5))
     ok = (closed <= 1e-6 and gridded <= 1e-3 * scale
@@ -294,9 +294,9 @@ def _criterion_9(scale):
                 f"stability sup {stability:.2e} (<={1e-4 * scale:.0e})")
 
 
-def _criterion_10(scale):
+def _criterion_10(scale, n):
     """Subadditivity equality at the standard Gaussian, strict gap off it."""
-    std = gaussian(LEB, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]).to_grid()
+    std = gaussian(LEB, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]).to_grid(points=n)
     rng = _rng(10)
     frames = [mercedes_frame()]
     frames += [directions_from_weights(*t)
@@ -339,45 +339,35 @@ def run(only=None, grid_n=None, log=print):
     N-point grid instead of the default, loosening quadrature tolerances
     by the matching second-order factor.
     """
-    import os
-
     if only is not None and only not in TAGS:
         raise ValueError(f"unknown tag {only!r}; choose from {', '.join(TAGS)}")
-    previous = os.environ.get("ENTROFRAME_GRID_N")
-    if grid_n is not None:
-        os.environ["ENTROFRAME_GRID_N"] = str(int(grid_n))
-    try:
-        scale = _tolerance_scale()
-        results = []
-        total = 0.0
-        for index, tag, label, func in CRITERIA:
-            if only is not None and tag != only:
-                continue
-            t0 = time.perf_counter()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RenormalizationWarning)
-                passed, detail = func(scale)
-            elapsed = time.perf_counter() - t0
-            total += elapsed
-            results.append(CriterionResult(index, tag, label, passed,
-                                           detail, elapsed))
-            if log is not None:
-                log(results[-1].line())
-        if only is None:
-            passed = total < TIME_BUDGET and len(results) == len(CRITERIA)
-            results.append(CriterionResult(
-                11, "timing", "corpus runtime", passed,
-                f"criteria 1-10 completed in {total:.1f}s (<{TIME_BUDGET:.0f}s)",
-                total))
-            if log is not None:
-                log(results[-1].line())
+    n = default_grid_points() if grid_n is None else int(grid_n)
+    default_axis(points=n)  # a malformed point count fails before any criterion
+    scale = _tolerance_scale(n)
+    results = []
+    total = 0.0
+    for index, tag, label, func in CRITERIA:
+        if only is not None and tag != only:
+            continue
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RenormalizationWarning)
+            passed, detail = func(scale, n)
+        elapsed = time.perf_counter() - t0
+        total += elapsed
+        results.append(CriterionResult(index, tag, label, passed,
+                                       detail, elapsed))
         if log is not None:
-            good = sum(r.passed for r in results)
-            log(f"{good}/{len(results)} criteria passed")
-        return results
-    finally:
-        if grid_n is not None:
-            if previous is None:
-                os.environ.pop("ENTROFRAME_GRID_N", None)
-            else:
-                os.environ["ENTROFRAME_GRID_N"] = previous
+            log(results[-1].line())
+    if only is None:
+        passed = total < TIME_BUDGET and len(results) == len(CRITERIA)
+        results.append(CriterionResult(
+            11, "timing", "corpus runtime", passed,
+            f"criteria 1-10 completed in {total:.1f}s (<{TIME_BUDGET:.0f}s)",
+            total))
+        if log is not None:
+            log(results[-1].line())
+    if log is not None:
+        good = sum(r.passed for r in results)
+        log(f"{good}/{len(results)} criteria passed")
+    return results

@@ -73,13 +73,6 @@ def _coerce_time(t):
 
 # === per-axis operators ===================================================
 
-def _grid_axes(f):
-    """(nodes, step) of each axis of a grid density."""
-    if isinstance(f, GridDensity1D):
-        return [(f.x, f.h)]
-    return [(f.x, f.hx), (f.y, f.hy)]
-
-
 def _grid_like(f, axes, values):
     """A density of f's kind and reference on the given axes."""
     values = _freeze(np.maximum(values, 0.0, order="C"))
@@ -164,7 +157,7 @@ def heat_flow(f, t):
         if sigma == 0.0:
             return f
         vals, axes = f.values, []
-        for axis, (x, h) in enumerate(_grid_axes(f)):
+        for axis, (x, h) in enumerate(f.axes):
             vals, radius = _blur_along(vals, axis, sigma, h)
             axes.append(_extended_axis(x, h, radius))
         return _grid_like(f, axes, vals)
@@ -196,13 +189,12 @@ def ou_flow(f, t):
     if isinstance(f, (GridDensity1D, GridDensity2D)):
         if f.reference is not Reference.GAUSSIAN:
             raise ReferenceMismatch("OU flow acts on Gaussian-reference densities")
-        axes = _grid_axes(f)
         # Each pass flows the last axis and moves it to the front, so the
         # passes start from the transpose and end in f's orientation.
         vals = np.ascontiguousarray(f.values.T)
-        for x, h in axes:
+        for x, h in f.axes:
             vals = _mehler_rows(vals, x, h, t)
-        return _grid_like(f, [x for x, _ in axes], vals.T)
+        return _grid_like(f, [x for x, _ in f.axes], vals.T)
     raise ReferenceMismatch(f"OU flow is not defined for {type(f).__name__}")
 
 
@@ -226,14 +218,9 @@ def hermite_p_theta(f, theta, x=None, nodes=64):
     c, s = math.cos(theta), math.sin(theta)
     z, w = gauss_hermite(nodes)
     pts = c * x[:, None] + s * z[None, :]
-    if callable(f):
-        samples = np.asarray(f(pts), dtype=float)
-    elif isinstance(f, (GridFunction1D, GridDensity1D)):
-        h = f.h
-        idx = (pts - f.x[0]) / h
-        samples = sample_coefficients(f.spline_coeffs(), [idx.ravel()]).reshape(pts.shape)
-    else:
+    if not callable(f):  # the 1d grid containers evaluate their spline
         raise ReferenceMismatch(f"cannot evaluate {type(f).__name__} at Mehler points")
+    samples = np.asarray(f(pts), dtype=float)
     return GridFunction1D(x, _freeze(samples @ w))
 
 

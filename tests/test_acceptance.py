@@ -13,6 +13,8 @@ detail line for the measured coefficients (the outer weights, coefficient
 4, do meet the bound, and the first-order Taylor residual behaves).
 """
 
+import os
+
 import pytest
 
 from entroframe.selftest import run
@@ -89,3 +91,21 @@ class TestAcceptance:
     def test_criterion_11_corpus_runtime(self, corpus):
         """Criteria 1-10 complete within the 60s budget."""
         claim(corpus, 11)
+
+
+class _ReadOnlyEnviron(dict):
+    """A copy of os.environ whose every write raises."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the corpus wrote to os.environ")
+
+    __setitem__ = __delitem__ = pop = popitem = setdefault = update = clear = _refuse
+
+
+class TestRunIsolation:
+    def test_grid_n_leaves_environ_alone(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "environ", _ReadOnlyEnviron(os.environ))
+            results = run(only="young", grid_n=513, log=None)
+        assert [r.index for r in results] == [3, 4]
+        assert all(r.passed for r in results), [r.line() for r in results]

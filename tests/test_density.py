@@ -18,6 +18,7 @@ from entroframe import (
     GaussianDensity,
     GridDensity1D,
     GridDensity2D,
+    GridError,
     GridFunction1D,
     NormalizationError,
     NotSPD,
@@ -38,8 +39,9 @@ from entroframe import (
     scale1d,
     uniform_density,
 )
-from entroframe.density import DEFAULT_POINTS, GRID_ENV_VAR, LOG_2PI
+from entroframe.density import DEFAULT_POINTS, GRID_ENV_VAR, LOG_2PI, integral
 from entroframe.frames import Direction
+from entroframe.quadrature import simpson_weights
 
 LEB = Reference.LEBESGUE
 GAM = Reference.GAUSSIAN
@@ -78,6 +80,67 @@ class TestDefaultGrid:
         np.testing.assert_allclose(x[0], -10.0)
         np.testing.assert_allclose(x[-1], 10.0)
         np.testing.assert_allclose(x + x[::-1], 0.0, atol=1e-12)
+
+
+# === grid axes ============================================================
+
+BAD_AXES = {
+    "even": lambda n: np.linspace(-10.0, 10.0, n - 1),
+    "descending": lambda n: np.linspace(10.0, -10.0, n),
+    "nonuniform": lambda n: 10.0 * np.sinh(np.linspace(-3.0, 3.0, n)) / math.sinh(3.0),
+}
+
+
+class TestGridAxes:
+    """Each grid owns its axes: checked once when built, steps kept."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_AXES))
+    def test_from_values_1d_checks_axis_before_mass(self, kind):
+        x = BAD_AXES[kind](129)
+        with pytest.raises(GridError):
+            GridDensity1D.from_values(LEB, x, lebesgue_gaussian_values(x, 0.0, 1.0))
+
+    @pytest.mark.parametrize("kind", sorted(BAD_AXES))
+    def test_from_values_2d_checks_axes_before_mass(self, kind):
+        x = BAD_AXES[kind](129)
+        y = default_axis(points=129)
+        vals = np.outer(lebesgue_gaussian_values(x, 0.0, 1.0),
+                        lebesgue_gaussian_values(y, 0.0, 1.0))
+        with pytest.raises(GridError):
+            GridDensity2D.from_values(LEB, x, y, vals)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_AXES))
+    def test_marginal_checks_x_out_before_mass(self, kind):
+        f = gaussian(LEB, [0.0, 0.0], np.eye(2)).to_grid(points=129)
+        with pytest.raises(GridError):
+            marginal(f, 0.3, x_out=BAD_AXES[kind](129))
+
+    def test_steps_are_kept(self):
+        x = default_axis(points=129)
+        y = default_axis(length=6.0, points=65)
+        d1 = GridDensity1D(LEB, x, lebesgue_gaussian_values(x, 0.0, 1.0))
+        d2 = GridDensity2D(LEB, x, y, np.ones((129, 65)))
+        assert d1.h == (x[-1] - x[0]) / 128
+        assert (d2.hx, d2.hy) == (d1.h, (y[-1] - y[0]) / 64)
+        assert [h for _, h in d2.axes] == [d2.hx, d2.hy]
+
+    def test_density_1d_is_callable_like_its_function(self):
+        d = gaussian(LEB, 0.3, 1.2).to_grid(points=513)
+        t = np.array([[-11.0, -2.37], [0.004, 10.5]])
+        np.testing.assert_array_equal(d(t), d.as_function()(t))
+        assert d(t)[0, 0] == 0.0 and d(t)[1, 1] == 0.0
+
+    def test_integral_contracts_axes_in_order(self):
+        """The 2d Gaussian-reference integral is wx @ (v * phi(x) phi(y)) @ wy."""
+        x = default_axis(points=65)
+        y = default_axis(length=5.0, points=129)
+        v = np.add.outer(np.cos(x), y * y)
+        hx, hy = (x[-1] - x[0]) / 64, (y[-1] - y[0]) / 128
+        wx, wy = simpson_weights(65, hx), simpson_weights(129, hy)
+        phi = np.exp(-0.5 * np.add.outer(x * x, y * y) - LOG_2PI)
+        got = integral(GAM, v, (x, hx), (y, hy))
+        np.testing.assert_allclose(got, wx @ (v * phi) @ wy, rtol=1e-14)
+        assert integral(LEB, v, (x, hx), (y, hy)) == float(wx @ v @ wy)
 
 
 # === mass policy ==========================================================

@@ -22,6 +22,7 @@ from entroframe import (
     mercedes_frame,
     uniform_density,
     weights_from_directions,
+    young_frame,
 )
 from entroframe.errors import InvalidExponents, ReferenceMismatch
 from entroframe.inequality import (
@@ -131,6 +132,23 @@ class TestYoungConstants:
             young_constant(1.5, 1.5, 2.0)
         with pytest.raises(InvalidExponents):
             young_constant(0.9, 2.0, 2.0)
+
+    @pytest.mark.parametrize("defect, ok", [(5e-10, True), (2e-9, False)])
+    def test_one_validator_one_tolerance(self, defect, ok):
+        """Every Young entry point accepts or rejects the same near-miss triple."""
+        p, q = 1.5, 1.25
+        r = 1.0 / (1.0 / p + 1.0 / q - 1.0 - defect)
+        g = gaussian(Reference.LEBESGUE, 0.0, 1.0).to_grid(points=129)
+        f = gaussian(Reference.LEBESGUE, [0.0, 0.0], np.eye(2))
+        users = (young_frame, young_constant, young_log_constant, young_extremal_covariance,
+                 lambda p, q, r: check_young_convolution(g, g, p, q, r),
+                 lambda p, q, r: check_young_entropy(f, p, q, r))
+        for use in users:
+            if ok:
+                use(p, q, r)
+            else:
+                with pytest.raises(InvalidExponents):
+                    use(p, q, r)
 
     def test_extremal_covariance(self):
         cov = young_extremal_covariance(4.0 / 3.0, 4.0 / 3.0, 2.0)

@@ -286,6 +286,18 @@ class TestTensorProductFlows:
         assert rss_bytes < 1e9
 
 
+class TestGaussHermite:
+    def test_memoized_read_only_and_exact(self):
+        z, w = gauss_hermite()
+        again = gauss_hermite(64)
+        assert again[0] is z and again[1] is w
+        assert not z.flags.writeable and not w.flags.writeable
+        nodes, weights = np.polynomial.hermite.hermgauss(64)
+        np.testing.assert_array_equal(z, nodes * np.sqrt(2.0))
+        np.testing.assert_array_equal(w, weights / np.sqrt(np.pi))
+        assert gauss_hermite(16)[0].size == 16
+
+
 # === Mehler operator ======================================================
 
 class TestHermitePTheta:
