@@ -12,7 +12,7 @@ the logarithmic Sobolev inequality, and Brascamp-Lieb.
 
 from .density import (ExpFunction, GaussianDensity, GridDensity1D,
                       GridDensity2D, GridFunction1D, Reference,
-                      affine_pushforward, convolve, default_axis,
+                      convolve, default_axis,
                       default_grid_points, gaussian, gaussian_mixture,
                       independent_product, linear_combination, marginal,
                       scale1d, uniform_density)
@@ -21,7 +21,7 @@ from .errors import (CompatibilityViolation, DegenerateDirections,
                      FrameError, GridError, InvalidExponents,
                      InvalidFlowTime, NonSmoothWarning, NormalizationError,
                      NotSPD, ReferenceMismatch, RenormalizationWarning,
-                     SectorViolation, Singular, WeightOutOfRange, ZeroScale)
+                     SectorViolation, WeightOutOfRange, ZeroScale)
 from .frames import (Direction, ExponentTriple, Frame2,
                      angles_from_exponents, canonical_angle,
                      conjugate_exponent, directions_from_weights,
@@ -54,8 +54,8 @@ __all__ = [
     "GridFunction1D", "InequalityReport", "InvalidExponents",
     "InvalidFlowTime", "NonSmoothWarning", "NormalizationError", "NotSPD",
     "Reference", "ReferenceMismatch", "RenormalizationWarning",
-    "SectorViolation", "Singular", "TaylorPoint", "WeightOutOfRange",
-    "ZeroScale", "affine_pushforward", "angles_from_exponents",
+    "SectorViolation", "TaylorPoint", "WeightOutOfRange",
+    "ZeroScale", "angles_from_exponents",
     "canonical_angle", "check_blachmann_stam", "check_brascamp_lieb",
     "check_fisher_subadditivity", "check_hyper_two_function",
     "check_hypercontractivity", "check_integrated_lsi", "check_log_sobolev",

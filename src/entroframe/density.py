@@ -9,8 +9,8 @@ dispatch to closed forms.
 Mass policy for constructed values: a deviation of the total mass from 1
 up to 1e-6 (1D) or 1e-5 (2D) is accepted as is; up to 1e-2 the density is
 renormalized and RenormalizationWarning is emitted; beyond that
-NormalizationError is raised.  Geometric operations (marginals, flows,
-pushforwards) renormalize silently and record the applied factor.
+NormalizationError is raised.  Geometric operations (marginals, linear
+combinations, flows) renormalize silently and record the applied factor.
 """
 
 from __future__ import annotations
@@ -22,15 +22,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 from scipy.special import ndtr
 
 from .errors import (DomainTruncation, GridError, NormalizationError, NotSPD,
-                     ReferenceMismatch, RenormalizationWarning, Singular,
-                     ZeroScale)
+                     ReferenceMismatch, RenormalizationWarning, ZeroScale)
 from .frames import Direction
-from .quadrature import (sample_coefficients, sheared_sum, simpson_weights,
-                         spline_coefficients, validate_axis)
+from .quadrature import (grid_index, sample_coefficients, sheared_sum,
+                         simpson_weights, spline_coefficients, validate_axis)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -211,9 +209,6 @@ class _Grid:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "axes", tuple(axes))
 
-    def spline_coeffs(self):
-        return _cached(self, "_coeffs_memo", lambda: spline_coefficients(self.values))
-
 
 class _Grid1D(_Grid):
     """Base of the 1d grid containers: one axis x with step h, callable at points."""
@@ -221,9 +216,12 @@ class _Grid1D(_Grid):
     def __post_init__(self):
         self._own_axes(x="h")
 
+    def spline_coeffs(self):
+        return _cached(self, "_coeffs_memo", lambda: spline_coefficients(self.values))
+
     def __call__(self, points):
         """Cubic-spline evaluation; zero outside the grid."""
-        idx = (np.asarray(points, dtype=float) - self.x[0]) / self.h
+        idx = grid_index(points, self.x[0], self.h)
         return sample_coefficients(self.spline_coeffs(), [idx.ravel()]).reshape(np.shape(points))
 
 
@@ -509,25 +507,36 @@ def _marginal(f, theta, out_axis):
         # x = t / sin a - y cot a: the same shear with the axes swapped
         axis, (across, h_across), (along, h_along) = 1, *f.axes
         cos_a, sin_a = sin_a, cos_a
-    index0 = (t / cos_a - along[0]) / h_along
+    index0 = grid_index(t / cos_a, along[0], h_along)
     shifts = across * (sin_a / cos_a / h_along)
     w = simpson_weights(across.size, h_across)[:, None] / abs(cos_a)
     if f.reference is Reference.GAUSSIAN:
         w = w * np.exp(log_gaussian_weight((across[:, None] - t * sin_a) / cos_a))
-    vals = np.maximum(sheared_sum(f.line_coeffs(axis), index0, shifts, w), 0.0)
-    raw_mass = integral(f.reference, vals, out_axis)
+    return _line_density(f.reference, sheared_sum(f.line_coeffs(axis), index0, shifts, w),
+                         out_axis, "marginal")
+
+
+def _line_density(reference, vals, out_axis, what):
+    """The 1d density of a sheared line integral's values on out_axis.
+
+    Clips vals at 0, raises DomainTruncation if more than TRUNCATION_TOL of
+    the mass fell off the grid, and renormalizes, recording the factor.
+    """
+    vals = np.maximum(vals, 0.0)
+    raw_mass = integral(reference, vals, out_axis)
     if raw_mass < 1.0 - TRUNCATION_TOL:
         raise DomainTruncation(
-            f"marginal mass {raw_mass:.6f}; more than {TRUNCATION_TOL:g} lost off-grid")
-    return GridDensity1D(f.reference, t, _freeze(vals / raw_mass),
+            f"{what} mass {raw_mass:.6f}; more than {TRUNCATION_TOL:g} lost off-grid")
+    t, _ = out_axis
+    return GridDensity1D(reference, t, _freeze(vals / raw_mass),
                          renormalization=1.0 / raw_mass)
 
 
-def convolve(f, g, method="direct"):
+def convolve(f, g):
     """Convolution of two Lebesgue densities on equally spaced grids.
 
-    method "direct" uses the exact discrete convolution; "fft" uses the
-    FFT-based path.  Output axis spans the Minkowski sum of the inputs.
+    The exact discrete convolution, times the step.  Output axis spans the
+    Minkowski sum of the inputs.
     """
     for d in (f, g):
         if not isinstance(d, GridDensity1D):
@@ -537,12 +546,7 @@ def convolve(f, g, method="direct"):
     h = f.h
     if abs(g.h - h) > 1e-12 * h:
         raise GridError(f"grid steps differ: {h!r} vs {g.h!r}")
-    if method == "direct":
-        vals = np.convolve(f.values, g.values) * h
-    elif method == "fft":
-        vals = signal.fftconvolve(f.values, g.values) * h
-    else:
-        raise GridError(f"unknown convolution method {method!r}")
+    vals = np.convolve(f.values, g.values) * h
     n = f.x.size + g.x.size - 1
     x = _freeze(np.linspace(f.x[0] + g.x[0], f.x[-1] + g.x[-1], n))
     return GridDensity1D.from_values(Reference.LEBESGUE, x, _freeze(vals),
@@ -568,28 +572,6 @@ def scale1d(f, a):
     return GridDensity1D(Reference.LEBESGUE, x, vals, renormalization=f.renormalization)
 
 
-def affine_pushforward(f, matrix):
-    """Density of A X on the same grid, X distributed as the 2d density f."""
-    if not isinstance(f, GridDensity2D) or f.reference is not Reference.LEBESGUE:
-        raise ReferenceMismatch("affine pushforward needs a Lebesgue GridDensity2D")
-    a = np.asarray(matrix, dtype=float)
-    if a.shape != (2, 2):
-        raise Singular(f"expected a 2x2 matrix, got shape {a.shape}")
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(det) < 1e-12:
-        raise Singular(f"matrix is numerically singular (det = {det!r})")
-    inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-    X, Y = np.meshgrid(f.x, f.y, indexing="ij")
-    px = inv[0, 0] * X + inv[0, 1] * Y
-    py = inv[1, 0] * X + inv[1, 1] * Y
-    ix = (px - f.x[0]) / f.hx
-    iy = (py - f.y[0]) / f.hy
-    vals = sample_coefficients(f.spline_coeffs(), [ix.ravel(), iy.ravel()]).reshape(X.shape)
-    vals = _freeze(np.maximum(vals, 0.0) / abs(det))
-    return GridDensity2D.from_values(Reference.LEBESGUE, f.x, f.y, vals,
-                                     what="pushforward")
-
-
 def independent_product(f, g):
     """2d density of the independent pair (X, Y) ~ f(x) g(y)."""
     for d in (f, g):
@@ -604,10 +586,15 @@ def independent_product(f, g):
 def linear_combination(f, g, a, b):
     """Density of a*X + b*Y for independent X ~ f, Y ~ g (Lebesgue).
 
-    Integrates over the factor with the smaller coefficient on its own
-    grid (exact samples, Simpson weights) and samples the other factor
-    with the cubic interpolant, which stays accurate as |b| -> 0 where a
-    rescale-then-convolve route would degenerate.
+    This is the marginal of f(x) g(y) along (a, b)/|(a, b)|, dilated by
+    |(a, b)|, and it is computed as marginal computes it: for |a| >= |b|
+    (else f and g swap roles),
+
+        out(t) = |a|^-1 int g(y) f((t - b y) / a) dy,
+
+    a Simpson sum over g's own nodes of 1d cubic-spline evaluations of f,
+    which stays accurate as b -> 0 where rescale-then-convolve degenerates.
+    The output axis spans the Minkowski sum of the two scaled supports.
     """
     for d in (f, g):
         if not isinstance(d, GridDensity1D) or d.reference is not Reference.LEBESGUE:
@@ -617,16 +604,13 @@ def linear_combination(f, g, a, b):
         raise ZeroScale(f"coefficients ({a!r}, {b!r}) must be nonzero")
     if abs(a) < abs(b):
         f, g, a, b = g, f, b, a
-    # out(t) = (1/|a|) * int g(y) f((t - b y)/a) dy
     lo = min(a * f.x[0], a * f.x[-1]) + min(b * g.x[0], b * g.x[-1])
     hi = max(a * f.x[0], a * f.x[-1]) + max(b * g.x[0], b * g.x[-1])
-    n = f.x.size + g.x.size - 1
-    t = _freeze(np.linspace(lo, hi, n))
-    samp = f((t[:, None] - b * g.x[None, :]) / a)
-    vals = np.maximum(samp, 0.0) @ (simpson_weights(g.x.size, g.h) * g.values) / abs(a)
-    raw_mass = integral(Reference.LEBESGUE, vals, (t, _axis_step(t, "t")))
-    if raw_mass < 1.0 - TRUNCATION_TOL:
-        raise DomainTruncation(
-            f"combination mass {raw_mass:.6f}; more than {TRUNCATION_TOL:g} lost off-grid")
-    return GridDensity1D(Reference.LEBESGUE, t, _freeze(vals / raw_mass),
-                         renormalization=1.0 / raw_mass)
+    t = _freeze(np.linspace(lo, hi, f.x.size + g.x.size - 1))
+    # every row samples the same line of f: a zero-copy view of its coefficients
+    rows = np.broadcast_to(f.spline_coeffs(), (g.x.size, f.x.size))
+    index0 = grid_index(t / a, f.x[0], f.h)
+    shifts = g.x * (b / a / f.h)
+    w = (simpson_weights(g.x.size, g.h) * g.values)[:, None] / abs(a)
+    return _line_density(Reference.LEBESGUE, sheared_sum(rows, index0, shifts, w),
+                         (t, _axis_step(t, "t")), "combination")

@@ -70,10 +70,6 @@ class DomainTruncation(DensityError):
     """Too much mass falls outside the interpolation domain."""
 
 
-class Singular(DensityError):
-    """Linear map is singular or numerically singular."""
-
-
 class ZeroScale(DensityError):
     """Dilation factor is zero."""
 

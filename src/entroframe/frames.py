@@ -250,9 +250,6 @@ class ExponentTriple:
     def weights(self):
         return (1.0 / self.p1, 1.0 / self.p2, 1.0 / self.p3)
 
-    def conjugates(self):
-        return tuple(conjugate_exponent(p) for p in self.as_tuple())
-
 
 def _coerce_triple(t):
     if isinstance(t, ExponentTriple):

@@ -68,23 +68,26 @@ def _gauss_hermite(n):
 SPLINE_ORDER = 3
 
 
-def spline_coefficients(values, order=SPLINE_ORDER, axis=None):
+def spline_coefficients(values, axis=None):
     """Prefiltered spline coefficients along every axis, or along one axis only."""
-    if order <= 1:
-        return np.asarray(values, dtype=float)
     values = np.asarray(values, dtype=float)
     if axis is None:
-        return ndimage.spline_filter(values, order=order, mode="constant")
-    return ndimage.spline_filter1d(values, order=order, axis=axis, mode="constant")
+        return ndimage.spline_filter(values, order=SPLINE_ORDER, mode="constant")
+    return ndimage.spline_filter1d(values, order=SPLINE_ORDER, axis=axis, mode="constant")
 
 
-def sample_coefficients(coeffs, indices, order=SPLINE_ORDER):
+def grid_index(points, x0, h):
+    """Fractional index (p - x0) / h of points p on the grid x0 + k h."""
+    return (np.asarray(points, dtype=float) - x0) / h
+
+
+def sample_coefficients(coeffs, indices):
     """Evaluate prefiltered spline coefficients at fractional indices.
 
     indices: sequence of index arrays, one per array axis; points outside
     the grid evaluate to 0.
     """
-    return ndimage.map_coordinates(coeffs, indices, order=order,
+    return ndimage.map_coordinates(coeffs, indices, order=SPLINE_ORDER,
                                    mode="constant", cval=0.0, prefilter=False)
 
 

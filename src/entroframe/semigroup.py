@@ -32,8 +32,8 @@ from .density import (GaussianDensity, GridDensity1D, GridDensity2D,
                       marginal)
 from .errors import InvalidFlowTime, ReferenceMismatch
 from .functional import entropy, fisher
-from .quadrature import (gauss_hermite, sample_coefficients, spline_coefficients,
-                         spline_matrix)
+from .quadrature import (gauss_hermite, grid_index, sample_coefficients,
+                         spline_coefficients, spline_matrix)
 
 # Below this blur width (in grid steps) the sampled kernel is too coarse
 # and the OU flow evaluates the Mehler integral at Gauss-Hermite nodes.
@@ -123,11 +123,11 @@ def _mehler_rows(values, x, h, t):
         # integral, sum_k w_k s(c x + a z_k), against the spline instead.
         z, w = gauss_hermite()
         coeffs = spline_coefficients(values, axis=-1)
-        index = (c * x[:, None] + a * z[None, :] - x[0]) / h
+        index = grid_index(c * x[:, None] + a * z[None, :], x[0], h)
     else:
         blurred, radius = _blur_along(values, -1, a, h)
         coeffs = spline_coefficients(blurred, axis=-1)
-        index = ((c * x - (x[0] - radius * h)) / h)[:, None]
+        index = grid_index(c * x, x[0] - radius * h, h)[:, None]
         w = np.ones(1)
     if coeffs.ndim == 1:
         # a lone line samples its points directly, cheaper than building
@@ -200,8 +200,10 @@ def ou_flow(f, t):
 
 # === Mehler operator ======================================================
 
-def hermite_p_theta(f, theta, x=None, nodes=64):
+def hermite_p_theta(f, theta, x=None):
     """P_theta f(x) = int f(x cos theta + y sin theta) dgamma(y).
+
+    The integral is the 64-node Gauss-Hermite quadrature.
 
     f may be a callable (evaluated exactly at the quadrature points), a
     GridFunction1D, or a GridDensity1D (sampled through the cubic spline,
@@ -216,7 +218,7 @@ def hermite_p_theta(f, theta, x=None, nodes=64):
         x = f.x if isinstance(f, (GridFunction1D, GridDensity1D)) else default_axis()
     x = np.asarray(x, dtype=float)
     c, s = math.cos(theta), math.sin(theta)
-    z, w = gauss_hermite(nodes)
+    z, w = gauss_hermite()
     pts = c * x[:, None] + s * z[None, :]
     if not callable(f):  # the 1d grid containers evaluate their spline
         raise ReferenceMismatch(f"cannot evaluate {type(f).__name__} at Mehler points")

@@ -356,10 +356,16 @@ class TestHermitePTheta:
                 hermite_p_theta(ExpFunction(1.0), theta)
 
     def test_custom_axis_and_nodes(self):
+        """The result lives on the given axis and is the 64-node
+        Gauss-Hermite sum there."""
         x = np.linspace(-2.0, 2.0, 65)
-        p = hermite_p_theta(ExpFunction(0.3), 0.4, x=x, nodes=32)
+        theta = 0.4
+        p = hermite_p_theta(ExpFunction(0.3), theta, x=x)
         assert isinstance(p, GridFunction1D)
-        assert p.x.size == 65
+        np.testing.assert_array_equal(p.x, x)
+        z, w = gauss_hermite(64)
+        pts = math.cos(theta) * x[:, None] + math.sin(theta) * z[None, :]
+        np.testing.assert_array_equal(p.values, np.exp(0.3 * pts) @ w)
 
 
 # === de Bruijn identity ===================================================
