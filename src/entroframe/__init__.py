@@ -27,8 +27,7 @@ from .frames import (Direction, ExponentTriple, Frame2,
                      conjugate_exponent, directions_from_weights,
                      mercedes_frame, normalize_weights, sector_measures,
                      shannon_limit_frame, weights_from_directions, young_frame)
-from .functional import (EntropyValue, FisherValue, entropy, fisher,
-                         lp_norm, lp_norm_values)
+from .functional import EntropyValue, FisherValue, entropy, fisher, lp_norm
 from .inequality import (CHECK_NAMES, GaussianExtremizer, InequalityReport,
                          TaylorPoint, check_blachmann_stam,
                          check_brascamp_lieb, check_fisher_subadditivity,
@@ -66,7 +65,7 @@ __all__ = [
     "directions_from_weights", "entropy", "exp_norm_gamma", "fisher",
     "gaussian", "gaussian_mixture", "heat_flow", "hermite_p_theta",
     "hyper_threshold", "independent_product", "linear_combination",
-    "lp_norm", "lp_norm_values", "marginal", "mehler_exp_norm",
+    "lp_norm", "marginal", "mehler_exp_norm",
     "mercedes_frame", "normalize_weights", "ou_flow", "scale1d", "sector_measures",
     "shannon_limit_frame", "shannon_taylor_check", "stability_check",
     "uniform_density", "weights_from_directions", "young_constant",

@@ -131,14 +131,6 @@ def _repaired_young(p, q, r):
     return p, q, repaired
 
 
-def _reference_from_flag(value):
-    if value == "lebesgue":
-        return Reference.LEBESGUE
-    if value == "gaussian":
-        return Reference.GAUSSIAN
-    raise NormalizationError(f"unknown reference {value!r}")
-
-
 def _check_loaded(density, reference, dim, what):
     ref = getattr(density, "reference", None)
     if ref is not None and ref is not reference:
@@ -268,7 +260,7 @@ CHECK_TABLE = {
 
 def _effective_reference(name, args):
     fixed = CHECK_TABLE[name][2]
-    flagged = _reference_from_flag(args.reference) if args.reference else None
+    flagged = Reference(args.reference) if args.reference else None
     if fixed is not None:
         if flagged is not None and flagged is not fixed:
             raise ReferenceMismatch(
@@ -440,13 +432,13 @@ def cmd_sweep(args):
         raise NormalizationError(f"--range must be numeric, got {args.range!r}")
     if args.steps < 2:
         raise NormalizationError(f"--steps must be at least 2, got {args.steps}")
-    values = np.linspace(lo, hi, args.steps)
+    # every row is computed before the sink opens: a failing sweep writes nothing
+    rows = list(_sweep_rows(args, [float(v) for v in np.linspace(lo, hi, args.steps)]))
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["param", "lhs", "rhs", "slack"])
-        for row in _sweep_rows(args, [float(v) for v in values]):
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
     finally:
         if args.out:
             sink.close()
@@ -494,7 +486,7 @@ def build_parser():
     check.add_argument("--exponents", help="exponent triple p1,p2,p3")
     check.add_argument("--frame-angles", help="frame by angles t1,t2,t3")
     check.add_argument("--frame-weights", help="frame by weights c1,c2,c3")
-    check.add_argument("--reference", choices=("lebesgue", "gaussian"),
+    check.add_argument("--reference", choices=[r.value for r in Reference],
                        help="reference measure (fixed-reference checks reject "
                             "a conflicting flag)")
     check.add_argument("--tolerance", type=float,

@@ -4,7 +4,10 @@ A density is normalized so that int f dmu = 1, where mu is either
 Lebesgue measure or the standard Gaussian measure (per dimension).  Grid
 densities live on uniform odd-length axes; GaussianDensity carries exact
 mean/covariance so that entropies, Fisher informations, and flows can
-dispatch to closed forms.
+dispatch to closed forms.  The operations marginal, linear_combination,
+convolve and scale1d are exact on GaussianDensity input: they return the
+GaussianDensity of the transformed law, under the same input rules as on
+grids.
 
 Mass policy for constructed values: a deviation of the total mass from 1
 up to 1e-6 (1D) or 1e-5 (2D) is accepted as is; up to 1e-2 the density is
@@ -269,9 +272,6 @@ class GridDensity1D(_Grid1D, _GridDensity):
     values: np.ndarray
     renormalization: float = 1.0
 
-    def as_function(self):
-        return GridFunction1D(self.x, self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class GridDensity2D(_GridDensity):
@@ -485,9 +485,17 @@ def marginal(f, direction, x_out=None):
     Without x_out the marginal lives on f.x and is memoized on f per
     canonical direction angle, so equal directions return the same
     object for as long as f lives.  An explicit x_out bypasses the memo.
+
+    A 2d GaussianDensity N(m, C) has the exact marginal N(u.m, u^T C u) on
+    its reference; x_out applies to grids only.
     """
+    if isinstance(f, GaussianDensity) and f.dim == 2 and x_out is None:
+        u = _as_direction(direction).unit_vector()
+        return GaussianDensity(f.reference, [float(u @ f.mean)], [[float(u @ f.covariance @ u)]])
     if not isinstance(f, GridDensity2D):
-        raise ReferenceMismatch(f"marginal needs a GridDensity2D, got {type(f).__name__}")
+        raise ReferenceMismatch(
+            f"marginal needs a GridDensity2D or, without x_out, a 2d GaussianDensity; "
+            f"got {type(f).__name__}")
     theta = _as_direction(direction).theta
     if x_out is not None:
         t = np.asarray(x_out, dtype=float)
@@ -532,17 +540,30 @@ def _line_density(reference, vals, out_axis, what):
                          renormalization=1.0 / raw_mass)
 
 
+def _closed_form(what, *densities):
+    """Whether the inputs of a 1d Lebesgue operation are GaussianDensity
+    (True) or GridDensity1D (False); ReferenceMismatch for anything else,
+    another reference, or a mix of the two."""
+    for d in densities:
+        if not (isinstance(d, GridDensity1D) or isinstance(d, GaussianDensity) and d.dim == 1):
+            raise ReferenceMismatch(f"{what} needs 1d densities, got {type(d).__name__}")
+        if d.reference is not Reference.LEBESGUE:
+            raise ReferenceMismatch(f"{what} is defined for Lebesgue densities")
+    closed = {isinstance(d, GaussianDensity) for d in densities}
+    if len(closed) > 1:
+        raise ReferenceMismatch(f"{what} cannot pair a GaussianDensity with a grid density")
+    return closed.pop()
+
+
 def convolve(f, g):
     """Convolution of two Lebesgue densities on equally spaced grids.
 
     The exact discrete convolution, times the step.  Output axis spans the
-    Minkowski sum of the inputs.
+    Minkowski sum of the inputs.  Two Gaussians give N(m_f + m_g, v_f + v_g).
     """
-    for d in (f, g):
-        if not isinstance(d, GridDensity1D):
-            raise ReferenceMismatch(f"convolve needs GridDensity1D, got {type(d).__name__}")
-        if d.reference is not Reference.LEBESGUE:
-            raise ReferenceMismatch("convolution is defined for Lebesgue densities")
+    if _closed_form("convolve", f, g):
+        return GaussianDensity(Reference.LEBESGUE, [f.mean[0] + g.mean[0]],
+                               [[f.covariance[0, 0] + g.covariance[0, 0]]])
     h = f.h
     if abs(g.h - h) > 1e-12 * h:
         raise GridError(f"grid steps differ: {h!r} vs {g.h!r}")
@@ -557,15 +578,15 @@ def scale1d(f, a):
     """Density of a*X when f is the density of X: exact regridding.
 
     New axis a * x (flipped back to ascending for a < 0), values / |a|.
-    No interpolation is involved, so entropies transform exactly.
+    No interpolation is involved, so entropies transform exactly.  A
+    Gaussian N(m, v) gives N(a m, a^2 v).
     """
-    if not isinstance(f, GridDensity1D):
-        raise ReferenceMismatch(f"scale1d needs a GridDensity1D, got {type(f).__name__}")
-    if f.reference is not Reference.LEBESGUE:
-        raise ReferenceMismatch("dilation is defined for Lebesgue densities")
+    closed = _closed_form("scale1d", f)
     a = float(a)
     if abs(a) < 1e-12:
         raise ZeroScale(f"dilation factor {a!r} is numerically zero")
+    if closed:
+        return GaussianDensity(Reference.LEBESGUE, [a * f.mean[0]], [[a * a * f.covariance[0, 0]]])
     ascending = slice(None, None, -1 if a < 0 else 1)
     x = _freeze(f.x[ascending] * a)
     vals = _freeze(f.values[ascending] / abs(a))
@@ -595,13 +616,15 @@ def linear_combination(f, g, a, b):
     a Simpson sum over g's own nodes of 1d cubic-spline evaluations of f,
     which stays accurate as b -> 0 where rescale-then-convolve degenerates.
     The output axis spans the Minkowski sum of the two scaled supports.
+    Two Gaussians give N(a m_f + b m_g, a^2 v_f + b^2 v_g).
     """
-    for d in (f, g):
-        if not isinstance(d, GridDensity1D) or d.reference is not Reference.LEBESGUE:
-            raise ReferenceMismatch("linear_combination needs Lebesgue GridDensity1D inputs")
+    closed = _closed_form("linear_combination", f, g)
     a, b = float(a), float(b)
     if abs(a) < 1e-12 or abs(b) < 1e-12:
         raise ZeroScale(f"coefficients ({a!r}, {b!r}) must be nonzero")
+    if closed:
+        return GaussianDensity(Reference.LEBESGUE, [a * f.mean[0] + b * g.mean[0]],
+                               [[a * a * f.covariance[0, 0] + b * b * g.covariance[0, 0]]])
     if abs(a) < abs(b):
         f, g, a, b = g, f, b, a
     lo = min(a * f.x[0], a * f.x[-1]) + min(b * g.x[0], b * g.x[-1])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (GaussianDensity, GridDensity1D, GridDensity2D,
-                      GridFunction1D, Reference, _axis_step, integral)
+                      GridFunction1D, Reference, integral)
 from .errors import InvalidExponents, NonSmoothWarning, ReferenceMismatch
 
 VALUE_FLOOR = 1e-300
@@ -156,12 +156,6 @@ def _lp_norm(values, p, reference, axis):
         raise InvalidExponents(f"norm exponent must be finite and >= 1, got {p!r}")
     integrand = np.abs(np.asarray(values, dtype=float)) ** p
     return integral(reference, integrand, axis) ** (1.0 / p)
-
-
-def lp_norm_values(x, values, p, reference):
-    """||f||_{L^p(mu)} from samples on a uniform axis."""
-    x = np.asarray(x, dtype=float)
-    return _lp_norm(values, p, reference, (x, _axis_step(x)))
 
 
 def lp_norm(f, p, reference=None):

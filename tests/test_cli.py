@@ -206,6 +206,23 @@ class TestSweepCommand:
         assert code == 0 and out == ""
         assert target.read_text().splitlines()[0] == "param,lhs,rhs,slack"
 
+    def test_failing_sweep_prints_nothing(self, capsys):
+        """sigma = 1 succeeds, sigma = 0 fails: no header and no row is printed."""
+        code, out, err = run(capsys, "sweep", "--check", "young-conv",
+                             "--param", "sigma", "--range=1:-1", "--steps", "3")
+        assert code == 2 and out == "" and "sigma must be positive" in err
+
+    def test_failing_sweep_leaves_out_untouched(self, capsys, tmp_path):
+        """theta = 1.8 is past pi/2: --out is neither created nor truncated."""
+        target = tmp_path / "part.csv"
+        args = ("sweep", "--check", "hyper", "--param", "theta", "--f", "exp:1",
+                "--range", "1.2:1.8", "--steps", "3", "--out", str(target))
+        assert run(capsys, *args)[0] == 2
+        assert not target.exists()
+        target.write_text("kept\n")
+        assert run(capsys, *args)[0] == 2
+        assert target.read_text() == "kept\n"
+
     def test_sweep_is_deterministic(self, capsys):
         args = ("sweep", "--check", "young-conv", "--param", "sigma",
                 "--range", "0.8:1.2", "--steps", "3")

@@ -23,6 +23,7 @@ from entroframe import (
     NormalizationError,
     NotSPD,
     Reference,
+    ReferenceMismatch,
     RenormalizationWarning,
     ZeroScale,
     convolve,
@@ -49,11 +50,16 @@ def lebesgue_gaussian_values(x, mean, var):
     return np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
 
 
+def closed_form_marginal_law(g, theta):
+    """(reference, mean, variance) of the marginal of g along Direction(theta)."""
+    u = Direction(theta).unit_vector()
+    return g.reference, float(u @ g.mean), float(u @ g.covariance @ u)
+
+
 def closed_form_marginal(g, theta, t):
     """Values of the marginal of the Gaussian g along Direction(theta)."""
-    u = Direction(theta).unit_vector()
-    return GaussianDensity(g.reference, [float(u @ g.mean)],
-                           [[float(u @ g.covariance @ u)]]).pdf(t)
+    reference, mean, variance = closed_form_marginal_law(g, theta)
+    return GaussianDensity(reference, [mean], [[variance]]).pdf(t)
 
 
 # === grid configuration ===================================================
@@ -125,7 +131,7 @@ class TestGridAxes:
     def test_density_1d_is_callable_like_its_function(self):
         d = gaussian(LEB, 0.3, 1.2).to_grid(points=513)
         t = np.array([[-11.0, -2.37], [0.004, 10.5]])
-        np.testing.assert_array_equal(d(t), d.as_function()(t))
+        np.testing.assert_array_equal(d(t), GridFunction1D(d.x, d.values)(t))
         assert d(t)[0, 0] == 0.0 and d(t)[1, 1] == 0.0
 
     def test_integral_contracts_axes_in_order(self):
@@ -340,13 +346,13 @@ class TestCubicSampling:
         """Cubic spline sampling of a Gaussian is ~1e-11 between nodes."""
         d = gaussian(LEB, 0.0, 1.0).to_grid()
         t = np.linspace(-3.0, 3.0, 1001)  # mostly off-grid points
-        np.testing.assert_allclose(d.as_function()(t),
+        np.testing.assert_allclose(d(t),
                                    lebesgue_gaussian_values(t, 0.0, 1.0),
                                    atol=1e-10)
 
     def test_outside_support_is_zero(self):
         d = gaussian(LEB, 0.0, 1.0).to_grid()
-        np.testing.assert_allclose(d.as_function()(np.array([12.0, -15.0])),
+        np.testing.assert_allclose(d(np.array([12.0, -15.0])),
                                    0.0, atol=1e-300)
 
 
@@ -493,13 +499,15 @@ class TestConvolve:
 
 class TestScale1d:
     def test_entropy_scaling_law(self):
-        """The functional int f log f drops by log|a| under dilation by a."""
-        d = gaussian(LEB, 0.0, 1.0).to_grid()
-        for a in (0.5, 2.0, -1.5):
-            scaled = scale1d(d, a)
-            np.testing.assert_allclose(
-                float(entropy(scaled)),
-                float(entropy(d)) - math.log(abs(a)), atol=1e-9)
+        """The functional int f log f drops by log|a| under dilation by a,
+        on a grid and in closed form."""
+        closed = gaussian(LEB, 0.0, 1.0)
+        for d in (closed.to_grid(), closed):
+            for a in (0.5, 2.0, -1.5):
+                scaled = scale1d(d, a)
+                np.testing.assert_allclose(
+                    float(entropy(scaled)),
+                    float(entropy(d)) - math.log(abs(a)), atol=1e-9)
 
     def test_negative_scale_flips(self):
         d = gaussian(LEB, 1.0, 0.5).to_grid()
@@ -559,6 +567,66 @@ class TestLinearCombination:
         np.testing.assert_allclose(d.values, want.pdf(d.x), rtol=0.0,
                                    atol=1e-6 * float(d.values.max()))
         assert abs(float(entropy(d)) - float(entropy(want))) <= 1e-7
+
+
+# === closed-form Gaussians through the operations ========================
+
+F2 = gaussian(LEB, [0.4, -0.3], [[2.0, 0.6], [0.6, 1.1]])
+F2_GAM = gaussian(GAM, [0.4, -0.3], [[0.8, 0.1], [0.1, 0.6]])
+F1 = gaussian(LEB, 0.2, 1.3)
+G1 = gaussian(LEB, -0.5, 0.7)
+F1_GAM = gaussian(GAM, 0.2, 1.3)
+F1_GRID = F1.to_grid(points=129)
+
+
+# operation: (call, its exact (reference, mean, variance), the error each
+# rejected call must raise)
+CLOSED_FORM_OPERATIONS = {
+    "marginal": (
+        lambda: marginal(F2, 1.1), closed_form_marginal_law(F2, 1.1),
+        [(ReferenceMismatch, lambda: marginal(F1, 1.1)),
+         (ReferenceMismatch, lambda: marginal(F2, 1.1, x_out=default_axis(points=129)))]),
+    "marginal-gamma": (
+        lambda: marginal(F2_GAM, 2.5), closed_form_marginal_law(F2_GAM, 2.5),
+        [(ReferenceMismatch, lambda: marginal(F1_GAM, 2.5))]),
+    "linear_combination": (
+        lambda: linear_combination(F1, G1, 0.3, -1.4),
+        (LEB, 0.3 * 0.2 + -1.4 * -0.5, 0.3 * 0.3 * 1.3 + -1.4 * -1.4 * 0.7),
+        [(ReferenceMismatch, lambda: linear_combination(F1, F2, 0.3, -1.4)),
+         (ReferenceMismatch, lambda: linear_combination(F1_GAM, G1, 0.3, -1.4)),
+         (ReferenceMismatch, lambda: linear_combination(F1, F1_GRID, 0.3, -1.4)),
+         (ReferenceMismatch, lambda: linear_combination(F1_GRID, F1, 0.3, -1.4)),
+         (ZeroScale, lambda: linear_combination(F1, G1, 0.3, 0.0))]),
+    "convolve": (
+        lambda: convolve(F1, G1), (LEB, 0.2 + -0.5, 1.3 + 0.7),
+        [(ReferenceMismatch, lambda: convolve(F2, G1)),
+         (ReferenceMismatch, lambda: convolve(F1, F1_GAM)),
+         (ReferenceMismatch, lambda: convolve(F1, F1_GRID)),
+         (ReferenceMismatch, lambda: convolve(F1_GRID, F1))]),
+    "scale1d": (
+        lambda: scale1d(F1, -1.7), (LEB, -1.7 * 0.2, -1.7 * -1.7 * 1.3),
+        [(ReferenceMismatch, lambda: scale1d(F2, -1.7)),
+         (ReferenceMismatch, lambda: scale1d(F1_GAM, -1.7)),
+         (ZeroScale, lambda: scale1d(F1, 0.0))]),
+}
+
+
+class TestClosedFormOperations:
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_OPERATIONS))
+    def test_exact_law_and_input_rules(self, name):
+        """A Gaussian's image is the hand-written Gaussian, bit for bit, on
+        the input's reference.  ReferenceMismatch rejects a 1d Gaussian in
+        marginal, a 2d or gamma-reference one in a 1d operation, and a
+        Gaussian paired with a grid density; ZeroScale a zero coefficient."""
+        call, (reference, mean, variance), rejected = CLOSED_FORM_OPERATIONS[name]
+        d = call()
+        assert isinstance(d, GaussianDensity)
+        assert d.reference is reference
+        assert d.mean.tolist() == [mean]
+        assert d.covariance.tolist() == [[variance]]
+        for error, bad in rejected:
+            with pytest.raises(error):
+                bad()
 
 
 class TestIndependentProduct:
