@@ -2,14 +2,16 @@
 
 Exit codes: 0 = pass, 1 = inequality violated beyond tolerance,
 2 = input or validation error.  All angles are radians.  Densities are
-given in a small inline language (see DENSITY_HELP); `json:` specs load
-parametric families in closed form, everything else lands on the
-quadrature grid controlled by --grid-l / --grid-n / ENTROFRAME_GRID_N.
+given in a small inline language (see DENSITY_HELP); a `json:` Gaussian
+stays in closed form where the whole check can take it, everything else
+lands on the quadrature grid controlled by --grid-l / --grid-n /
+ENTROFRAME_GRID_N.
 """
 
 import argparse
 import csv
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -66,8 +68,10 @@ density specs (1d):
   uniform:A,B            indicator of [A,B] smoothed by a sigma=0.05 kernel
   exp:A                  the test function exp(A t) (function slots only)
   csv:PATH               two-column x,f file
-  json:PATH              parametric family in closed form (gaussian families
-                         with 'reference' field; stays off the grid)
+  json:PATH              parametric family with a 'reference' field; a
+                         gaussian stays in closed form when every slot of the
+                         check holds one and the check has no function slot,
+                         and goes on the grid otherwise
 density specs (2d):
   gauss2:M1,M2,V11,V12,V22   Gaussian with covariance [[V11,V12],[V12,V22]]
   product:SPEC+SPEC          independent product of two 1d specs
@@ -240,37 +244,7 @@ def cmd_frame(args):
 
 # === check command ========================================================
 
-# slot layout per check: (slots, dim, fixed reference or None, exp-friendly)
-CHECK_TABLE = {
-    "subadditivity": (("f",), 2, None, False),
-    "fisher": (("f",), 2, None, False),
-    "main-entropy": (("f",), 2, None, False),
-    "main-integral": (("g", "h"), 1, None, True),
-    "young-conv": (("f", "g"), 1, Reference.LEBESGUE, False),
-    "young-entropy": (("f",), 2, Reference.LEBESGUE, False),
-    "shannon": (("g", "h"), 1, Reference.LEBESGUE, False),
-    "blachmann-stam": (("g", "h"), 1, Reference.LEBESGUE, False),
-    "hyper": (("f",), 1, Reference.GAUSSIAN, True),
-    "hyper2": (("g", "h"), 1, Reference.GAUSSIAN, True),
-    "lsi": (("f",), 1, Reference.GAUSSIAN, False),
-    "lsi-integrated": (("f",), 1, Reference.GAUSSIAN, False),
-    "brascamp-lieb": (("f1", "f2", "f3"), 1, None, True),
-}
-
-
-def _effective_reference(name, args):
-    fixed = CHECK_TABLE[name][2]
-    flagged = Reference(args.reference) if args.reference else None
-    if fixed is not None:
-        if flagged is not None and flagged is not fixed:
-            raise ReferenceMismatch(
-                f"{name} is a {fixed.value}-reference inequality; "
-                f"--reference {args.reference} conflicts")
-        return fixed
-    return flagged or Reference.LEBESGUE
-
-
-def _resolve_frame(args):
+def _frame(args):
     if args.frame_angles is not None and args.frame_weights is not None:
         raise NormalizationError(
             "give at most one of --frame-angles | --frame-weights")
@@ -283,91 +257,86 @@ def _resolve_frame(args):
     return mercedes_frame()
 
 
-def _need(args, flag, check):
+def _need(args, flag):
     value = getattr(args, flag.lstrip("-").replace("-", "_"))
     if value is None:
-        raise NormalizationError(f"{check} needs {flag}")
+        raise NormalizationError(f"{args.name} needs {flag}")
     return value
 
 
-def _slot_densities(name, args, reference):
-    slots, dim, _, allow_exp = CHECK_TABLE[name]
-    default_1d = "exp:1" if name == "hyper" else "gauss:0,1"
-    default_2d = "gauss2:0,0,1,0,1"
-    out = []
-    for slot in slots:
-        spec = getattr(args, slot) or (default_2d if dim == 2 else default_1d)
-        if dim == 2:
-            out.append(parse_density_2d(spec, reference, args.grid_l,
-                                        args.grid_n, what=f"--{slot}"))
-        else:
-            out.append(parse_density_1d(spec, reference, args.grid_l,
-                                        args.grid_n, allow_exp=allow_exp,
-                                        what=f"--{slot}"))
-    return out
+def _exponents(args):
+    return _repaired_exponents(
+        _floats(_need(args, "--exponents"), 3, "--exponents"), "--exponents")
 
 
-def _run_check(name, args):
-    reference = _effective_reference(name, args)
-    densities = _slot_densities(name, args, reference)
-    tol = args.tolerance
-    grid = dict(length=args.grid_l, points=args.grid_n)
-    if name == "subadditivity":
-        return check_subadditivity(_resolve_frame(args), densities[0], tolerance=tol)
-    if name == "fisher":
-        return check_fisher_subadditivity(_resolve_frame(args), densities[0],
-                                          tolerance=tol)
-    if name == "main-entropy":
-        triple = _repaired_exponents(
-            _floats(_need(args, "--exponents", name), 3, "--exponents"),
-            "--exponents")
-        return check_main_entropy(triple, densities[0], tolerance=tol)
-    if name == "main-integral":
-        triple = _repaired_exponents(
-            _floats(_need(args, "--exponents", name), 3, "--exponents"),
-            "--exponents")
-        return check_main_integral(triple, densities[0], densities[1],
-                                   reference=reference, tolerance=tol, **grid)
-    if name == "young-conv":
-        p, q, r = _repaired_young(_need(args, "--p", name),
-                                  _need(args, "--q", name),
-                                  _need(args, "--r", name))
-        return check_young_convolution(densities[0], densities[1], p, q, r,
-                                       tolerance=tol)
-    if name == "young-entropy":
-        p, q, r = _repaired_young(_need(args, "--p", name),
-                                  _need(args, "--q", name),
-                                  _need(args, "--r", name))
-        return check_young_entropy(densities[0], p, q, r, tolerance=tol)
-    if name == "shannon":
-        return check_shannon(densities[0], densities[1], tolerance=tol)
-    if name == "blachmann-stam":
-        return check_blachmann_stam(densities[0], densities[1],
-                                    tolerance=tol)[0]
-    if name == "hyper":
-        return check_hypercontractivity(densities[0], _need(args, "--p", name),
-                                        _need(args, "--q", name),
-                                        _need(args, "--theta", name),
-                                        tolerance=tol, **grid)
-    if name == "hyper2":
-        return check_hyper_two_function(densities[0], densities[1],
-                                        _need(args, "--p", name),
-                                        _need(args, "--r", name),
-                                        tolerance=tol, **grid)
-    if name == "lsi":
-        return check_log_sobolev(densities[0], tolerance=tol)
-    if name == "lsi-integrated":
-        return check_integrated_lsi(densities[0],
-                                    _need(args, "--theta", name), tolerance=tol)
-    if name == "brascamp-lieb":
-        return check_brascamp_lieb(_resolve_frame(args), densities[0],
-                                   densities[1], densities[2],
-                                   reference=reference, tolerance=tol, **grid)
-    raise NormalizationError(f"unknown check {name!r}")
+def _young(args):
+    return _repaired_young(_need(args, "--p"), _need(args, "--q"),
+                           _need(args, "--r"))
+
+
+# one row per check: (slots, dim, fixed reference or None, exp-friendly,
+# run(args, densities, reference, grid) -> report).  The exp-friendly
+# checks have function slots, which evaluate their inputs at points.
+CHECK_TABLE = {
+    "subadditivity": (("f",), 2, None, False, lambda a, d, ref, grid:
+                      check_subadditivity(_frame(a), *d, tolerance=a.tolerance)),
+    "fisher": (("f",), 2, None, False, lambda a, d, ref, grid:
+               check_fisher_subadditivity(_frame(a), *d, tolerance=a.tolerance)),
+    "main-entropy": (("f",), 2, None, False, lambda a, d, ref, grid:
+                     check_main_entropy(_exponents(a), *d, tolerance=a.tolerance)),
+    "main-integral": (("g", "h"), 1, None, True, lambda a, d, ref, grid:
+                      check_main_integral(_exponents(a), *d, reference=ref,
+                                          tolerance=a.tolerance, **grid)),
+    "young-conv": (("f", "g"), 1, Reference.LEBESGUE, False, lambda a, d, ref, grid:
+                   check_young_convolution(*d, *_young(a), tolerance=a.tolerance)),
+    "young-entropy": (("f",), 2, Reference.LEBESGUE, False, lambda a, d, ref, grid:
+                      check_young_entropy(*d, *_young(a), tolerance=a.tolerance)),
+    "shannon": (("g", "h"), 1, Reference.LEBESGUE, False, lambda a, d, ref, grid:
+                check_shannon(*d, tolerance=a.tolerance)),
+    "blachmann-stam": (("g", "h"), 1, Reference.LEBESGUE, False, lambda a, d, ref, grid:
+                       check_blachmann_stam(*d, tolerance=a.tolerance)[0]),
+    "hyper": (("f",), 1, Reference.GAUSSIAN, True, lambda a, d, ref, grid:
+              check_hypercontractivity(*d, _need(a, "--p"), _need(a, "--q"),
+                                       _need(a, "--theta"),
+                                       tolerance=a.tolerance, **grid)),
+    "hyper2": (("g", "h"), 1, Reference.GAUSSIAN, True, lambda a, d, ref, grid:
+               check_hyper_two_function(*d, _need(a, "--p"), _need(a, "--r"),
+                                        tolerance=a.tolerance, **grid)),
+    "lsi": (("f",), 1, Reference.GAUSSIAN, False, lambda a, d, ref, grid:
+            check_log_sobolev(*d, tolerance=a.tolerance)),
+    "lsi-integrated": (("f",), 1, Reference.GAUSSIAN, False, lambda a, d, ref, grid:
+                       check_integrated_lsi(*d, _need(a, "--theta"),
+                                            tolerance=a.tolerance)),
+    "brascamp-lieb": (("f1", "f2", "f3"), 1, None, True, lambda a, d, ref, grid:
+                      check_brascamp_lieb(_frame(a), *d, reference=ref,
+                                          tolerance=a.tolerance, **grid)),
+}
+
+
+def _run_check(args):
+    slots, dim, fixed, allow_exp, run = CHECK_TABLE[args.name]
+    if fixed is not None and args.reference not in (None, fixed.value):
+        raise ReferenceMismatch(
+            f"{args.name} is a {fixed.value}-reference inequality; "
+            f"--reference {args.reference} conflicts")
+    reference = fixed or Reference(args.reference or Reference.LEBESGUE)
+    default = ("gauss2:0,0,1,0,1" if dim == 2
+               else "exp:1" if args.name == "hyper" else "gauss:0,1")
+    parse = (parse_density_2d if dim == 2
+             else partial(parse_density_1d, allow_exp=allow_exp))
+    densities = [parse(getattr(args, slot) or default, reference, args.grid_l,
+                       args.grid_n, what=f"--{slot}") for slot in slots]
+    # closed-form Gaussians stay exact only when every slot holds one and none
+    # is a function slot; otherwise they go on the grid
+    if allow_exp or not all(isinstance(d, GaussianDensity) for d in densities):
+        densities = [d.to_grid(args.grid_l, args.grid_n)
+                     if isinstance(d, GaussianDensity) else d for d in densities]
+    return run(args, densities, reference,
+               dict(length=args.grid_l, points=args.grid_n))
 
 
 def cmd_check(args):
-    report = _run_check(args.name, args)
+    report = _run_check(args)
     text = report.to_json() + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -477,7 +446,7 @@ def build_parser():
                            epilog=DENSITY_HELP)
     check.add_argument("name", choices=sorted(CHECK_TABLE),
                        help="inequality to check")
-    for slot in ("f", "g", "h", "f1", "f2", "f3"):
+    for slot in dict.fromkeys(s for row in CHECK_TABLE.values() for s in row[0]):
         check.add_argument(f"--{slot}", help=f"density spec for slot {slot}")
     check.add_argument("--p", type=float)
     check.add_argument("--q", type=float)

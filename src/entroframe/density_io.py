@@ -27,41 +27,40 @@ def _parse_reference(raw):
 
 # === CSV ==================================================================
 
-def load_csv_1d(path, reference):
+def _read_csv(path, reference, header):
+    """The reference and the rows of a CSV file under the given header, as a
+    (rows, len(header)) float array."""
     reference = _parse_reference(reference) if not isinstance(reference, Reference) else reference
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["x", "f"]:
-            raise GridError(f"{path}: expected header 'x,f', got {header!r}")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
+        got = next(reader, None)
+        if got is None or [c.strip() for c in got] != header:
+            raise GridError(f"{path}: expected header {','.join(header)!r}, got {got!r}")
+        rows = [r for r in reader if r]
     if not rows:
         raise GridError(f"{path}: no data rows")
-    x = np.array([r[0] for r in rows])
-    vals = np.array([r[1] for r in rows])
-    return GridDensity1D.from_values(reference, x, vals, what=str(path))
+    for r in rows:
+        if len(r) < len(header):
+            raise GridError(f"{path}: row {r!r} has fewer than {len(header)} values")
+    return reference, np.array([[float(v) for v in r[:len(header)]] for r in rows])
+
+
+def load_csv_1d(path, reference):
+    reference, rows = _read_csv(path, reference, ["x", "f"])
+    return GridDensity1D.from_values(reference, rows[:, 0], rows[:, 1], what=str(path))
 
 
 def load_csv_2d(path, reference):
-    reference = _parse_reference(reference) if not isinstance(reference, Reference) else reference
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["x", "y", "f"]:
-            raise GridError(f"{path}: expected header 'x,y,f', got {header!r}")
-        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader if r]
-    if not rows:
-        raise GridError(f"{path}: no data rows")
-    x = np.unique([r[0] for r in rows])
-    y = np.unique([r[1] for r in rows])
+    reference, rows = _read_csv(path, reference, ["x", "y", "f"])
+    x = np.unique(rows[:, 0])
+    y = np.unique(rows[:, 1])
     if x.size * y.size != len(rows):
         raise GridError(f"{path}: rows do not tile a {x.size} x {y.size} grid")
-    vals = np.array([r[2] for r in rows]).reshape(x.size, y.size)
     # verify row-major ordering: the y coordinate must cycle fastest
-    ys = np.array([r[1] for r in rows[: y.size]])
-    if not np.array_equal(ys, y):
+    if not np.array_equal(rows[: y.size, 1], y):
         raise GridError(f"{path}: rows must be row-major in x (y cycles fastest)")
-    return GridDensity2D.from_values(reference, x, y, vals, what=str(path))
+    return GridDensity2D.from_values(reference, x, y, rows[:, 2].reshape(x.size, y.size),
+                                     what=str(path))
 
 
 # === JSON =================================================================

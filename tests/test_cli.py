@@ -11,7 +11,25 @@ import math
 import numpy as np
 import pytest
 
-from entroframe.cli import main
+from entroframe.cli import CHECK_TABLE, main
+from entroframe.density import ExpFunction, Reference, gaussian
+from entroframe.frames import ExponentTriple, mercedes_frame
+from entroframe.inequality import (
+    CHECK_NAMES,
+    check_blachmann_stam,
+    check_brascamp_lieb,
+    check_fisher_subadditivity,
+    check_hyper_two_function,
+    check_hypercontractivity,
+    check_integrated_lsi,
+    check_log_sobolev,
+    check_main_entropy,
+    check_main_integral,
+    check_shannon,
+    check_subadditivity,
+    check_young_convolution,
+    check_young_entropy,
+)
 
 MERCEDES_LINES = (
     "directions (rad): 0.000000000000 1.047197551197 2.094395102393",
@@ -155,6 +173,151 @@ class TestCheckCommand:
         b = run(capsys, "check", "blachmann-stam",
                 "--g", "gauss:0,1", "--h", "gauss:0,4")
         assert a == b and a[0] == 0
+
+
+# One run per check: default slots, the fewest parameters the check needs,
+# and the library call the CLI should make on the same densities.
+LEB, GAM = Reference.LEBESGUE, Reference.GAUSSIAN
+YOUNG = ("--p", "2", "--q", "1.6", "--r", "8")  # left unchanged by the CLI repair
+EXPONENTS = ("--exponents", "1.5,1.5,1.5")
+
+
+def _g1(reference):
+    return gaussian(reference, 0.0, 1.0).to_grid(points=129)
+
+
+def _g2():
+    return gaussian(LEB, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]).to_grid(points=129)
+
+
+EVERY_CHECK = {
+    "subadditivity": ((), lambda: check_subadditivity(mercedes_frame(), _g2())),
+    "fisher": ((), lambda: check_fisher_subadditivity(mercedes_frame(), _g2())),
+    "main-entropy": (EXPONENTS, lambda: check_main_entropy(
+        ExponentTriple(1.5, 1.5, 1.5), _g2())),
+    "main-integral": (EXPONENTS, lambda: check_main_integral(
+        ExponentTriple(1.5, 1.5, 1.5), _g1(LEB), _g1(LEB), points=129)),
+    "young-conv": (YOUNG, lambda: check_young_convolution(
+        _g1(LEB), _g1(LEB), 2.0, 1.6, 8.0)),
+    "young-entropy": (YOUNG, lambda: check_young_entropy(_g2(), 2.0, 1.6, 8.0)),
+    "shannon": ((), lambda: check_shannon(_g1(LEB), _g1(LEB))),
+    "blachmann-stam": ((), lambda: check_blachmann_stam(_g1(LEB), _g1(LEB))[0]),
+    "hyper": (("--p", "2", "--q", "4", "--theta", "1.2"),
+              lambda: check_hypercontractivity(ExpFunction(1.0), 2.0, 4.0, 1.2,
+                                               points=129)),
+    "hyper2": (("--p", "1.5", "--r", "1.5"), lambda: check_hyper_two_function(
+        _g1(GAM), _g1(GAM), 1.5, 1.5, points=129)),
+    "lsi": ((), lambda: check_log_sobolev(_g1(GAM))),
+    "lsi-integrated": (("--theta", "0.5"), lambda: check_integrated_lsi(_g1(GAM), 0.5)),
+    "brascamp-lieb": ((), lambda: check_brascamp_lieb(
+        mercedes_frame(), _g1(LEB), _g1(LEB), _g1(LEB), points=129)),
+}
+
+
+class TestEveryCheck:
+    def test_table_covers_the_library(self):
+        assert tuple(CHECK_TABLE) == CHECK_NAMES == tuple(EVERY_CHECK)
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_report_is_the_library_call(self, capsys, name):
+        params, library = EVERY_CHECK[name]
+        code, out, err = run(capsys, "check", name, *params, "--grid-n", "129")
+        expected = library()
+        assert err == ""
+        assert code == (0 if expected.passed else 1)
+        assert json.loads(out) == expected.to_dict()
+
+
+def _write_json(path, spec):
+    path.write_text(json.dumps(spec))
+    return f"json:{path}"
+
+
+class TestJsonGaussians:
+    """A json: Gaussian is gridded unless the whole check can stay exact."""
+
+    @pytest.mark.parametrize("name, slot, reference, params", [
+        ("shannon", "--g", "lebesgue", ()),
+        ("hyper", "--f", "gaussian", ("--p", "2", "--q", "4", "--theta", "1.2")),
+        ("main-integral", "--g", "lebesgue", EXPONENTS),
+        ("brascamp-lieb", "--f1", "lebesgue", ()),
+    ])
+    def test_gridded_like_the_inline_spec(self, capsys, tmp_path, name, slot,
+                                          reference, params):
+        spec = _write_json(tmp_path / "g.json", {
+            "family": "gaussian", "mean": 0, "variance": 1, "reference": reference})
+        args = ("check", name, *params, "--grid-n", "129")
+        from_json = run(capsys, *args, slot, spec)
+        inline = run(capsys, *args, slot, "gauss:0,1")
+        assert from_json == inline and inline[0] == 0
+
+    def test_two_slot_check_stays_exact(self, capsys, tmp_path):
+        g = _write_json(tmp_path / "g.json", {"family": "gaussian", "mean": 0, "variance": 1})
+        h = _write_json(tmp_path / "h.json", {"family": "gaussian", "mean": 0, "variance": 4})
+        code, out, _ = run(capsys, "check", "shannon", "--g", g, "--h", h,
+                           "--grid-n", "129")
+        expected = check_shannon(gaussian(LEB, 0.0, 1.0), gaussian(LEB, 0.0, 4.0))
+        assert code == 0 and json.loads(out) == expected.to_dict()
+
+    def test_2d_check_stays_exact(self, capsys, tmp_path):
+        f = _write_json(tmp_path / "f.json", {
+            "family": "gaussian", "mean": [0, 0], "covariance": [[4, 0], [0, 1]]})
+        code, out, _ = run(capsys, "check", "subadditivity", "--f", f,
+                           "--grid-n", "129")
+        report = json.loads(out)
+        assert code == 0
+        assert report == check_subadditivity(
+            mercedes_frame(), gaussian(LEB, [0, 0], [[4, 0], [0, 1]])).to_dict()
+        assert abs(report["slack"] - math.log(49 / 32) / 3) < 1e-12
+
+
+class TestCsvLoaders:
+    def test_csv_file_matches_inline_spec(self, capsys, tmp_path):
+        g = _g1(LEB)
+        path = tmp_path / "g.csv"
+        path.write_text("x,f\n" + "".join(
+            f"{x!r},{v!r}\n" for x, v in zip(g.x.tolist(), g.values.tolist())))
+        args = ("check", "shannon", "--h", "gauss:0,4", "--grid-n", "129")
+        assert run(capsys, *args, "--g", f"csv:{path}") == \
+            run(capsys, *args, "--g", "gauss:0,1")
+
+    def test_csv2_file_matches_inline_spec(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(self._csv2(_g2()))
+        args = ("check", "subadditivity", "--grid-n", "129")
+        assert run(capsys, *args, "--f", f"csv2:{path}") == \
+            run(capsys, *args, "--f", "gauss2:0,0,1,0,1")
+
+    @staticmethod
+    def _csv2(f, y_fastest=True):
+        values = f.values.tolist()
+        cells = [(x, y, values[i][j]) for i, x in enumerate(f.x.tolist())
+                 for j, y in enumerate(f.y.tolist())]
+        if not y_fastest:
+            cells.sort(key=lambda c: (c[1], c[0]))
+        return "x,y,f\n" + "".join(f"{x!r},{y!r},{v!r}\n" for x, y, v in cells)
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("csv", "t,f\n0,1\n", "expected header 'x,f'"),
+        ("csv", "x,f\n", "no data rows"),
+        ("csv", "x,f\n0,1\n1\n", "row ['1'] has fewer than 2 values"),
+        ("csv2", "x,y\n0,0\n", "expected header 'x,y,f'"),
+        ("csv2", "x,y,f\n0,0,1\n0,1,1\n1,0,1\n", "do not tile a 2 x 2 grid"),
+    ])
+    def test_malformed_file(self, capsys, tmp_path, kind, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        name, slot = ("shannon", "--g") if kind == "csv" else ("subadditivity", "--f")
+        code, out, err = run(capsys, "check", name, slot, f"{kind}:{path}")
+        assert code == 2 and out == "" and message in err
+
+    def test_csv2_needs_y_cycling_fastest(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(self._csv2(_g2(), y_fastest=False))
+        code, out, err = run(capsys, "check", "subadditivity", "--grid-n", "129",
+                             "--f", f"csv2:{path}")
+        assert code == 2 and out == ""
+        assert "rows must be row-major in x (y cycles fastest)" in err
 
 
 # === sweep ================================================================
