@@ -12,8 +12,7 @@ the logarithmic Sobolev inequality, and Brascamp-Lieb.
 
 from .density import (ExpFunction, GaussianDensity, GridDensity1D,
                       GridDensity2D, GridFunction1D, Reference,
-                      convolve, default_axis,
-                      default_grid_points, gaussian, gaussian_mixture,
+                      convolve, default_axis, gaussian, gaussian_mixture,
                       independent_product, linear_combination, marginal,
                       scale1d, uniform_density)
 from .errors import (CompatibilityViolation, DegenerateDirections,
@@ -61,7 +60,6 @@ __all__ = [
     "check_main_entropy", "check_main_integral", "check_shannon",
     "check_subadditivity", "check_young_convolution", "check_young_entropy",
     "conjugate_exponent", "convolve", "de_bruijn_check", "default_axis",
-    "default_grid_points",
     "directions_from_weights", "entropy", "exp_norm_gamma", "fisher",
     "gaussian", "gaussian_mixture", "heat_flow", "hermite_p_theta",
     "hyper_threshold", "independent_product", "linear_combination",

@@ -4,8 +4,8 @@ Exit codes: 0 = pass, 1 = inequality violated beyond tolerance,
 2 = input or validation error.  All angles are radians.  Densities are
 given in a small inline language (see DENSITY_HELP); a `json:` Gaussian
 stays in closed form where the whole check can take it, everything else
-lands on the quadrature grid controlled by --grid-l / --grid-n /
-ENTROFRAME_GRID_N.
+lands on the quadrature grid that --grid-l / --grid-n choose (2049 points
+on [-10, 10] without them).
 """
 
 import argparse
@@ -94,15 +94,15 @@ def _floats(text, count, what):
     return values
 
 
-def _repaired_weights(text):
-    """Weight triple rescaled onto sum 2; rejects gross deviations."""
-    c = _floats(text, 3, "--weights")
+def _repaired_weights(text, flag):
+    """Weight triple given to flag, rescaled onto sum 2; rejects gross deviations."""
+    c = _floats(text, 3, flag)
     if min(c) <= 0.0:
-        raise NormalizationError(f"--weights: weights must be positive, got {c}")
+        raise NormalizationError(f"{flag}: weights must be positive, got {c}")
     total = sum(c)
     if abs(total - 2.0) > REPAIR_TOL:
         raise NormalizationError(
-            f"--weights: triple sums to {total:.6f}, needs 2 (off by more "
+            f"{flag}: triple sums to {total:.6f}, needs 2 (off by more "
             f"than {REPAIR_TOL})")
     return tuple(v * (2.0 / total) for v in c)
 
@@ -186,6 +186,12 @@ def parse_density_1d(spec, reference, length, points, allow_exp=False,
     raise NormalizationError(f"{what}: unknown 1d density spec {spec!r}")
 
 
+def _gridded(densities, length, points):
+    """densities with each closed-form Gaussian put on the grid."""
+    return [d.to_grid(length, points) if isinstance(d, GaussianDensity) else d
+            for d in densities]
+
+
 def parse_density_2d(spec, reference, length, points, what="density"):
     kind, _, rest = spec.partition(":")
     if kind == "gauss2":
@@ -196,9 +202,9 @@ def parse_density_2d(spec, reference, length, points, what="density"):
         left, sep, right = rest.partition("+")
         if not sep:
             raise NormalizationError(f"{what}: product needs SPEC+SPEC")
-        f = parse_density_1d(left, reference, length, points, what=what)
-        g = parse_density_1d(right, reference, length, points, what=what)
-        return independent_product(f, g)
+        return independent_product(*_gridded(
+            [parse_density_1d(s, reference, length, points, what=what)
+             for s in (left, right)], length, points))
     if kind == "csv2":
         return _check_loaded(load_csv_2d(rest, reference), reference, 2, what)
     if kind == "json":
@@ -222,7 +228,7 @@ def cmd_frame(args):
         t1, t2, t3 = _floats(args.angles, 3, "--angles")
         frame = weights_from_directions(t1, t2, t3)
     elif args.weights is not None:
-        frame = directions_from_weights(*_repaired_weights(args.weights))
+        frame = directions_from_weights(*_repaired_weights(args.weights, "--weights"))
     elif args.exponents is not None:
         triple = _repaired_exponents(_floats(args.exponents, 3, "--exponents"),
                                      "--exponents")
@@ -253,7 +259,7 @@ def _frame(args):
                                                 "--frame-angles"))
     if args.frame_weights is not None:
         return directions_from_weights(
-            *_repaired_weights(args.frame_weights))
+            *_repaired_weights(args.frame_weights, "--frame-weights"))
     return mercedes_frame()
 
 
@@ -329,8 +335,7 @@ def _run_check(args):
     # closed-form Gaussians stay exact only when every slot holds one and none
     # is a function slot; otherwise they go on the grid
     if allow_exp or not all(isinstance(d, GaussianDensity) for d in densities):
-        densities = [d.to_grid(args.grid_l, args.grid_n)
-                     if isinstance(d, GaussianDensity) else d for d in densities]
+        densities = _gridded(densities, args.grid_l, args.grid_n)
     return run(args, densities, reference,
                dict(length=args.grid_l, points=args.grid_n))
 

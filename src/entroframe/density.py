@@ -12,15 +12,15 @@ grids.
 Mass policy for constructed values: a deviation of the total mass from 1
 up to 1e-6 (1D) or 1e-5 (2D) is accepted as is; up to 1e-2 the density is
 renormalized and RenormalizationWarning is emitted; beyond that
-NormalizationError is raised.  Geometric operations (marginals, linear
-combinations, flows) renormalize silently and record the applied factor.
+NormalizationError is raised.  Marginals and linear combinations
+renormalize silently and record the applied factor; flows do not
+renormalize and keep their input's factor.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -49,7 +49,6 @@ NEGATIVE_TOL = 1e-9
 
 DEFAULT_LENGTH = 10.0
 DEFAULT_POINTS = 2049
-GRID_ENV_VAR = "ENTROFRAME_GRID_N"
 
 
 class Reference(enum.Enum):
@@ -59,23 +58,10 @@ class Reference(enum.Enum):
 
 # === default grid =========================================================
 
-def default_grid_points():
-    """Default number of axis points, overridable via ENTROFRAME_GRID_N."""
-    raw = os.environ.get(GRID_ENV_VAR)
-    if raw is None:
-        return DEFAULT_POINTS
-    try:
-        n = int(raw)
-    except ValueError:
-        raise GridError(f"{GRID_ENV_VAR}={raw!r} is not an integer") from None
-    if n < 65 or n % 2 == 0:
-        raise GridError(f"{GRID_ENV_VAR}={n} must be odd and >= 65")
-    return n
-
-
 def default_axis(length=None, points=None):
+    """points nodes on [-length, length]; None takes DEFAULT_POINTS, DEFAULT_LENGTH."""
     length = DEFAULT_LENGTH if length is None else float(length)
-    points = default_grid_points() if points is None else int(points)
+    points = DEFAULT_POINTS if points is None else int(points)
     if points < 65 or points % 2 == 0:
         raise GridError(f"axis needs an odd number of points >= 65, got {points}")
     if not length > 0:
@@ -240,9 +226,14 @@ class _GridDensity(_Grid):
         *axes, values = grid
         density = cls(reference, *axes, _clip_values(values, what))
         values, factor = _mass_policy(density.values, density.mass(), cls._mass_tight, what)
-        if factor == 1.0:
-            return density
-        return cls(reference, *(x for x, _ in density.axes), values, renormalization=factor)
+        if factor != 1.0:
+            density._renormalize(values, factor)
+        return density
+
+    def _renormalize(self, values, factor):
+        """Finish, in place, a density this package has just built and shares with no one."""
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "renormalization", factor)
 
     def mass(self):
         return integral(self.reference, self.values, *self.axes)
@@ -498,16 +489,14 @@ def marginal(f, direction, x_out=None):
             f"got {type(f).__name__}")
     theta = _as_direction(direction).theta
     if x_out is not None:
-        t = np.asarray(x_out, dtype=float)
-        return _marginal(f, theta, (t, _axis_step(t, "x_out")))
+        return _marginal(f, theta, x_out)
     memo = _cached(f, "_marginals_memo", dict)
     if theta not in memo:
-        memo[theta] = _marginal(f, theta, f.axes[0])
+        memo[theta] = _marginal(f, theta, f.x)
     return memo[theta]
 
 
-def _marginal(f, theta, out_axis):
-    t, _ = out_axis
+def _marginal(f, theta, t):
     cos_a, sin_a = math.cos(theta), math.sin(theta)
     if abs(cos_a) >= abs(sin_a):
         axis, (along, h_along), (across, h_across) = 0, *f.axes
@@ -515,29 +504,33 @@ def _marginal(f, theta, out_axis):
         # x = t / sin a - y cot a: the same shear with the axes swapped
         axis, (across, h_across), (along, h_along) = 1, *f.axes
         cos_a, sin_a = sin_a, cos_a
-    index0 = grid_index(t / cos_a, along[0], h_along)
     shifts = across * (sin_a / cos_a / h_along)
     w = simpson_weights(across.size, h_across)[:, None] / abs(cos_a)
-    if f.reference is Reference.GAUSSIAN:
-        w = w * np.exp(log_gaussian_weight((across[:, None] - t * sin_a) / cos_a))
-    return _line_density(f.reference, sheared_sum(f.line_coeffs(axis), index0, shifts, w),
-                         out_axis, "marginal")
+
+    def line_sum(t):
+        wt = w if f.reference is Reference.LEBESGUE else \
+            w * np.exp(log_gaussian_weight((across[:, None] - t * sin_a) / cos_a))
+        return sheared_sum(f.line_coeffs(axis), grid_index(t / cos_a, along[0], h_along),
+                           shifts, wt)
+    return _line_density(f.reference, t, "marginal", line_sum)
 
 
-def _line_density(reference, vals, out_axis, what):
-    """The 1d density of a sheared line integral's values on out_axis.
+def _line_density(reference, t, what, line_sum):
+    """The 1d density on axis t of a sheared line integral.
 
-    Clips vals at 0, raises DomainTruncation if more than TRUNCATION_TOL of
-    the mass fell off the grid, and renormalizes, recording the factor.
+    The density is built first, so a bad t raises GridError before
+    line_sum(nodes) samples anything.  The sum is clipped at 0,
+    DomainTruncation is raised if more than TRUNCATION_TOL of the mass fell
+    off the grid, and the rest is renormalized, recording the factor.
     """
-    vals = np.maximum(vals, 0.0)
-    raw_mass = integral(reference, vals, out_axis)
+    out = GridDensity1D(reference, t, _freeze(np.zeros(np.shape(t))))
+    vals = np.maximum(line_sum(out.x), 0.0)
+    raw_mass = integral(reference, vals, *out.axes)
     if raw_mass < 1.0 - TRUNCATION_TOL:
         raise DomainTruncation(
             f"{what} mass {raw_mass:.6f}; more than {TRUNCATION_TOL:g} lost off-grid")
-    t, _ = out_axis
-    return GridDensity1D(reference, t, _freeze(vals / raw_mass),
-                         renormalization=1.0 / raw_mass)
+    out._renormalize(_freeze(vals / raw_mass), 1.0 / raw_mass)
+    return out
 
 
 def _closed_form(what, *densities):
@@ -632,8 +625,7 @@ def linear_combination(f, g, a, b):
     t = _freeze(np.linspace(lo, hi, f.x.size + g.x.size - 1))
     # every row samples the same line of f: a zero-copy view of its coefficients
     rows = np.broadcast_to(f.spline_coeffs(), (g.x.size, f.x.size))
-    index0 = grid_index(t / a, f.x[0], f.h)
     shifts = g.x * (b / a / f.h)
     w = (simpson_weights(g.x.size, g.h) * g.values)[:, None] / abs(a)
-    return _line_density(Reference.LEBESGUE, sheared_sum(rows, index0, shifts, w),
-                         (t, _axis_step(t, "t")), "combination")
+    return _line_density(Reference.LEBESGUE, t, "combination", lambda t: sheared_sum(
+        rows, grid_index(t / a, f.x[0], f.h), shifts, w))

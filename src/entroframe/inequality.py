@@ -123,6 +123,11 @@ def inputs_digest(*parts):
     return hashlib.sha1(_canon(parts).encode()).hexdigest()[:12]
 
 
+def _axis_part(x):
+    """The digest part of the axis a check integrates on: its ends and size."""
+    return ("axis", float(x[0]), float(x[-1]), x.size)
+
+
 def _report(name, lhs, rhs, constant, tolerance, parts):
     tol = DEFAULT_TOLERANCES[name] if tolerance is None else float(tolerance)
     return InequalityReport(name=name, lhs=float(lhs), rhs=float(rhs),
@@ -302,16 +307,16 @@ def _two_function_integral(triple, g, h, reference, length=None, points=None):
     lhs = _lp_norm(inner, outer, reference, axis)
     rhs = _lp_norm(_values_on(g, x), t.p2, reference, axis) \
         * _lp_norm(_values_on(h, x), t.p3, reference, axis)
-    return lhs, rhs, t
+    return lhs, rhs, t, x
 
 
 def check_main_integral(triple, g, h, reference=Reference.LEBESGUE,
                         tolerance=None, length=None, points=None):
     """|| int g(x cos t2 + y sin t2) h(x cos t3 + y sin t3) dmu(y) ||_{p1'}
     <= ||g||_{p2} ||h||_{p3}."""
-    lhs, rhs, t = _two_function_integral(triple, g, h, reference, length, points)
+    lhs, rhs, t, x = _two_function_integral(triple, g, h, reference, length, points)
     return _report("main-integral", lhs, rhs, 1.0, tolerance,
-                   (t, g, h, reference))
+                   (t, g, h, reference, _axis_part(x)))
 
 
 def check_hyper_two_function(f, g, p, r, tolerance=None, length=None, points=None):
@@ -325,9 +330,8 @@ def check_hyper_two_function(f, g, p, r, tolerance=None, length=None, points=Non
         raise InvalidExponents(f"1/p + 1/r - 1 = {qinv!r} leaves no valid q")
     q = 1.0 / qinv
     triple = ExponentTriple(conjugate_exponent(q), p, r)
-    lhs, rhs, t = _two_function_integral(triple, f, g, Reference.GAUSSIAN,
-                                         length, points)
-    return _report("hyper2", lhs, rhs, 1.0, tolerance, (t, f, g))
+    lhs, rhs, t, x = _two_function_integral(triple, f, g, Reference.GAUSSIAN, length, points)
+    return _report("hyper2", lhs, rhs, 1.0, tolerance, (t, f, g, _axis_part(x)))
 
 
 # === Young's inequality ===================================================
@@ -468,7 +472,7 @@ def check_hypercontractivity(f, p, q, theta, tolerance=None,
     pf = hermite_p_theta(f, theta, x=x)
     lhs = lp_norm(pf, q, Reference.GAUSSIAN)
     rhs = _lp_norm(_values_on(f, x), p, Reference.GAUSSIAN, pf.axes[0])
-    return _report("hyper", lhs, rhs, 1.0, tolerance, (f, p, q, float(theta)))
+    return _report("hyper", lhs, rhs, 1.0, tolerance, (f, p, q, float(theta), _axis_part(x)))
 
 
 def check_log_sobolev(f, tolerance=None):
@@ -509,4 +513,4 @@ def check_brascamp_lieb(frame, f1, f2, f3, reference=Reference.LEBESGUE,
         rhs *= integral(reference, np.maximum(_values_on(f, x), 0.0), axis) ** c
     lhs = integral(reference, prod, axis, axis)
     return _report("brascamp-lieb", lhs, rhs, 1.0, tolerance,
-                   (frame, f1, f2, f3, reference))
+                   (frame, f1, f2, f3, reference, _axis_part(x)))

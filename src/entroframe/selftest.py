@@ -24,7 +24,6 @@ from .density import (
     Reference,
     RenormalizationWarning,
     default_axis,
-    default_grid_points,
     gaussian,
     gaussian_mixture,
 )
@@ -341,7 +340,7 @@ def run(only=None, grid_n=None, log=print):
     """
     if only is not None and only not in TAGS:
         raise ValueError(f"unknown tag {only!r}; choose from {', '.join(TAGS)}")
-    n = default_grid_points() if grid_n is None else int(grid_n)
+    n = DEFAULT_POINTS if grid_n is None else int(grid_n)
     default_axis(points=n)  # a malformed point count fails before any criterion
     scale = _tolerance_scale(n)
     results = []

@@ -85,6 +85,15 @@ class TestFrameCommand:
         weights = [float(v) for v in out.splitlines()[1].split()[1:]]
         np.testing.assert_allclose(sum(weights), 2.0, atol=1e-9)
 
+    @pytest.mark.parametrize("weights", ["0.5,0.5", "0.5,0.5,0.1", "0,1,1"])
+    def test_weight_errors_name_their_flag(self, capsys, weights):
+        _, _, frame_err = run(capsys, "frame", "--weights", weights)
+        code, out, err = run(capsys, "check", "subadditivity", "--frame-weights",
+                             weights, "--grid-n", "129")
+        assert frame_err.startswith("--weights: ")
+        assert code == 2 and out == ""
+        assert err == frame_err.replace("--weights", "--frame-weights", 1)
+
     def test_output_is_deterministic(self, capsys):
         a = run(capsys, "frame", "--exponents", "2,1.3333,1.3333")
         b = run(capsys, "frame", "--exponents", "2,1.3333,1.3333")
@@ -249,6 +258,13 @@ class TestJsonGaussians:
         args = ("check", name, *params, "--grid-n", "129")
         from_json = run(capsys, *args, slot, spec)
         inline = run(capsys, *args, slot, "gauss:0,1")
+        assert from_json == inline and inline[0] == 0
+
+    def test_product_factor_gridded_like_the_inline_spec(self, capsys, tmp_path):
+        spec = _write_json(tmp_path / "g.json", {"family": "gaussian", "mean": 0, "variance": 1})
+        args = ("check", "subadditivity", "--grid-n", "129", "--f")
+        from_json = run(capsys, *args, f"product:{spec}+gauss:0,1")
+        inline = run(capsys, *args, "product:gauss:0,1+gauss:0,1")
         assert from_json == inline and inline[0] == 0
 
     def test_two_slot_check_stays_exact(self, capsys, tmp_path):

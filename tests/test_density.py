@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entroframe
 from entroframe import (
     DomainTruncation,
     ExpFunction,
@@ -28,7 +29,6 @@ from entroframe import (
     ZeroScale,
     convolve,
     default_axis,
-    default_grid_points,
     entropy,
     gaussian,
     gaussian_mixture,
@@ -38,9 +38,10 @@ from entroframe import (
     scale1d,
     uniform_density,
 )
-from entroframe.density import DEFAULT_POINTS, GRID_ENV_VAR, LOG_2PI, integral
+from entroframe import density as density_module
+from entroframe.density import DEFAULT_POINTS, LOG_2PI, integral
 from entroframe.frames import Direction
-from entroframe.quadrature import simpson_weights
+from entroframe.quadrature import simpson_weights, validate_axis
 
 LEB = Reference.LEBESGUE
 GAM = Reference.GAUSSIAN
@@ -65,18 +66,15 @@ def closed_form_marginal(g, theta, t):
 # === grid configuration ===================================================
 
 class TestDefaultGrid:
-    def test_default_points(self, monkeypatch):
-        monkeypatch.delenv(GRID_ENV_VAR, raising=False)
-        assert default_grid_points() == DEFAULT_POINTS
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(GRID_ENV_VAR, "513")
-        assert default_grid_points() == 513
-
-    def test_env_override_must_be_odd(self, monkeypatch):
-        monkeypatch.setenv(GRID_ENV_VAR, "512")
-        with pytest.raises(Exception):
-            default_grid_points()
+    @pytest.mark.parametrize("raw", ["513", "512"])
+    def test_grid_comes_from_the_call(self, monkeypatch, raw):
+        """No environment variable sets the default grid, not even the
+        ENTROFRAME_GRID_N that once did, well-formed or not."""
+        monkeypatch.setenv("ENTROFRAME_GRID_N", raw)
+        assert default_axis().size == DEFAULT_POINTS
+        assert gaussian(LEB, 0.0, 1.0).to_grid().x.size == DEFAULT_POINTS
+        assert default_axis(points=513).size == 513
+        assert not hasattr(entroframe, "default_grid_points")
 
     def test_default_axis_symmetric(self):
         x = default_axis()
@@ -118,6 +116,35 @@ class TestGridAxes:
         f = gaussian(LEB, [0.0, 0.0], np.eye(2)).to_grid(points=129)
         with pytest.raises(GridError):
             marginal(f, 0.3, x_out=BAD_AXES[kind](129))
+
+    def test_each_axis_is_checked_once(self, monkeypatch):
+        """One validation per built axis, also when the call renormalizes,
+        and x_out is checked before any line is summed."""
+        x = default_axis(points=129)
+        g = gaussian(LEB, 0.2, 1.0).to_grid(points=129)
+        h = gaussian(LEB, -0.5, 2.0).to_grid(points=129)
+        f = gaussian(LEB, [0.0, 0.0], np.eye(2)).to_grid(points=129)
+        seen = []
+
+        def counting(x, name="axis"):
+            seen.append(name)
+            return validate_axis(x, name)
+        monkeypatch.setattr(density_module, "validate_axis", counting)
+        with pytest.warns(RenormalizationWarning):
+            GridDensity1D.from_values(LEB, x, lebesgue_gaussian_values(x, 0.0, 1.0) * 1.002)
+        assert seen == ["x"]
+        for call in (lambda: linear_combination(g, h, 1.0, 0.5),
+                     lambda: marginal(f, 0.3, x_out=x)):
+            seen.clear()
+            call()
+            assert seen == ["x"]
+
+        def no_sum(*args):
+            raise AssertionError("summed a line before checking x_out")
+        monkeypatch.setattr(density_module, "sheared_sum", no_sum)
+        for kind in sorted(BAD_AXES):
+            with pytest.raises(GridError):
+                marginal(f, 0.3, x_out=BAD_AXES[kind](129))
 
     def test_steps_are_kept(self):
         x = default_axis(points=129)

@@ -105,6 +105,22 @@ class TestReportPlumbing:
             assert inputs_digest("x", grid) == want  # served from the cache
             assert _canon(grid) == _canon(parts)
 
+    @pytest.mark.parametrize("name", ["hyper", "hyper2", "main-integral", "brascamp-lieb"])
+    def test_digest_records_the_grid(self, name):
+        """A check that integrates on its own axis digests that axis."""
+        e, g = ExpFunction(0.5), GaussianExtremizer(1.0).pair(TRIPLE, LEB)
+        check = {
+            "hyper": lambda **grid: check_hypercontractivity(e, 2.0, 4.0, 0.7, **grid),
+            "hyper2": lambda **grid: check_hyper_two_function(e, e, 1.5, 1.5, **grid),
+            "main-integral": lambda **grid: check_main_integral(TRIPLE, *g, **grid),
+            "brascamp-lieb": lambda **grid: check_brascamp_lieb(
+                mercedes_frame(), *g, g[0], **grid),
+        }[name]
+        digests = [check(points=n, length=length).inputs_digest
+                   for n, length in ((129, 4.0), (257, 4.0), (129, 5.0), (129, 4.0))]
+        assert len(set(digests[:3])) == 3
+        assert digests[3] == digests[0]
+
     def test_reports_carry_inputs_digest(self):
         d = gaussian(LEB, [0.0, 0.0], [[4.0, 0.0], [0.0, 1.0]])
         a = check_subadditivity(mercedes_frame(), d)
