@@ -135,7 +135,13 @@ def _repaired_young(p, q, r):
     return p, q, repaired
 
 
-def _check_loaded(density, reference, dim, what):
+def _loaded(what, reference, dim, load, *args):
+    """The density load(*args) for the slot what, checked against the slot's
+    reference and dimension; an OS error names the slot."""
+    try:
+        density = load(*args)
+    except OSError as exc:
+        raise OSError(f"{what}: {exc}") from exc
     ref = getattr(density, "reference", None)
     if ref is not None and ref is not reference:
         raise ReferenceMismatch(
@@ -180,9 +186,9 @@ def parse_density_1d(spec, reference, length, points, allow_exp=False,
         (a,) = _floats(rest, 1, what)
         return ExpFunction(a)
     if kind == "csv":
-        return _check_loaded(load_csv_1d(rest, reference), reference, 1, what)
+        return _loaded(what, reference, 1, load_csv_1d, rest, reference)
     if kind == "json":
-        return _check_loaded(load_json(rest, length, points), reference, 1, what)
+        return _loaded(what, reference, 1, load_json, rest, length, points)
     raise NormalizationError(f"{what}: unknown 1d density spec {spec!r}")
 
 
@@ -206,9 +212,9 @@ def parse_density_2d(spec, reference, length, points, what="density"):
             [parse_density_1d(s, reference, length, points, what=what)
              for s in (left, right)], length, points))
     if kind == "csv2":
-        return _check_loaded(load_csv_2d(rest, reference), reference, 2, what)
+        return _loaded(what, reference, 2, load_csv_2d, rest, reference)
     if kind == "json":
-        return _check_loaded(load_json(rest, length, points), reference, 2, what)
+        return _loaded(what, reference, 2, load_json, rest, length, points)
     raise NormalizationError(f"{what}: unknown 2d density spec {spec!r}")
 
 

@@ -258,22 +258,8 @@ def _coerce_triple(t):
 
 
 def angles_from_exponents(triple):
-    """Canonical frame of the triple, weights c_i = 1/p_i.
-
-    Closed form (same gauge as directions_from_weights):
-      cos theta_2 =  sqrt((p1-1)(p2-1)),  sin theta_2 = sqrt(p1 p2 (p3-1)/p3),
-      cos theta_3 = -sqrt((p1-1)(p3-1)),  sin theta_3 = sqrt(p1 p3 (p2-1)/p2),
-    after dividing by sqrt(p1 p2) resp. sqrt(p1 p3).
-    """
-    t = _coerce_triple(triple)
-    p1, p2, p3 = t.as_tuple()
-    x2 = math.sqrt((p1 - 1.0) * (p2 - 1.0))
-    y2 = math.sqrt(p1 * p2 * (p3 - 1.0) / p3)
-    x3 = -math.sqrt((p1 - 1.0) * (p3 - 1.0))
-    y3 = math.sqrt(p1 * p3 * (p2 - 1.0) / p2)
-    theta_2 = math.atan2(y2, x2)
-    theta_3 = math.atan2(y3, x3)
-    return Frame2((0.0, theta_2, theta_3), t.weights())
+    """Canonical frame of the triple: directions_from_weights at c_i = 1/p_i."""
+    return directions_from_weights(*_coerce_triple(triple).weights())
 
 
 def young_frame(p, q, r):

@@ -150,19 +150,37 @@ def fisher(f):
 
 # === L^p norms ============================================================
 
-def _lp_norm(values, p, reference, axis):
+def _norm_exponent(p):
     p = float(p)
     if not p >= 1.0 or not math.isfinite(p):
         raise InvalidExponents(f"norm exponent must be finite and >= 1, got {p!r}")
+    return p
+
+
+def _lp_norm(values, p, reference, axis):
+    p = _norm_exponent(p)
     integrand = np.abs(np.asarray(values, dtype=float)) ** p
     return integral(reference, integrand, axis) ** (1.0 / p)
 
 
+def _lp_norm_gaussian(f, p, reference):
+    """||N(m, v)||_p = p^(-1/(2p)) (2 pi v)^((1-p)/(2p)) against Lebesgue measure."""
+    if f.dim != 1 or f.reference is not Reference.LEBESGUE \
+            or reference not in (None, Reference.LEBESGUE):
+        raise ReferenceMismatch("lp_norm of a GaussianDensity needs a 1d Lebesgue density")
+    p = _norm_exponent(p)
+    v = float(f.covariance[0, 0])
+    return p ** (-0.5 / p) * (2.0 * math.pi * v) ** ((1.0 - p) / (2.0 * p))
+
+
 def lp_norm(f, p, reference=None):
-    """||f||_{L^p(mu)} for a 1d grid function or density.
+    """||f||_{L^p(mu)} for a 1d grid function or density, or a 1d Lebesgue
+    GaussianDensity (closed form).
 
     GridFunction1D needs the reference spelled out; densities carry theirs.
     """
+    if isinstance(f, GaussianDensity):
+        return _lp_norm_gaussian(f, p, reference)
     if not isinstance(f, (GridDensity1D, GridFunction1D)):
         raise ReferenceMismatch(f"lp_norm is not defined for {type(f).__name__}")
     if reference is None:

@@ -9,6 +9,13 @@ Check names double as CLI names: subadditivity, fisher, main-entropy,
 main-integral, young-conv, young-entropy, shannon, blachmann-stam (and
 its second report blachmann-stam-harmonic), hyper, hyper2, lsi,
 lsi-integrated, brascamp-lieb.
+
+main-integral, hyper2 and brascamp-lieb integrate products of f_i(x . u_i)
+over a frame, sum_i c_i u_i u_i^T = Id, in the coordinates s_i = x . u_i
+on {|s_1|, |s_2| <= L}: dx = ds_1 ds_2 / |det(u_1, u_2)|, and grid factors
+are 0 off their grid.  As |x|^2 = sum_i c_i s_i^2, the 2d standard Gaussian
+is prod_i gamma(s_i)^{c_i}, so over the Gaussian reference each factor
+takes a power of gamma and every side is a Lebesgue integral.
 """
 
 from __future__ import annotations
@@ -23,13 +30,13 @@ import numpy as np
 from .density import (ExpFunction, GaussianDensity, GridDensity1D,
                       GridDensity2D, GridFunction1D, Reference, _axis_step,
                       _cached, convolve, default_axis, integral,
-                      linear_combination, marginal, scale1d)
+                      linear_combination, marginal, reference_weight, scale1d)
 from .errors import InvalidExponents, ReferenceMismatch
 from .frames import (ExponentTriple, Frame2, _coerce_triple,
                      angles_from_exponents, conjugate_exponent,
                      shannon_limit_frame, validate_young)
 from .functional import _lp_norm, entropy, fisher, lp_norm
-from .quadrature import gauss_hermite, simpson_weights
+from .quadrature import simpson_weights
 from .semigroup import FlowTime, hermite_p_theta, ou_flow
 
 SQRT2 = math.sqrt(2.0)
@@ -259,6 +266,15 @@ def _values_on(f, x):
     return _eval_at(f, x)
 
 
+def _frame_inner(thetas, f2, f3, axis):
+    """F(s_1) = int f_2(s_2) f_3(a s_1 + b s_2) ds_2 / |det(u_1, u_2)| on the
+    nodes, where u_3 = a u_1 + b u_2; f2 holds values, f3 maps points to values."""
+    (x, h), (t1, t2, t3) = axis, thetas
+    det = math.sin(t2 - t1)
+    a, b = math.sin(t2 - t3) / det, math.sin(t3 - t1) / det
+    return f3(a * x[:, None] + b * x[None, :]) @ (simpson_weights(x.size, h) * f2) / abs(det)
+
+
 # === marginal entropy / Fisher subadditivity ==============================
 
 def _weighted_marginal_sum(frame, f, functional):
@@ -291,29 +307,26 @@ def check_main_entropy(triple, f, tolerance=None):
 
 def _two_function_integral(triple, g, h, reference, length=None, points=None):
     t = _coerce_triple(triple)
-    frame = angles_from_exponents(t)
-    t2, t3 = frame.thetas[1], frame.thetas[2]
-    outer = conjugate_exponent(t.p1)
     x = default_axis(length, points)
     axis = (x, _axis_step(x))
-    if reference is Reference.GAUSSIAN:
-        y, wy = gauss_hermite()
-    else:
-        y = x
-        wy = simpson_weights(x.size, axis[1])
-    gx = _eval_at(g, math.cos(t2) * x[:, None] + math.sin(t2) * y[None, :])
-    hx = _eval_at(h, math.cos(t3) * x[:, None] + math.sin(t3) * y[None, :])
-    inner = (gx * hx) @ wy
-    lhs = _lp_norm(inner, outer, reference, axis)
-    rhs = _lp_norm(_values_on(g, x), t.p2, reference, axis) \
-        * _lp_norm(_values_on(h, x), t.p3, reference, axis)
+    gx, hx = (_values_on(f, x) * reference_weight(reference, x) ** (1.0 / p)
+              for f, p in ((g, t.p2), (h, t.p3)))
+    inner = _frame_inner(angles_from_exponents(t).thetas, gx,
+                         lambda s: _eval_at(h, s) * reference_weight(reference, s) ** (1.0 / t.p3),
+                         axis)
+    lhs = _lp_norm(inner, conjugate_exponent(t.p1), Reference.LEBESGUE, axis)
+    rhs = _lp_norm(gx, t.p2, Reference.LEBESGUE, axis) \
+        * _lp_norm(hx, t.p3, Reference.LEBESGUE, axis)
     return lhs, rhs, t, x
 
 
 def check_main_integral(triple, g, h, reference=Reference.LEBESGUE,
                         tolerance=None, length=None, points=None):
     """|| int g(x cos t2 + y sin t2) h(x cos t3 + y sin t3) dmu(y) ||_{p1'}
-    <= ||g||_{p2} ||h||_{p3}."""
+    <= ||g||_{p2} ||h||_{p3}, taken in (s_1, s_2) = (x, x cos t2 + y sin t2)
+    on {|s_1|, |s_2| <= L}.  Over the Gaussian reference g and h take
+    gamma^{1/p2} and gamma^{1/p3}, and the outer weight cancels in the
+    L^{p1'}(gamma) norm: gamma^{(1/p1 - 1) p1'} = 1/gamma."""
     lhs, rhs, t, x = _two_function_integral(triple, g, h, reference, length, points)
     return _report("main-integral", lhs, rhs, 1.0, tolerance,
                    (t, g, h, reference, _axis_part(x)))
@@ -499,18 +512,16 @@ def check_integrated_lsi(f, theta, tolerance=None):
 def check_brascamp_lieb(frame, f1, f2, f3, reference=Reference.LEBESGUE,
                         tolerance=None, length=None, points=None):
     """int prod_i f_i(x . u_i)^{c_i} dmu_2 <= prod_i (int f_i dmu)^{c_i}
-    for nonnegative f_i along the frame directions."""
+    for nonnegative f_i along the frame directions, taken in s_i = x . u_i on
+    {|s_1|, |s_2| <= L}; over the Gaussian reference f_i becomes f_i gamma."""
     x = default_axis(length, points)
     axis = (x, _axis_step(x))
-    X = x[:, None]
-    Y = x[None, :]
-    prod = np.ones((x.size, x.size))
-    rhs = 1.0
-    for d, c, f in zip(frame.directions, frame.weights, (f1, f2, f3)):
-        u = d.unit_vector()
-        vals = np.maximum(_eval_at(f, u[0] * X + u[1] * Y), 0.0)
-        prod *= vals ** c
-        rhs *= integral(reference, np.maximum(_values_on(f, x), 0.0), axis) ** c
-    lhs = integral(reference, prod, axis, axis)
+    c1, c2, c3 = frame.weights
+    v = [np.maximum(_values_on(f, x), 0.0) * reference_weight(reference, x) for f in (f1, f2, f3)]
+    inner = _frame_inner(frame.thetas, v[1] ** c2, lambda s: (
+        np.maximum(_eval_at(f3, s), 0.0) * reference_weight(reference, s)) ** c3, axis)
+    lhs = integral(Reference.LEBESGUE, v[0] ** c1 * inner, axis)
+    rhs = math.prod(integral(Reference.LEBESGUE, vi, axis) ** c
+                    for vi, c in zip(v, frame.weights))
     return _report("brascamp-lieb", lhs, rhs, 1.0, tolerance,
                    (frame, f1, f2, f3, reference, _axis_part(x)))

@@ -275,6 +275,17 @@ class TestJsonGaussians:
         expected = check_shannon(gaussian(LEB, 0.0, 1.0), gaussian(LEB, 0.0, 4.0))
         assert code == 0 and json.loads(out) == expected.to_dict()
 
+    def test_young_convolution_stays_exact(self, capsys, tmp_path):
+        f = _write_json(tmp_path / "f.json", {"family": "gaussian", "mean": 0, "variance": 2})
+        g = _write_json(tmp_path / "g.json", {"family": "gaussian", "mean": 0, "variance": 1})
+        code, out, _ = run(capsys, "check", "young-conv", "--f", f, "--g", g,
+                           "--p", "1.5", "--q", "1.2", "--r", "2")
+        report = json.loads(out)
+        assert code == 0
+        assert report == check_young_convolution(
+            gaussian(LEB, 0.0, 2.0), gaussian(LEB, 0.0, 1.0), 1.5, 1.2, 2.0).to_dict()
+        assert abs(report["slack"]) / report["rhs"] <= 1e-12
+
     def test_2d_check_stays_exact(self, capsys, tmp_path):
         f = _write_json(tmp_path / "f.json", {
             "family": "gaussian", "mean": [0, 0], "covariance": [[4, 0], [0, 1]]})
@@ -326,6 +337,17 @@ class TestCsvLoaders:
         name, slot = ("shannon", "--g") if kind == "csv" else ("subadditivity", "--f")
         code, out, err = run(capsys, "check", name, slot, f"{kind}:{path}")
         assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("kind, name, slot", [
+        ("csv", "shannon", "--g"),
+        ("csv2", "subadditivity", "--f"),
+        ("json", "shannon", "--h"),
+    ])
+    def test_missing_file_names_its_slot(self, capsys, tmp_path, kind, name, slot):
+        path = tmp_path / "missing"
+        code, out, err = run(capsys, "check", name, slot, f"{kind}:{path}")
+        assert code == 2 and out == ""
+        assert err == f"{slot}: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_csv2_needs_y_cycling_fastest(self, capsys, tmp_path):
         path = tmp_path / "f.csv"

@@ -183,5 +183,15 @@ class TestLpNorm:
             lp_norm(f, 2.0)
 
     def test_closed_form_density_rejected(self):
-        with pytest.raises(ReferenceMismatch):
-            lp_norm(gaussian(LEB, 0.0, 1.0), 2.0)
+        """Only a 1d Lebesgue Gaussian has a closed-form norm."""
+        for g in (gaussian(GAM, 0.0, 1.0), gaussian(LEB, [0.0, 0.0], np.eye(2))):
+            with pytest.raises(ReferenceMismatch):
+                lp_norm(g, 2.0)
+
+    def test_closed_form_matches_grid(self):
+        """||N(m, v)||_p = p^(-1/(2p)) (2 pi v)^((1-p)/(2p))."""
+        for m, v, p in ((0.3, 2.0, 1.5), (0.0, 1.0, 2.0), (-1.0, 0.5, 1.2)):
+            g = gaussian(LEB, m, v)
+            want = p ** (-0.5 / p) * (2.0 * math.pi * v) ** ((1.0 - p) / (2.0 * p))
+            np.testing.assert_allclose(lp_norm(g, p), want, rtol=1e-15)
+            np.testing.assert_allclose(lp_norm(g.to_grid(), p), want, rtol=1e-13)

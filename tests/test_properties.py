@@ -2,8 +2,9 @@
 
 Each bound is the tolerance the example-based test of the same property
 already uses: the frame round trip of tests/test_frames.py, the scaling
-law of TestScale1d, and the closed-form subadditivity gaps of
-TestSubadditivity.  Runs are derandomized, so every run draws the same
+law of TestScale1d, the closed-form subadditivity gaps of
+TestSubadditivity, and the equality cases of TestBrascampLieb and
+TestMainIntegral.  Runs are derandomized, so every run draws the same
 examples.
 """
 
@@ -14,8 +15,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entroframe import (
+    ExponentTriple,
     Frame2,
+    GaussianExtremizer,
     Reference,
+    check_brascamp_lieb,
+    check_main_integral,
     check_subadditivity,
     directions_from_weights,
     entropy,
@@ -25,10 +30,17 @@ from entroframe import (
 )
 
 LEB = Reference.LEBESGUE
+GAM = Reference.GAUSSIAN
 POINTS = 513
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 WEIGHT = st.floats(0.05, 0.95)
+
+
+def random_frame(c1, c2):
+    c3 = 2.0 - c1 - c2
+    assume(0.05 < c3 < 0.95)
+    return directions_from_weights(c1, c2, c3)
 
 
 def rotation(phi):
@@ -66,13 +78,45 @@ def test_entropy_of_a_dilate(a, negative):
 def test_subadditivity_slack_is_rotation_invariant(weights, variances, alpha, phi):
     """Turning the frame's directions and the covariance by the same angle
     leaves the closed-form subadditivity slack unchanged."""
-    c1, c2 = weights
-    c3 = 2.0 - c1 - c2
-    assume(0.05 < c3 < 0.95)
-    frame = directions_from_weights(c1, c2, c3)
+    frame = random_frame(*weights)
     turned = Frame2(tuple(t + phi for t in frame.thetas), frame.weights)
     r, q = rotation(alpha), rotation(phi)
     cov = r @ np.diag(variances) @ r.T
     slack = check_subadditivity(frame, gaussian(LEB, [0.0, 0.0], cov)).slack
     turned_slack = check_subadditivity(turned, gaussian(LEB, [0.0, 0.0], q @ cov @ q.T)).slack
     np.testing.assert_allclose(turned_slack, slack, atol=1e-12)
+
+
+@PROPERTY
+@given(weights=st.tuples(WEIGHT, WEIGHT), lam=st.floats(0.3, 3.0))
+def test_common_gaussian_saturates_brascamp_lieb(weights, lam):
+    """f_i = e^{-lam t^2} gives lhs = rhs = pi/lam on every frame, and so
+    does f_i = e^{-lam t^2}/gamma over the Gaussian reference, since
+    gamma_2(x) = prod_i gamma(x . u_i)^{c_i}."""
+    frame = random_frame(*weights)
+
+    def leb(t):
+        return np.exp(-lam * np.asarray(t, dtype=float) ** 2)
+
+    def gam(t):
+        t = np.asarray(t, dtype=float)
+        return np.exp((0.5 - lam) * t * t + 0.5 * math.log(2.0 * math.pi))
+
+    for f, ref in ((leb, LEB), (gam, GAM)):
+        r = check_brascamp_lieb(frame, f, f, f, ref, points=POINTS)
+        assert abs(r.slack) / r.rhs <= 1e-12
+
+
+@PROPERTY
+@given(weights=st.tuples(WEIGHT, WEIGHT), lam=st.floats(0.5, 3.0),
+       centers=st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)))
+def test_gaussian_extremizers_saturate_main_integral(weights, lam, centers):
+    """Every GaussianExtremizer pair is an equality case of the main
+    integral inequality on every frame, in both references.  lam >= 1/2
+    keeps the Gaussian-reference factors bounded and the tails lost off
+    [-10, 10] below rounding."""
+    triple = ExponentTriple(*(1.0 / c for c in random_frame(*weights).weights))
+    for ref in (LEB, GAM):
+        g, h = GaussianExtremizer(lam, *centers).pair(triple, ref)
+        r = check_main_integral(triple, g, h, ref, points=POINTS)
+        assert abs(r.slack) / r.rhs <= 1e-12
