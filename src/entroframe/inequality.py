@@ -11,11 +11,12 @@ its second report blachmann-stam-harmonic), hyper, hyper2, lsi,
 lsi-integrated, brascamp-lieb.
 
 main-integral, hyper2 and brascamp-lieb integrate products of f_i(x . u_i)
-over a frame, sum_i c_i u_i u_i^T = Id, in the coordinates s_i = x . u_i
-on {|s_1|, |s_2| <= L}: dx = ds_1 ds_2 / |det(u_1, u_2)|, and grid factors
-are 0 off their grid.  As |x|^2 = sum_i c_i s_i^2, the 2d standard Gaussian
-is prod_i gamma(s_i)^{c_i}, so over the Gaussian reference each factor
-takes a power of gamma and every side is a Lebesgue integral.
+over a frame, sum_i c_i u_i u_i^T = Id, in the coordinates (s_1, s_2) =
+(x . u_1, x . u_j), u_j the one of u_2, u_3 farther from u_1, on
+{|s_1|, |s_2| <= L}: dx = ds_1 ds_2 / |det(u_1, u_j)|, and grid factors
+are 0 off their grid.  As |x|^2 = sum_i c_i (x . u_i)^2, the 2d standard
+Gaussian is prod_i gamma(x . u_i)^{c_i}, so over the Gaussian reference
+each factor takes a power of gamma and every side is a Lebesgue integral.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,15 +81,7 @@ class InequalityReport:
         return self.slack >= -self.tolerance
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant": self.constant,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-            "inputs_digest": self.inputs_digest,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
@@ -119,8 +112,6 @@ def _canon(part):
         return f"exp(a={part.a!r})"
     if isinstance(part, (tuple, list)):
         return "(" + ",".join(_canon(p) for p in part) + ")"
-    if isinstance(part, float):
-        return repr(part)
     if callable(part):
         return getattr(part, "__name__", type(part).__name__)
     return repr(part)
@@ -180,8 +171,7 @@ def young_extremal_covariance(p, q, r):
     """
     p, q, r = validate_young(p, q, r)
     frame = angles_from_exponents((conjugate_exponent(r), p, q))
-    t2, t3 = frame.thetas[1], frame.thetas[2]
-    ct2, ct3 = 1.0 / math.tan(t2), 1.0 / math.tan(t3)
+    ct2, ct3 = (1.0 / math.tan(t) for t in frame.thetas[1:])
     a = np.array([[ct3, 1.0], [ct3 - ct2, 0.0]])
     m = a @ a.T
     return np.array([[m[1, 1], m[0, 1]], [m[0, 1], m[0, 0]]])
@@ -267,20 +257,26 @@ def _values_on(f, x):
 
 
 def _frame_inner(thetas, f2, f3, axis):
-    """F(s_1) = int f_2(s_2) f_3(a s_1 + b s_2) ds_2 / |det(u_1, u_2)| on the
-    nodes, where u_3 = a u_1 + b u_2; f2 holds values, f3 maps points to values."""
+    """F(s_1) = int f_j(s_2) f_k(a s_1 + b s_2) ds_2 / |det(u_1, u_j)| on the
+    nodes, u_k = a u_1 + b u_j, with u_j the one of u_2, u_3 farther from u_1:
+    sum_i c_i sin^2(theta_i - theta_1) = 1 and c_2 + c_3 < 2 give |det| >
+    1/sqrt 2 and |a|, |b| < sqrt 2, however close two directions lie.  A
+    factor (f, weight) enters as weight(f(s), s), f_j read at the nodes."""
     (x, h), (t1, t2, t3) = axis, thetas
+    if abs(math.sin(t3 - t1)) > abs(math.sin(t2 - t1)):
+        (t2, f2), (t3, f3) = (t3, f3), (t2, f2)
     det = math.sin(t2 - t1)
     a, b = math.sin(t2 - t3) / det, math.sin(t3 - t1) / det
-    return f3(a * x[:, None] + b * x[None, :]) @ (simpson_weights(x.size, h) * f2) / abs(det)
+    (fj, wj), (fk, wk), s = f2, f3, a * x[:, None] + b * x[None, :]
+    fj_weighted = simpson_weights(x.size, h) * wj(_values_on(fj, x), x)
+    return wk(_eval_at(fk, s), s) @ fj_weighted / abs(det)
 
 
 # === marginal entropy / Fisher subadditivity ==============================
 
 def _weighted_marginal_sum(frame, f, functional):
-    total = 0.0
-    for d, c in zip(frame.directions, frame.weights):
-        total += c * float(functional(marginal(f, d)))
+    total = sum(c * float(functional(marginal(f, d)))
+                for d, c in zip(frame.directions, frame.weights))
     return total, float(functional(f))
 
 
@@ -305,28 +301,34 @@ def check_main_entropy(triple, f, tolerance=None):
 
 # === the two-function integral inequality =================================
 
+def _scaled_norm(values, p, axis):
+    """||values||_{L^p(ds)} on values / max|values|: no power over- or underflows as p_1' grows."""
+    m = float(np.max(np.abs(values)))
+    return 0.0 if m == 0.0 else m * _lp_norm(values / m, p, Reference.LEBESGUE, axis)
+
+
 def _two_function_integral(triple, g, h, reference, length=None, points=None):
     t = _coerce_triple(triple)
     x = default_axis(length, points)
     axis = (x, _axis_step(x))
-    gx, hx = (_values_on(f, x) * reference_weight(reference, x) ** (1.0 / p)
-              for f, p in ((g, t.p2), (h, t.p3)))
-    inner = _frame_inner(angles_from_exponents(t).thetas, gx,
-                         lambda s: _eval_at(h, s) * reference_weight(reference, s) ** (1.0 / t.p3),
-                         axis)
-    lhs = _lp_norm(inner, conjugate_exponent(t.p1), Reference.LEBESGUE, axis)
-    rhs = _lp_norm(gx, t.p2, Reference.LEBESGUE, axis) \
-        * _lp_norm(hx, t.p3, Reference.LEBESGUE, axis)
+
+    def weight(p):
+        return lambda v, s: v * reference_weight(reference, s) ** (1.0 / p)
+    gx, hx = (weight(p)(_values_on(f, x), x) for f, p in ((g, t.p2), (h, t.p3)))
+    thetas = angles_from_exponents(t).thetas
+    inner = _frame_inner(thetas, (g, weight(t.p2)), (h, weight(t.p3)), axis)
+    lhs = _scaled_norm(inner, conjugate_exponent(t.p1), axis)
+    rhs = _scaled_norm(gx, t.p2, axis) * _scaled_norm(hx, t.p3, axis)
     return lhs, rhs, t, x
 
 
 def check_main_integral(triple, g, h, reference=Reference.LEBESGUE,
                         tolerance=None, length=None, points=None):
     """|| int g(x cos t2 + y sin t2) h(x cos t3 + y sin t3) dmu(y) ||_{p1'}
-    <= ||g||_{p2} ||h||_{p3}, taken in (s_1, s_2) = (x, x cos t2 + y sin t2)
-    on {|s_1|, |s_2| <= L}.  Over the Gaussian reference g and h take
-    gamma^{1/p2} and gamma^{1/p3}, and the outer weight cancels in the
-    L^{p1'}(gamma) norm: gamma^{(1/p1 - 1) p1'} = 1/gamma."""
+    <= ||g||_{p2} ||h||_{p3}, taken in (s_1, s_2) = (x, x cos tj + y sin tj),
+    tj the one of t2, t3 farther from 0, on {|s_1|, |s_2| <= L}.  Over the
+    Gaussian reference g and h take gamma^{1/p2} and gamma^{1/p3}, and the
+    outer weight cancels in the L^{p1'}(gamma) norm: gamma^{(1/p1 - 1) p1'} = 1/gamma."""
     lhs, rhs, t, x = _two_function_integral(triple, g, h, reference, length, points)
     return _report("main-integral", lhs, rhs, 1.0, tolerance,
                    (t, g, h, reference, _axis_part(x)))
@@ -478,10 +480,7 @@ def check_hypercontractivity(f, p, q, theta, tolerance=None,
     p, q = float(p), float(q)
     if not (p >= 1.0 and q >= 1.0):
         raise InvalidExponents(f"need p, q >= 1, got ({p}, {q})")
-    if isinstance(f, (GridFunction1D, GridDensity1D)):
-        x = f.x
-    else:
-        x = default_axis(length, points)
+    x = f.x if isinstance(f, (GridFunction1D, GridDensity1D)) else default_axis(length, points)
     pf = hermite_p_theta(f, theta, x=x)
     lhs = lp_norm(pf, q, Reference.GAUSSIAN)
     rhs = _lp_norm(_values_on(f, x), p, Reference.GAUSSIAN, pf.axes[0])
@@ -512,14 +511,17 @@ def check_integrated_lsi(f, theta, tolerance=None):
 def check_brascamp_lieb(frame, f1, f2, f3, reference=Reference.LEBESGUE,
                         tolerance=None, length=None, points=None):
     """int prod_i f_i(x . u_i)^{c_i} dmu_2 <= prod_i (int f_i dmu)^{c_i}
-    for nonnegative f_i along the frame directions, taken in s_i = x . u_i on
-    {|s_1|, |s_2| <= L}; over the Gaussian reference f_i becomes f_i gamma."""
+    for nonnegative f_i along the frame directions, taken in the coordinates
+    (x . u_1, x . u_j) of _frame_inner on {|s_1|, |s_2| <= L}; over the
+    Gaussian reference f_i becomes f_i gamma."""
     x = default_axis(length, points)
     axis = (x, _axis_step(x))
+
+    def weight(c):
+        return lambda v, s: (np.maximum(v, 0.0) * reference_weight(reference, s)) ** c
     c1, c2, c3 = frame.weights
-    v = [np.maximum(_values_on(f, x), 0.0) * reference_weight(reference, x) for f in (f1, f2, f3)]
-    inner = _frame_inner(frame.thetas, v[1] ** c2, lambda s: (
-        np.maximum(_eval_at(f3, s), 0.0) * reference_weight(reference, s)) ** c3, axis)
+    v = [weight(1.0)(_values_on(f, x), x) for f in (f1, f2, f3)]
+    inner = _frame_inner(frame.thetas, (f2, weight(c2)), (f3, weight(c3)), axis)
     lhs = integral(Reference.LEBESGUE, v[0] ** c1 * inner, axis)
     rhs = math.prod(integral(Reference.LEBESGUE, vi, axis) ** c
                     for vi, c in zip(v, frame.weights))

@@ -11,7 +11,7 @@ examples.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entroframe import (
@@ -34,12 +34,14 @@ GAM = Reference.GAUSSIAN
 POINTS = 513
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
-WEIGHT = st.floats(0.05, 0.95)
+WEIGHT = st.floats(1e-5, 1.0 - 1e-5)
+# weights (0.5, 0.5, 0.9999) rescaled onto sum 2: u_2 lies 0.014 rad from u_1
+SKEWED = (0.5 / 0.99995, 0.5 / 0.99995)
 
 
 def random_frame(c1, c2):
     c3 = 2.0 - c1 - c2
-    assume(0.05 < c3 < 0.95)
+    assume(1e-5 < c3 < 1.0 - 1e-5)
     return directions_from_weights(c1, c2, c3)
 
 
@@ -53,7 +55,7 @@ def rotation(phi):
 def test_frame_round_trip(c1, c2):
     """weights -> directions -> weights returns the triple."""
     c3 = 2.0 - c1 - c2
-    assume(0.05 < c3 < 0.95)
+    assume(1e-5 < c3 < 1.0 - 1e-5)
     frame = directions_from_weights(c1, c2, c3)
     back = weights_from_directions(*frame.thetas)
     assert frame.residual() <= 1e-12
@@ -89,6 +91,7 @@ def test_subadditivity_slack_is_rotation_invariant(weights, variances, alpha, ph
 
 @PROPERTY
 @given(weights=st.tuples(WEIGHT, WEIGHT), lam=st.floats(0.3, 3.0))
+@example(weights=SKEWED, lam=1.0)
 def test_common_gaussian_saturates_brascamp_lieb(weights, lam):
     """f_i = e^{-lam t^2} gives lhs = rhs = pi/lam on every frame, and so
     does f_i = e^{-lam t^2}/gamma over the Gaussian reference, since
@@ -108,14 +111,20 @@ def test_common_gaussian_saturates_brascamp_lieb(weights, lam):
 
 
 @PROPERTY
-@given(weights=st.tuples(WEIGHT, WEIGHT), lam=st.floats(0.5, 3.0),
-       centers=st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)))
-def test_gaussian_extremizers_saturate_main_integral(weights, lam, centers):
+@given(weights=st.tuples(WEIGHT, WEIGHT), lam=st.floats(0.3, 3.0),
+       radius=st.floats(0.0, 1.0), phi=st.floats(-math.pi, math.pi))
+@example(weights=SKEWED, lam=0.8, radius=1.0, phi=0.5)
+def test_gaussian_extremizers_saturate_main_integral(weights, lam, radius, phi):
     """Every GaussianExtremizer pair is an equality case of the main
-    integral inequality on every frame, in both references.  lam >= 1/2
-    keeps the Gaussian-reference factors bounded and the tails lost off
-    [-10, 10] below rounding."""
-    triple = ExponentTriple(*(1.0 / c for c in random_frame(*weights).weights))
+    integral inequality on every frame, in both references.  The pair is
+    drawn by its 2d centre z, |z| <= 1: g and h centre on z . u_2 and
+    z . u_3, and the outer function of the lhs on z . u_1.  A centre far
+    enough out for the square to cut that function's tail is the known
+    failure TestMainIntegral::test_extremizer_centred_far_out."""
+    frame = random_frame(*weights)
+    triple = ExponentTriple(*(1.0 / c for c in frame.weights))
+    z = radius * np.array([math.cos(phi), math.sin(phi)])
+    centers = (z @ frame.directions[1].unit_vector(), z @ frame.directions[2].unit_vector())
     for ref in (LEB, GAM):
         g, h = GaussianExtremizer(lam, *centers).pair(triple, ref)
         r = check_main_integral(triple, g, h, ref, points=POINTS)
