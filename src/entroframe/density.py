@@ -30,8 +30,9 @@ from scipy.special import ndtr
 from .errors import (DomainTruncation, GridError, NormalizationError, NotSPD,
                      ReferenceMismatch, RenormalizationWarning, ZeroScale)
 from .frames import Direction
-from .quadrature import (grid_index, sample_coefficients, sheared_sum,
-                         simpson_weights, spline_coefficients, validate_axis)
+from .quadrature import (contract, grid_index, sample_coefficients,
+                         sheared_sum, simpson_weights, spline_coefficients,
+                         validate_axis)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -90,14 +91,15 @@ def integral(reference, values, *axes):
     """int g dmu over the product grid of axes, each an (x, h) pair.
 
     values[i, ...] = g(x_i, ...).  The Simpson weights of each axis are
-    contracted in axis order, wx @ v or wx @ v @ wy.
+    contracted in axis order, wx @ v or wx @ v @ wy, where wx @ v is
+    contract(v.T, wx); Lebesgue values are used as they are, with no copy.
     """
-    weighted = values * reference_weight(reference, *(x for x, _ in axes))
-    (x, h), *rest = axes
-    total = simpson_weights(x.size, h) @ weighted
-    for x, h in rest:
-        total = total @ simpson_weights(x.size, h)
-    return float(total)
+    if reference is not Reference.LEBESGUE:
+        values = values * reference_weight(reference, *(x for x, _ in axes))
+    *first, (y, k) = axes
+    for x, h in first:
+        values = contract(values.T, simpson_weights(x.size, h))
+    return float(values @ simpson_weights(y.size, k))
 
 
 # === value policy =========================================================
@@ -437,7 +439,17 @@ def uniform_density(a, b, smoothing=0.05, length=None, points=None):
         vals = (ndtr((x - a) / smoothing) - ndtr((x - b) / smoothing)) / (b - a)
     else:
         vals = np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
-    return GridDensity1D.from_values(Reference.LEBESGUE, x, _freeze(vals), what="uniform")
+    try:
+        return GridDensity1D.from_values(Reference.LEBESGUE, x, _freeze(vals), what="uniform")
+    except NormalizationError as exc:
+        h = _axis_step(x)
+        if not 0.0 < smoothing < h:
+            raise
+        need = math.ceil((x[-1] - x[0]) / smoothing) // 2 * 2 + 1
+        raise NormalizationError(
+            f"{exc}: the grid step {h:.3g} exceeds the smoothing {smoothing:g}, so the "
+            f"edges at {a:g} and {b:g} are not resolved; a step of at most {smoothing:g} "
+            f"takes {need} points on [{x[0]:g}, {x[-1]:g}]") from None
 
 
 class ExpFunction:

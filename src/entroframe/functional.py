@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (GaussianDensity, GridDensity1D, GridDensity2D,
-                      GridFunction1D, Reference, integral)
+                      GridFunction1D, Reference, integral, log_gaussian_weight)
 from .errors import InvalidExponents, NonSmoothWarning, ReferenceMismatch
 
 VALUE_FLOOR = 1e-300
@@ -158,9 +158,14 @@ def _norm_exponent(p):
 
 
 def _lp_norm(values, p, reference, axis):
+    """||values||_{L^p(mu)} = m ||v / m||_{L^p(ds)}, v = |values| (dmu/ds)^{1/p},
+    m = max v: no power over- or underflows however large p or the values."""
     p = _norm_exponent(p)
-    integrand = np.abs(np.asarray(values, dtype=float)) ** p
-    return integral(reference, integrand, axis) ** (1.0 / p)
+    v = np.abs(np.asarray(values, dtype=float))
+    if reference is not Reference.LEBESGUE:
+        v = v * np.exp(log_gaussian_weight(axis[0]) / p)
+    m = float(np.max(v))
+    return 0.0 if m == 0.0 else m * integral(Reference.LEBESGUE, (v / m) ** p, axis) ** (1.0 / p)
 
 
 def _lp_norm_gaussian(f, p, reference):

@@ -37,10 +37,14 @@ from .frames import (ExponentTriple, Frame2, _coerce_triple,
                      angles_from_exponents, conjugate_exponent,
                      shannon_limit_frame, validate_young)
 from .functional import _lp_norm, entropy, fisher, lp_norm
-from .quadrature import simpson_weights
+from .quadrature import contract, simpson_weights
 from .semigroup import FlowTime, hermite_p_theta, ou_flow
 
 SQRT2 = math.sqrt(2.0)
+
+# Rows of s_1 per block of _frame_inner: a frame check holds O(256 n)
+# values of its integrand at a time.
+FRAME_BLOCK_ROWS = 256
 
 DEFAULT_TOLERANCES = {
     "subadditivity": 1e-4,
@@ -261,15 +265,22 @@ def _frame_inner(thetas, f2, f3, axis):
     nodes, u_k = a u_1 + b u_j, with u_j the one of u_2, u_3 farther from u_1:
     sum_i c_i sin^2(theta_i - theta_1) = 1 and c_2 + c_3 < 2 give |det| >
     1/sqrt 2 and |a|, |b| < sqrt 2, however close two directions lie.  A
-    factor (f, weight) enters as weight(f(s), s), f_j read at the nodes."""
+    factor (f, weight) enters as weight(f(s), s), f_j read at the nodes.
+    f_k is evaluated and contracted FRAME_BLOCK_ROWS rows of s_1 at a time,
+    so no n x n array is ever held."""
     (x, h), (t1, t2, t3) = axis, thetas
     if abs(math.sin(t3 - t1)) > abs(math.sin(t2 - t1)):
         (t2, f2), (t3, f3) = (t3, f3), (t2, f2)
     det = math.sin(t2 - t1)
     a, b = math.sin(t2 - t3) / det, math.sin(t3 - t1) / det
-    (fj, wj), (fk, wk), s = f2, f3, a * x[:, None] + b * x[None, :]
+    (fj, wj), (fk, wk) = f2, f3
     fj_weighted = simpson_weights(x.size, h) * wj(_values_on(fj, x), x)
-    return wk(_eval_at(fk, s), s) @ fj_weighted / abs(det)
+    inner = np.empty(x.size)
+    for start in range(0, x.size, FRAME_BLOCK_ROWS):
+        rows = slice(start, start + FRAME_BLOCK_ROWS)
+        s = a * x[rows, None] + b * x[None, :]
+        inner[rows] = contract(wk(_eval_at(fk, s), s), fj_weighted)
+    return inner / abs(det)
 
 
 # === marginal entropy / Fisher subadditivity ==============================
@@ -301,12 +312,6 @@ def check_main_entropy(triple, f, tolerance=None):
 
 # === the two-function integral inequality =================================
 
-def _scaled_norm(values, p, axis):
-    """||values||_{L^p(ds)} on values / max|values|: no power over- or underflows as p_1' grows."""
-    m = float(np.max(np.abs(values)))
-    return 0.0 if m == 0.0 else m * _lp_norm(values / m, p, Reference.LEBESGUE, axis)
-
-
 def _two_function_integral(triple, g, h, reference, length=None, points=None):
     t = _coerce_triple(triple)
     x = default_axis(length, points)
@@ -314,11 +319,11 @@ def _two_function_integral(triple, g, h, reference, length=None, points=None):
 
     def weight(p):
         return lambda v, s: v * reference_weight(reference, s) ** (1.0 / p)
-    gx, hx = (weight(p)(_values_on(f, x), x) for f, p in ((g, t.p2), (h, t.p3)))
     thetas = angles_from_exponents(t).thetas
     inner = _frame_inner(thetas, (g, weight(t.p2)), (h, weight(t.p3)), axis)
-    lhs = _scaled_norm(inner, conjugate_exponent(t.p1), axis)
-    rhs = _scaled_norm(gx, t.p2, axis) * _scaled_norm(hx, t.p3, axis)
+    lhs = _lp_norm(inner, conjugate_exponent(t.p1), Reference.LEBESGUE, axis)
+    rhs = math.prod(_lp_norm(_values_on(f, x), p, reference, axis)
+                    for f, p in ((g, t.p2), (h, t.p3)))
     return lhs, rhs, t, x
 
 

@@ -3,6 +3,14 @@
 Everything here operates on uniform, ascending, odd-length grids so that
 composite Simpson weights are exact and subsampling by 2 keeps the
 endpoints.
+
+Every contraction of an n x n or n x 64 grid array with a weight vector
+goes through contract, which uses np.einsum and so never calls BLAS.  A
+BLAS product of that size runs on the BLAS thread pool, whose threads
+keep spinning on the other cores after the call returns: they cost CPU
+time and save no wall time at this size.  einsum runs on the calling
+thread alone.  A 1d Simpson sum of n values stays a dot product, which
+BLAS runs on one thread.
 """
 
 import functools
@@ -39,6 +47,11 @@ def simpson_weights(n, h):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (h / 3.0)
+
+
+def contract(values, weights):
+    """sum_k values[..., k] * weights[k], on the calling thread alone."""
+    return np.einsum("...k,k->...", values, weights)
 
 
 # === Gauss-Hermite ========================================================

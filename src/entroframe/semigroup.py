@@ -32,8 +32,9 @@ from .density import (GaussianDensity, GridDensity1D, GridDensity2D,
                       marginal)
 from .errors import InvalidFlowTime, ReferenceMismatch
 from .functional import entropy, fisher
-from .quadrature import (gauss_hermite, grid_index, sample_coefficients,
-                         spline_coefficients, spline_matrix)
+from .quadrature import (contract, gauss_hermite, grid_index,
+                         sample_coefficients, spline_coefficients,
+                         spline_matrix)
 
 # Below this blur width (in grid steps) the sampled kernel is too coarse
 # and the OU flow evaluates the Mehler integral at Gauss-Hermite nodes.
@@ -132,7 +133,7 @@ def _mehler_rows(values, x, h, t):
     if coeffs.ndim == 1:
         # a lone line samples its points directly, cheaper than building
         # the matrix
-        return sample_coefficients(coeffs, [index.ravel()]).reshape(index.shape) @ w
+        return contract(sample_coefficients(coeffs, [index.ravel()]).reshape(index.shape), w)
     return spline_matrix(index, w, coeffs.shape[-1]) @ coeffs.T
 
 
@@ -223,7 +224,7 @@ def hermite_p_theta(f, theta, x=None):
     if not callable(f):  # the 1d grid containers evaluate their spline
         raise ReferenceMismatch(f"cannot evaluate {type(f).__name__} at Mehler points")
     samples = np.asarray(f(pts), dtype=float)
-    return GridFunction1D(x, _freeze(samples @ w))
+    return GridFunction1D(x, _freeze(contract(samples, w)))
 
 
 # === flow diagnostics =====================================================

@@ -126,6 +126,31 @@ class TestCheckCommand:
         assert code == 0
         assert json.loads(out)["slack"] > 0.0
 
+    def test_hyper_large_exponent_prints_finite_json(self, capsys):
+        """q = 200 past the threshold: |P_theta f|^200 overflows unless the
+        norm is scaled; the report stays standard JSON (no Infinity)."""
+        code, out, err = run(capsys, "check", "hyper", "--f", "exp:1", "--p", "2",
+                             "--q", "200", "--theta", "0.1", "--grid-n", "513")
+        assert code == 1 and err == ""
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+        report = json.loads(out, parse_constant=reject)
+        assert math.isfinite(report["lhs"]) and report["slack"] < 0.0
+
+    def test_uniform_unresolved_edge_names_its_cause(self, capsys):
+        """At 129 points the grid step 0.156 exceeds the uniform's fixed
+        smoothing 0.05: the error says so and how many points resolve it."""
+        code, out, err = run(capsys, "check", "shannon", "--g", "uniform:-1,1",
+                             "--grid-n", "129")
+        assert code == 2 and out == ""
+        assert "deviates" in err
+        assert "grid step 0.156 exceeds the smoothing 0.05" in err
+        assert "401 points" in err
+        code, out, _ = run(capsys, "check", "shannon", "--g", "uniform:-1,1",
+                           "--grid-n", "401")
+        assert code == 0 and json.loads(out)["slack"] > 0.0
+
     def test_tolerance_flag_overrides(self, capsys):
         code, out, _ = run(capsys, "check", "hyper", "--f", "exp:1",
                            "--p", "2", "--q", "4", "--theta", "0.7",

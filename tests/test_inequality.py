@@ -458,6 +458,16 @@ class TestHypercontractivity:
                                    rtol=1e-9)
         np.testing.assert_allclose(r.rhs, exp_norm_gamma(1.0, 2.0), rtol=1e-9)
 
+    def test_large_exponent_norm_matches_closed_form(self):
+        """q = 200: |P_theta f|^q gamma peaks at t = q cos(theta) = 199, so
+        the axis reaches 215, where |P_theta f|^q is e^42786.  The norm is
+        taken on |P_theta f| gamma^(1/q) over its maximum, so no power over-
+        or underflows."""
+        r = check_hypercontractivity(ExpFunction(1.0), 2.0, 200.0, 0.1,
+                                     length=215.0, points=2049)
+        np.testing.assert_allclose(r.lhs, mehler_exp_norm(1.0, 200.0, 0.1), rtol=1e-9)
+        np.testing.assert_allclose(r.rhs, exp_norm_gamma(1.0, 2.0), rtol=1e-9)
+
     def test_right_angle_always_passes(self):
         r = check_hypercontractivity(ExpFunction(1.0), 2.0, 4.0, math.pi / 2.0)
         assert r.slack > 0.0

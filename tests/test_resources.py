@@ -1,0 +1,98 @@
+"""Resource use of the grid quadratures on the default grid (n = 2049).
+
+Each test runs its calls in a child process, so the measurements see only
+that child: its CPU time against its wall time, and its peak resident set.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import entroframe
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
+# Inputs shared by both children: three Lebesgue grid densities, the
+# extremizer pair of a triple in both references, and two
+# Gaussian-reference grid densities, all on the default grid.
+INPUTS = """
+    from entroframe import (ExpFunction, ExponentTriple, GaussianExtremizer,
+                            Reference, check_brascamp_lieb,
+                            check_hyper_two_function, check_hypercontractivity,
+                            check_main_integral, entropy, fisher, gaussian,
+                            mercedes_frame)
+    LEB, GAM = Reference.LEBESGUE, Reference.GAUSSIAN
+    fs = [gaussian(LEB, 0.1 * k, 1.0 + 0.5 * k).to_grid() for k in range(3)]
+    t = ExponentTriple(1.5, 1.5, 1.5)
+    ext = GaussianExtremizer(0.8, 0.3, -0.2)
+    gs = [gaussian(GAM, 0.2 * k, 1.0).to_grid() for k in range(2)]
+    frame_checks = {
+        "brascamp-lieb": lambda: check_brascamp_lieb(mercedes_frame(), *fs),
+        "main-integral lebesgue": lambda: check_main_integral(t, *ext.pair(t, LEB), LEB),
+        "main-integral gaussian": lambda: check_main_integral(t, *ext.pair(t, GAM), GAM),
+        "hyper2": lambda: check_hyper_two_function(*gs, 1.5, 1.5),
+    }
+"""
+
+
+def run_child(body):
+    """Run INPUTS then body in a fresh interpreter; return its stdout lines."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(entroframe.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = textwrap.dedent(INPUTS) + textwrap.dedent(body)
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=300,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+class TestResources:
+    def test_grid_quadratures_run_on_one_thread(self):
+        """A process that runs on one thread cannot use more CPU time than
+        wall time, whatever the host load.  A contraction through BLAS ran
+        on its thread pool, whose threads kept spinning after each call:
+        CPU time 1.4-2.0 times the wall time."""
+        lines = run_child("""
+            import time
+            f2 = gaussian(GAM, [0.2, -0.1], [[1.1, 0.2], [0.2, 0.8]]).to_grid()
+            calls = dict(frame_checks,
+                         hyper=lambda: check_hypercontractivity(ExpFunction(1.0), 2.0, 4.0, 0.7),
+                         entropy2d=lambda: entropy(f2),
+                         fisher2d=lambda: fisher(f2))
+            for name, call in calls.items():
+                cpu, wall = time.process_time(), time.perf_counter()
+                call()
+                cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+                print(f"{name}:{cpu!r}:{wall!r}")
+        """)
+        assert len(lines) == 7
+        for line in lines:
+            name, cpu, wall = line.split(":")
+            assert float(cpu) <= 1.05 * float(wall) + 0.010, line
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_frame_checks_hold_no_square_array(self):
+        """Each frame check raises the process peak by at most 48 MB, less
+        than two n x n arrays of doubles (33.6 MB each): the integrand is
+        evaluated 256 rows at a time.  Holding it whole took +97 to +129 MB."""
+        lines = run_child("""
+            import resource
+            peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            base = peak()
+            for name, call in frame_checks.items():
+                call()
+                print(f"{name}:{peak() - base}")
+        """)
+        assert len(lines) == 4
+        # ru_maxrss is in kilobytes on Linux and in bytes on macOS
+        unit = 1 if sys.platform == "darwin" else 1024
+        for line in lines:
+            name, grown = line.split(":")
+            assert int(grown) * unit <= 48e6, line

@@ -28,9 +28,9 @@ from entroframe import (
     independent_product,
 )
 from entroframe.errors import InvalidFlowTime, ReferenceMismatch
-from entroframe.quadrature import (gauss_hermite, sample_coefficients,
-                                   simpson_weights, spline_coefficients,
-                                   spline_matrix)
+from entroframe.quadrature import (contract, gauss_hermite,
+                                   sample_coefficients, simpson_weights,
+                                   spline_coefficients, spline_matrix)
 from entroframe.semigroup import (MIN_BLUR_STEPS, FlowTime, _blur_kernel,
                                   de_bruijn_check, heat_flow, hermite_p_theta,
                                   ou_flow, stability_check)
@@ -357,7 +357,7 @@ class TestHermitePTheta:
 
     def test_custom_axis_and_nodes(self):
         """The result lives on the given axis and is the 64-node
-        Gauss-Hermite sum there."""
+        Gauss-Hermite sum there, contracted by quadrature.contract."""
         x = np.linspace(-2.0, 2.0, 65)
         theta = 0.4
         p = hermite_p_theta(ExpFunction(0.3), theta, x=x)
@@ -365,7 +365,7 @@ class TestHermitePTheta:
         np.testing.assert_array_equal(p.x, x)
         z, w = gauss_hermite(64)
         pts = math.cos(theta) * x[:, None] + math.sin(theta) * z[None, :]
-        np.testing.assert_array_equal(p.values, np.exp(0.3 * pts) @ w)
+        np.testing.assert_array_equal(p.values, contract(np.exp(0.3 * pts), w))
 
 
 # === de Bruijn identity ===================================================
