@@ -30,7 +30,7 @@ from scipy.special import ndtr
 from .errors import (DomainTruncation, GridError, NormalizationError, NotSPD,
                      ReferenceMismatch, RenormalizationWarning, ZeroScale)
 from .frames import Direction
-from .quadrature import (contract, grid_index, sample_coefficients,
+from .quadrature import (blocks, contract, grid_index, sample_coefficients,
                          sheared_sum, simpson_weights, spline_coefficients,
                          validate_axis)
 
@@ -90,16 +90,39 @@ def reference_weight(reference, *axes):
 def integral(reference, values, *axes):
     """int g dmu over the product grid of axes, each an (x, h) pair.
 
-    values[i, ...] = g(x_i, ...).  The Simpson weights of each axis are
-    contracted in axis order, wx @ v or wx @ v @ wy, where wx @ v is
-    contract(v.T, wx); Lebesgue values are used as they are, with no copy.
+    values[i, ...] = g(x_i, ...); Lebesgue values are used as they are,
+    with no copy.  See block_integral for the order of the sums.
     """
-    if reference is not Reference.LEBESGUE:
-        values = values * reference_weight(reference, *(x for x, _ in axes))
+    return block_integral(reference, lambda cols: values[..., cols], *axes)
+
+
+def block_integral(reference, integrand, *axes):
+    """int g dmu over the product grid of axes, g given one block at a time.
+
+    integrand(cols) returns g[..., cols], g restricted to the nodes cols
+    (a slice) of the last axis.  A 1d grid takes one block, the whole axis;
+    a 2d grid takes BLOCK_ROWS columns of y at a time, weights each block
+    by the reference and contracts x first, wx @ block as
+    contract(block.T, wx).  The per-column sums then meet wy: in all,
+    wx @ v @ wy, with the same sums as on the whole array, and no n x n
+    temporary.
+    """
     *first, (y, k) = axes
-    for x, h in first:
-        values = contract(values.T, simpson_weights(x.size, h))
-    return float(values @ simpson_weights(y.size, k))
+
+    def weighted(cols):
+        g = integrand(cols)
+        if reference is Reference.LEBESGUE:
+            return g
+        return g * reference_weight(reference, *(x for x, _ in first), y[cols])
+    if not first:
+        sums = weighted(slice(None))
+    else:
+        (x, h), = first
+        wx = simpson_weights(x.size, h)
+        sums = np.empty(y.size)
+        for cols in blocks(y.size):
+            sums[cols] = contract(weighted(cols).T, wx)
+    return float(sums @ simpson_weights(y.size, k))
 
 
 # === value policy =========================================================
@@ -288,10 +311,10 @@ class GridDensity2D(_GridDensity):
         j-th node of the other axis: values[:, j] for axis 0, values[j, :]
         for axis 1.
         """
-        def compute():
-            c = spline_coefficients(self.values, axis=axis)
-            return _freeze(np.ascontiguousarray(c.T) if axis == 0 else c)
-        return _cached(self, f"_line_coeffs_memo{axis}", compute)
+        # the rows of values.T are the lines along axis 0
+        lines = self.values.T if axis == 0 else self.values
+        return _cached(self, f"_line_coeffs_memo{axis}",
+                       lambda: _freeze(spline_coefficients(lines, axis=-1)))
 
 
 # === Gaussian densities ===================================================
@@ -388,7 +411,10 @@ class GaussianDensity:
         if self.reference is Reference.GAUSSIAN:
             log_x = log_x + 0.5 * x * x + LOG_2PI
             log_y = log_y + 0.5 * y * y
-        return np.exp(log_x[:, None] + (-b * dx)[:, None] * dy[None, :] + log_y[None, :])
+        v = np.multiply.outer(-b * dx, dy)
+        v += log_x[:, None]
+        v += log_y[None, :]
+        return np.exp(v, out=v)
 
 
 def gaussian(reference, mean, covariance):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (GaussianDensity, GridDensity1D, GridDensity2D,
-                      GridFunction1D, Reference, integral, log_gaussian_weight)
+                      GridFunction1D, Reference, block_integral, integral,
+                      log_gaussian_weight)
 from .errors import InvalidExponents, NonSmoothWarning, ReferenceMismatch
 
 VALUE_FLOOR = 1e-300
@@ -92,15 +93,29 @@ def entropy(f):
     if isinstance(f, GaussianDensity):
         return EntropyValue(_entropy_gaussian(f), "closed-form")
     if isinstance(f, (GridDensity1D, GridDensity2D)):
-        return EntropyValue(integral(f.reference, xlogx(f.values), *f.axes), "quadrature")
+        return EntropyValue(block_integral(f.reference, lambda cols: xlogx(f.values[..., cols]),
+                                           *f.axes), "quadrature")
     raise ReferenceMismatch(f"entropy is not defined for {type(f).__name__}")
 
 
 # === Fisher information ===================================================
 
 def _fisher_estimate(values, axes, reference):
-    grads = [np.gradient(values, h, axis=i, edge_order=2) for i, (_, h) in enumerate(axes)]
-    return integral(reference, _grad_sq_over_f(values, grads), *axes)
+    m = values.shape[-1]
+
+    def integrand(cols):
+        # The gradient along the last axis reads one column past each end
+        # of cols, and at least 3 columns (edge_order=2), so every kept
+        # column gets the difference it gets on the whole array.
+        start, stop, _ = cols.indices(m)
+        hi = min(stop + 1, m)
+        lo = max(min(start - 1, hi - 3), 0)
+        keep = slice(start - lo, stop - lo)
+        block = values[..., lo:hi]
+        grads = [np.gradient(block, h, axis=i, edge_order=2)[..., keep]
+                 for i, (_, h) in enumerate(axes)]
+        return _grad_sq_over_f(block[..., keep], grads)
+    return block_integral(reference, integrand, *axes)
 
 
 def _coarse_slice(n):

@@ -37,14 +37,10 @@ from .frames import (ExponentTriple, Frame2, _coerce_triple,
                      angles_from_exponents, conjugate_exponent,
                      shannon_limit_frame, validate_young)
 from .functional import _lp_norm, entropy, fisher, lp_norm
-from .quadrature import contract, simpson_weights
+from .quadrature import blocks, contract, simpson_weights
 from .semigroup import FlowTime, hermite_p_theta, ou_flow
 
 SQRT2 = math.sqrt(2.0)
-
-# Rows of s_1 per block of _frame_inner: a frame check holds O(256 n)
-# values of its integrand at a time.
-FRAME_BLOCK_ROWS = 256
 
 DEFAULT_TOLERANCES = {
     "subadditivity": 1e-4,
@@ -93,7 +89,7 @@ class InequalityReport:
 
 def _canon(part):
     if isinstance(part, np.ndarray):
-        raw = hashlib.sha1(np.ascontiguousarray(part, dtype=float).tobytes())
+        raw = hashlib.sha1(np.ascontiguousarray(part, dtype=float))
         return f"array{part.shape}:{raw.hexdigest()[:16]}"
     if isinstance(part, Reference):
         return part.value
@@ -266,8 +262,8 @@ def _frame_inner(thetas, f2, f3, axis):
     sum_i c_i sin^2(theta_i - theta_1) = 1 and c_2 + c_3 < 2 give |det| >
     1/sqrt 2 and |a|, |b| < sqrt 2, however close two directions lie.  A
     factor (f, weight) enters as weight(f(s), s), f_j read at the nodes.
-    f_k is evaluated and contracted FRAME_BLOCK_ROWS rows of s_1 at a time,
-    so no n x n array is ever held."""
+    f_k is evaluated and contracted BLOCK_ROWS rows of s_1 at a time, so no
+    n x n array is ever held."""
     (x, h), (t1, t2, t3) = axis, thetas
     if abs(math.sin(t3 - t1)) > abs(math.sin(t2 - t1)):
         (t2, f2), (t3, f3) = (t3, f3), (t2, f2)
@@ -276,8 +272,7 @@ def _frame_inner(thetas, f2, f3, axis):
     (fj, wj), (fk, wk) = f2, f3
     fj_weighted = simpson_weights(x.size, h) * wj(_values_on(fj, x), x)
     inner = np.empty(x.size)
-    for start in range(0, x.size, FRAME_BLOCK_ROWS):
-        rows = slice(start, start + FRAME_BLOCK_ROWS)
+    for rows in blocks(x.size):
         s = a * x[rows, None] + b * x[None, :]
         inner[rows] = contract(wk(_eval_at(fk, s), s), fj_weighted)
     return inner / abs(det)

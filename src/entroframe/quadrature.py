@@ -4,8 +4,11 @@ Everything here operates on uniform, ascending, odd-length grids so that
 composite Simpson weights are exact and subsampling by 2 keeps the
 endpoints.
 
-Every contraction of an n x n or n x 64 grid array with a weight vector
-goes through contract, which uses np.einsum and so never calls BLAS.  A
+Every pass over an n x n grid runs BLOCK_ROWS lines at a time (blocks
+returns the slices), so it holds O(BLOCK_ROWS n) working values, never a
+whole n x n temporary.  Every contraction of such a block, or of an
+n x 64 array of Gauss-Hermite samples, with a weight vector goes through
+contract, which uses np.einsum and so never calls BLAS.  A
 BLAS product of that size runs on the BLAS thread pool, whose threads
 keep spinning on the other cores after the call returns: they cost CPU
 time and save no wall time at this size.  einsum runs on the calling
@@ -35,6 +38,15 @@ def validate_axis(x, name="axis"):
     if h <= 0 or not np.all(np.abs(steps - h) <= 1e-12 * max(abs(x[0]), abs(x[-1]), 1.0)):
         raise ValueError(f"{name} must be uniform and ascending")
     return h
+
+
+# Lines of an n x n grid that one pass holds at a time.
+BLOCK_ROWS = 64
+
+
+def blocks(n):
+    """Slices of BLOCK_ROWS consecutive indices covering range(n)."""
+    return [slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS)]
 
 
 # === Simpson ==============================================================

@@ -18,6 +18,9 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
+# ru_maxrss is in kilobytes on Linux and in bytes on macOS
+RSS_UNIT = 1 if sys.platform == "darwin" else 1024
+
 # Inputs shared by both children: three Lebesgue grid densities, the
 # extremizer pair of a triple in both references, and two
 # Gaussian-reference grid densities, all on the default grid.
@@ -81,7 +84,8 @@ class TestResources:
     def test_frame_checks_hold_no_square_array(self):
         """Each frame check raises the process peak by at most 48 MB, less
         than two n x n arrays of doubles (33.6 MB each): the integrand is
-        evaluated 256 rows at a time.  Holding it whole took +97 to +129 MB."""
+        evaluated BLOCK_ROWS (64) rows at a time.  Holding it whole took
+        +97 to +129 MB."""
         lines = run_child("""
             import resource
             peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -91,8 +95,51 @@ class TestResources:
                 print(f"{name}:{peak() - base}")
         """)
         assert len(lines) == 4
-        # ru_maxrss is in kilobytes on Linux and in bytes on macOS
-        unit = 1 if sys.platform == "darwin" else 1024
         for line in lines:
             name, grown = line.split(":")
-            assert int(grown) * unit <= 48e6, line
+            assert int(grown) * RSS_UNIT <= 48e6, line
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_grid_passes_hold_no_square_temporaries(self):
+        """The 2d grid passes run BLOCK_ROWS lines at a time, so each call
+        raises the process peak by what it keeps, plus at most 16 MB:
+        nothing for entropy and Fisher, the flowed pass and the result for
+        a flow, the two line-coefficient memos for a subadditivity check.
+        Their whole n x n temporaries took +38 MB for entropy, +105 to
+        +139 MB for Fisher, +166 MB for ou_flow, +269 MB for heat_flow and
+        +106 MB for check_subadditivity, each in a process of its own.  Each child measures its flow last, after
+        calls that hold no more than it does, so no earlier peak hides it."""
+        grown = """
+            import resource
+            from entroframe import (check_fisher_subadditivity,
+                                    check_subadditivity, heat_flow, ou_flow)
+            def grown(name, call):
+                base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                out = call()
+                print(f"{name}:{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base}")
+                return out
+            cov = [[1.1, 0.2], [0.2, 0.8]]
+        """
+        lines = run_child(grown + """
+            leb, gam = (gaussian(ref, [0.2, -0.1], cov).to_grid() for ref in (LEB, GAM))
+            for d in (leb, gam):
+                grown(f"entropy {d.reference.value}", lambda: entropy(d))
+                grown(f"fisher {d.reference.value}", lambda: fisher(d))
+            grown("ou_flow", lambda: ou_flow(gam, 0.5))
+        """) + run_child(grown + """
+            f = gaussian(LEB, [0.0, 0.0], [[4.0, 0.0], [0.0, 1.0]]).to_grid()
+            grown("subadditivity", lambda: check_subadditivity(mercedes_frame(), f))
+            grown("fisher subadditivity", lambda: check_fisher_subadditivity(mercedes_frame(), f))
+            out = grown("heat_flow", lambda: heat_flow(f, 0.25))
+            print(f"sizes:{out.values.nbytes}:{out.x.size * f.y.nbytes}")
+        """)
+        *calls, sizes = lines
+        _, output, intermediate = sizes.split(":")
+        square, slack = 2049 ** 2 * 8, 16e6
+        bounds = {"ou_flow": 2 * square + slack,
+                  "heat_flow": int(output) + int(intermediate) + square + slack,
+                  "subadditivity": 2 * square + slack}
+        assert len(calls) == 8
+        for line in calls:
+            name, grown = line.split(":")
+            assert int(grown) * RSS_UNIT <= bounds.get(name, slack), line
