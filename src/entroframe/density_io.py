@@ -1,7 +1,8 @@
 """CSV and JSON interchange for grid densities.
 
 CSV 1d: header "x,f", one row per grid point.
-CSV 2d: header "x,y,f", row-major in x (the x loop is the outer one).
+CSV 2d: header "x,y,f", row-major in x (the x loop is the outer one),
+both axes ascending.
 JSON: parametric specs with a "family" of gaussian | gaussian_mixture |
 uniform plus a "reference" of lebesgue | gaussian.
 """
@@ -56,8 +57,9 @@ def load_csv_2d(path, reference):
     y = np.unique(rows[:, 1])
     if x.size * y.size != len(rows):
         raise GridError(f"{path}: rows do not tile a {x.size} x {y.size} grid")
-    # verify row-major ordering: the y coordinate must cycle fastest
-    if not np.array_equal(rows[: y.size, 1], y):
+    # every row in place: x ascending in blocks, y ascending within each
+    if not (np.array_equal(rows[:, 0], np.repeat(x, y.size))
+            and np.array_equal(rows[:, 1], np.tile(y, x.size))):
         raise GridError(f"{path}: rows must be row-major in x (y cycles fastest)")
     return GridDensity2D.from_values(reference, x, y, rows[:, 2].reshape(x.size, y.size),
                                      what=str(path))

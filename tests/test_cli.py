@@ -341,12 +341,13 @@ class TestCsvLoaders:
             run(capsys, *args, "--f", "gauss2:0,0,1,0,1")
 
     @staticmethod
-    def _csv2(f, y_fastest=True):
+    def _csv2(f, order=None):
+        """f's rows, x outer and y inner, or rearranged by order(cells)."""
         values = f.values.tolist()
         cells = [(x, y, values[i][j]) for i, x in enumerate(f.x.tolist())
                  for j, y in enumerate(f.y.tolist())]
-        if not y_fastest:
-            cells.sort(key=lambda c: (c[1], c[0]))
+        if order is not None:
+            cells = order(cells)
         return "x,y,f\n" + "".join(f"{x!r},{y!r},{v!r}\n" for x, y, v in cells)
 
     @pytest.mark.parametrize("kind, text, message", [
@@ -376,7 +377,22 @@ class TestCsvLoaders:
 
     def test_csv2_needs_y_cycling_fastest(self, capsys, tmp_path):
         path = tmp_path / "f.csv"
-        path.write_text(self._csv2(_g2(), y_fastest=False))
+        path.write_text(self._csv2(
+            _g2(), lambda cells: sorted(cells, key=lambda c: (c[1], c[0]))))
+        code, out, err = run(capsys, "check", "subadditivity", "--grid-n", "129",
+                             "--f", f"csv2:{path}")
+        assert code == 2 and out == ""
+        assert "rows must be row-major in x (y cycles fastest)" in err
+
+    @pytest.mark.parametrize("order", [
+        lambda cells: sorted(cells, key=lambda c: (-c[0], c[1])),
+        lambda cells: cells[:129] + cells[129:258][::-1] + cells[258:],
+    ], ids=["x-descending", "later-y-block-reversed"])
+    def test_csv2_rows_must_all_be_in_place(self, capsys, tmp_path, order):
+        """Not only the first y block: a file with x running backwards
+        loaded mirrored, N((-1, 0), I) for N((1, 0), I), and exited 0."""
+        path = tmp_path / "f.csv"
+        path.write_text(self._csv2(_g2(), order))
         code, out, err = run(capsys, "check", "subadditivity", "--grid-n", "129",
                              "--f", f"csv2:{path}")
         assert code == 2 and out == ""

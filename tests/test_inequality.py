@@ -468,6 +468,32 @@ class TestHypercontractivity:
         np.testing.assert_allclose(r.lhs, mehler_exp_norm(1.0, 200.0, 0.1), rtol=1e-9)
         np.testing.assert_allclose(r.rhs, exp_norm_gamma(1.0, 2.0), rtol=1e-9)
 
+    @staticmethod
+    def _gaussian_lhs(m, v, q, theta):
+        """||P_theta g||_{L^q(gamma)} for the Gaussian-reference N(m, v): P_theta g
+        is N(mu, sigma^2) over gamma, mu = c m, sigma^2 = c^2 v + s^2, so
+        ||P_theta g||_q^q = sigma^-q (2 pi)^-1/2 sqrt(pi/A) e^{B^2/(4A) - C}."""
+        c, s = math.cos(theta), math.sin(theta)
+        mu, var = c * m, c * c * v + s * s
+        a = q / (2.0 * var) - (q - 1.0) / 2.0
+        b, c0 = q * mu / var, q * mu * mu / (2.0 * var)
+        norm_q = (var ** (-q / 2.0) / math.sqrt(2.0 * math.pi) * math.sqrt(math.pi / a)
+                  * math.exp(b * b / (4.0 * a) - c0))
+        return norm_q ** (1.0 / q)
+
+    @pytest.mark.parametrize("points, bound", [(513, 4e-6), (2049, 1e-8)])
+    def test_narrow_grid_gaussian_matches_closed_form(self, points, bound):
+        """A grid input goes through the OU operator.  The 64 Gauss-Hermite
+        nodes, at least 0.39 sin(theta) apart, undersampled N(1, 0.01) and
+        overestimated its lhs by 4.4e-2 at theta = 0.9 and 1.8e-1 at 1.4, at
+        any n.  Worst error measured: 4.3e-7 at n = 513 (N(0.3, 0.05)),
+        1.1e-9 at n = 2049; each bound is about ten times that."""
+        for m, v, theta in ((1.0, 0.01, 0.9), (1.0, 0.01, 1.4), (0.3, 0.05, 0.3)):
+            g = gaussian(GAM, m, v).to_grid(points=points)
+            r = check_hypercontractivity(g, 2.0, 4.0, theta)
+            want = self._gaussian_lhs(m, v, 4.0, theta)
+            assert abs(r.lhs - want) <= bound * want, (m, v, theta, r.lhs, want)
+
     def test_right_angle_always_passes(self):
         r = check_hypercontractivity(ExpFunction(1.0), 2.0, 4.0, math.pi / 2.0)
         assert r.slack > 0.0

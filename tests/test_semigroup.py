@@ -27,7 +27,7 @@ from entroframe import (
     gaussian_mixture,
     independent_product,
 )
-from entroframe.errors import InvalidFlowTime, ReferenceMismatch
+from entroframe.errors import GridError, InvalidFlowTime, ReferenceMismatch
 from entroframe.quadrature import (contract, gauss_hermite,
                                    sample_coefficients, simpson_weights,
                                    spline_coefficients, spline_matrix)
@@ -349,6 +349,13 @@ class TestHermitePTheta:
         want = math.exp((a * a + b * b + 2.0 * a * b * math.cos(theta)) / 2.0)
         np.testing.assert_allclose(left, want, rtol=1e-10)
         np.testing.assert_allclose(right, want, rtol=1e-10)
+
+    def test_grid_input_stays_on_its_axis(self):
+        """A grid input is mapped on its own axis; another x= is refused."""
+        gd = gaussian(GAM, 0.5, 1.0).to_grid(points=129)
+        np.testing.assert_array_equal(hermite_p_theta(gd, 0.5, x=gd.x).x, gd.x)
+        with pytest.raises(GridError):
+            hermite_p_theta(gd, 0.5, x=np.linspace(-2.0, 2.0, 65))
 
     def test_invalid_theta_rejected(self):
         for theta in (-0.1, math.pi / 2.0 + 0.1):
