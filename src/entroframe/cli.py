@@ -1,7 +1,7 @@
 """Command-line front end: frames, inequality checks, sweeps, selftest.
 
 Exit codes: 0 = pass, 1 = inequality violated beyond tolerance,
-2 = input or validation error.  All angles are radians.  Densities are
+2 = input or validation error, or a grid too large for memory.  All angles are radians.  Densities are
 given in a small inline language (see DENSITY_HELP); a `json:` Gaussian
 stays in closed form where the whole check can take it, everything else
 lands on the quadrature grid that --grid-l / --grid-n choose (2049 points
@@ -16,6 +16,7 @@ from functools import partial
 import numpy as np
 
 from .density import (
+    DEFAULT_POINTS,
     ExpFunction,
     GaussianDensity,
     GridDensity1D,
@@ -513,6 +514,12 @@ def main(argv=None):
         return EXIT_INPUT
     except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        # a 2d density holds n x n doubles: name n, not the traceback
+        points = getattr(args, "grid_n", None) or DEFAULT_POINTS
+        print(f"out of memory on a grid of {points} points per axis; "
+              f"choose a smaller --grid-n", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -30,9 +30,9 @@ from scipy.special import ndtr
 from .errors import (DomainTruncation, GridError, NormalizationError, NotSPD,
                      ReferenceMismatch, RenormalizationWarning, ZeroScale)
 from .frames import Direction
-from .quadrature import (blocks, contract, grid_index, sample_coefficients,
-                         sheared_sum, simpson_weights, spline_coefficients,
-                         validate_axis)
+from .quadrature import (BLOCK_ROWS, blocks, contract, grid_index,
+                         sample_coefficients, sheared_sum, simpson_weights,
+                         spline_coefficients, validate_axis)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -65,8 +65,8 @@ def default_axis(length=None, points=None):
     points = DEFAULT_POINTS if points is None else int(points)
     if points < 65 or points % 2 == 0:
         raise GridError(f"axis needs an odd number of points >= 65, got {points}")
-    if not length > 0:
-        raise GridError(f"axis half-length must be positive, got {length}")
+    if not 0.0 < length < math.inf:
+        raise GridError(f"axis half-length must be positive and finite, got {length}")
     return np.linspace(-length, length, points)
 
 
@@ -304,18 +304,6 @@ class GridDensity2D(_GridDensity):
     def __post_init__(self):
         self._own_axes(x="hx", y="hy")
 
-    def line_coeffs(self, axis):
-        """Values prefiltered along `axis` only, as one row per node of the other axis.
-
-        Row j holds the 1d spline coefficients of the grid line through the
-        j-th node of the other axis: values[:, j] for axis 0, values[j, :]
-        for axis 1.
-        """
-        # the rows of values.T are the lines along axis 0
-        lines = self.values.T if axis == 0 else self.values
-        return _cached(self, f"_line_coeffs_memo{axis}",
-                       lambda: _freeze(spline_coefficients(lines, axis=-1)))
-
 
 # === Gaussian densities ===================================================
 
@@ -505,11 +493,15 @@ def marginal(f, direction, x_out=None):
 
     The integral runs over the grid's own y nodes with Simpson weights; each
     node's term is one 1d cubic-spline evaluation along x, on coefficients
-    prefiltered along x only.  Steeper directions swap the roles of x and
-    y.  w is 1 for the Lebesgue reference and the standard gaussian density
-    for the Gaussian one.  The result is renormalized (factor recorded);
-    DomainTruncation is raised if more than TRUNCATION_TOL of the mass
-    falls outside the output axis.
+    prefiltered along x only, BLOCK_ROWS lines at a time, right before they
+    are sampled, so no whole-grid copy of them is made or kept.  Steeper
+    directions swap the roles of x and y.  w is 1 for the Lebesgue
+    reference and the standard gaussian density for the Gaussian one.
+    Along an axis (a = 0 or pi/2), on that axis's own nodes, the splines
+    would only give back the grid values, so the marginal is the Simpson
+    sum of the values over the other axis.  The result is renormalized
+    (factor recorded); DomainTruncation is raised if more than
+    TRUNCATION_TOL of the mass falls outside the output axis.
 
     Without x_out the marginal lives on f.x and is memoized on f per
     canonical direction angle, so equal directions return the same
@@ -537,19 +529,41 @@ def marginal(f, direction, x_out=None):
 def _marginal(f, theta, t):
     cos_a, sin_a = math.cos(theta), math.sin(theta)
     if abs(cos_a) >= abs(sin_a):
-        axis, (along, h_along), (across, h_across) = 0, *f.axes
+        (along, h_along), (across, h_across) = f.axes
+        # the rows of values.T are the lines along x
+        lines = f.values.T
     else:
         # x = t / sin a - y cot a: the same shear with the axes swapped
-        axis, (across, h_across), (along, h_along) = 1, *f.axes
+        (across, h_across), (along, h_along) = f.axes
+        lines = f.values
         cos_a, sin_a = sin_a, cos_a
+    w = simpson_weights(across.size, h_across) / abs(cos_a)
+    if theta in (0.0, math.pi / 2.0) and np.array_equal(t, along):
+        # an axis marginal at the nodes: each line's spline there gives back
+        # the line's values, so the sum contracts the values themselves
+        w = w * reference_weight(f.reference, across)
+
+        def axis_sum(t):
+            sums = np.empty(along.size)
+            for block in blocks(along.size):
+                sums[block] = contract(lines.T[block], w)
+            return sums
+        return _line_density(f.reference, t, "marginal", axis_sum)
     shifts = across * (sin_a / cos_a / h_along)
-    w = simpson_weights(across.size, h_across)[:, None] / abs(cos_a)
 
     def line_sum(t):
-        wt = w if f.reference is Reference.LEBESGUE else \
-            w * np.exp(log_gaussian_weight((across[:, None] - t * sin_a) / cos_a))
-        return sheared_sum(f.line_coeffs(axis), grid_index(t / cos_a, along[0], h_along),
-                           shifts, wt)
+        # each block's coefficients overwrite the last block's, which
+        # sheared_sum has used up by then
+        buffer = np.empty((BLOCK_ROWS, along.size))
+
+        def terms(rows):
+            block = lines[rows]
+            coeffs = spline_coefficients(block, axis=-1, out=buffer[:len(block)])
+            if f.reference is Reference.LEBESGUE:
+                return coeffs, w[rows, None]
+            return coeffs, w[rows, None] * np.exp(
+                log_gaussian_weight((across[rows, None] - t * sin_a) / cos_a))
+        return sheared_sum(terms, grid_index(t / cos_a, along[0], h_along), shifts)
     return _line_density(f.reference, t, "marginal", line_sum)
 
 
@@ -666,4 +680,4 @@ def linear_combination(f, g, a, b):
     shifts = g.x * (b / a / f.h)
     w = (simpson_weights(g.x.size, g.h) * g.values)[:, None] / abs(a)
     return _line_density(Reference.LEBESGUE, t, "combination", lambda t: sheared_sum(
-        rows, grid_index(t / a, f.x[0], f.h), shifts, w))
+        lambda lines: (rows[lines], w[lines]), grid_index(t / a, f.x[0], f.h), shifts))

@@ -87,18 +87,25 @@ def _gauss_hermite(n):
 
 # === spline sampling ======================================================
 
-# Cubic B-spline coefficients are prefiltered once per array so repeated
-# sampling (marginal lines, Hermite nodes) pays the filter cost once.
+# Cubic B-spline coefficients are prefiltered once per 1d array, so repeated
+# sampling of the same line pays the filter cost once.  The lines of a 2d
+# grid are prefiltered BLOCK_ROWS at a time, right before they are sampled.
 
 SPLINE_ORDER = 3
 
 
-def spline_coefficients(values, axis=None):
-    """Prefiltered spline coefficients along every axis, or along one axis only."""
+def spline_coefficients(values, axis=None, out=None):
+    """Prefiltered spline coefficients along every axis, or along one axis only.
+
+    out, if given, is the float array of values' shape that receives them.
+    """
     values = np.asarray(values, dtype=float)
+    output = np.float64 if out is None else out
     if axis is None:
-        return ndimage.spline_filter(values, order=SPLINE_ORDER, mode="constant")
-    return ndimage.spline_filter1d(values, order=SPLINE_ORDER, axis=axis, mode="constant")
+        return ndimage.spline_filter(values, order=SPLINE_ORDER, output=output,
+                                     mode="constant")
+    return ndimage.spline_filter1d(values, order=SPLINE_ORDER, axis=axis, output=output,
+                                   mode="constant")
 
 
 def grid_index(points, x0, h):
@@ -153,21 +160,25 @@ def spline_matrix(index, weights, n):
                              shape=(m, n))
 
 
-def sheared_sum(rows, index0, shifts, weights):
-    """sum_j weights[j] * s_j(index0 - shifts[j]), s_j the 1d spline of rows[j].
+def sheared_sum(terms, index0, shifts):
+    """sum_j w_j * s_j(index0 - shifts[j]), s_j the 1d spline of line j.
 
-    rows: (m, n) coefficients, each row prefiltered along itself only;
-    index0: (k,) fractional indices, shifted by shifts[j] in row j;
-    weights: broadcastable to (m, k).  One 4-tap evaluation per point of
-    each row; points outside a row evaluate to 0.
+    The lines come BLOCK_ROWS at a time: for each slice lines of
+    blocks(len(shifts)), terms(lines) returns their coefficients, one row
+    per line, each prefiltered along itself only, and their weights w_j,
+    broadcastable to (rows, k).  index0: (k,) fractional indices, shifted
+    by shifts[j] in line j.  One 4-tap evaluation per point of each line;
+    points outside a line evaluate to 0.
     """
     index0 = np.asarray(index0, dtype=float)
-    weights = np.broadcast_to(weights, (len(rows), index0.size))
     out = np.zeros(index0.size)
     samples = np.empty(index0.size)
-    for row, shift, w in zip(rows, shifts, weights):
-        ndimage.map_coordinates(row, (index0 - shift)[None, :], output=samples,
-                                order=SPLINE_ORDER, mode="constant", cval=0.0,
-                                prefilter=False)
-        out += w * samples
+    for lines in blocks(len(shifts)):
+        rows, weights = terms(lines)
+        weights = np.broadcast_to(weights, (len(rows), index0.size))
+        for row, shift, w in zip(rows, shifts[lines], weights):
+            ndimage.map_coordinates(row, (index0 - shift)[None, :], output=samples,
+                                    order=SPLINE_ORDER, mode="constant", cval=0.0,
+                                    prefilter=False)
+            out += w * samples
     return out

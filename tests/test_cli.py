@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from entroframe import cli
 from entroframe.cli import CHECK_TABLE, main
 from entroframe.density import ExpFunction, Reference, gaussian
 from entroframe.frames import ExponentTriple, mercedes_frame
@@ -150,6 +151,25 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "shannon", "--g", "uniform:-1,1",
                            "--grid-n", "401")
         assert code == 0 and json.loads(out)["slack"] > 0.0
+
+    @pytest.mark.parametrize("length", ["inf", "-inf", "nan"])
+    def test_grid_half_length_must_be_finite(self, capsys, length):
+        code, out, err = run(capsys, "check", "shannon", f"--grid-l={length}")
+        assert code == 2 and out == ""
+        assert err == f"axis half-length must be positive and finite, got {length}\n"
+
+    @pytest.mark.parametrize("grid", [(), ("--grid-n", "129")])
+    def test_memory_exhaustion_is_an_input_error(self, capsys, monkeypatch, grid):
+        """A grid too large for memory exits 2 with one line naming its size,
+        not 1, the code of a violated inequality."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "check_subadditivity", exhausted)
+        code, out, err = run(capsys, "check", "subadditivity", *grid)
+        points = grid[1] if grid else "2049"
+        assert code == 2 and out == ""
+        assert err == (f"out of memory on a grid of {points} points per axis; "
+                       f"choose a smaller --grid-n\n")
 
     def test_tolerance_flag_overrides(self, capsys):
         code, out, _ = run(capsys, "check", "hyper", "--f", "exp:1",

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import entroframe
 from entroframe import (
@@ -39,7 +40,8 @@ from entroframe import (
     uniform_density,
 )
 from entroframe import density as density_module
-from entroframe.density import DEFAULT_POINTS, LOG_2PI, integral
+from entroframe.density import (DEFAULT_POINTS, LOG_2PI, integral, log_gaussian_weight,
+                                reference_weight)
 from entroframe.frames import Direction
 from entroframe.quadrature import simpson_weights, validate_axis
 
@@ -75,6 +77,11 @@ class TestDefaultGrid:
         assert gaussian(LEB, 0.0, 1.0).to_grid().x.size == DEFAULT_POINTS
         assert default_axis(points=513).size == 513
         assert not hasattr(entroframe, "default_grid_points")
+
+    @pytest.mark.parametrize("length", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_half_length_must_be_positive_and_finite(self, length):
+        with pytest.raises(GridError, match=f"half-length .* got {length}"):
+            default_axis(length=length)
 
     def test_default_axis_symmetric(self):
         x = default_axis()
@@ -472,6 +479,70 @@ class TestMarginal:
         assert marginal(d, 0.4, x_out=d.x) is not explicit
         assert marginal(d, 0.4) is memoized
         np.testing.assert_array_equal(explicit.values, memoized.values)
+
+
+class TestMarginalPaths:
+    """A marginal prefilters its lines BLOCK_ROWS at a time, right before it
+    samples them; an axis marginal on the axis's own nodes sums the values."""
+
+    POINTS = 513
+    COV = [[1.1, 0.3], [0.3, 0.8]]
+
+    def density(self, ref):
+        return gaussian(ref, [0.2, -0.1], self.COV).to_grid(points=self.POINTS)
+
+    @staticmethod
+    def whole_grid_marginal(d, theta):
+        """The marginal on d.x with every line prefiltered at once, as one
+        (n, n) array, and each line sampled by its own map_coordinates."""
+        cos_a, sin_a = math.cos(theta), math.sin(theta)
+        (along, h), (across, k) = d.axes
+        lines = d.values.T
+        if abs(cos_a) < abs(sin_a):
+            (across, k), (along, h) = d.axes
+            lines = d.values
+            cos_a, sin_a = sin_a, cos_a
+        coeffs = ndimage.spline_filter1d(lines, order=3, axis=-1, mode="constant")
+        t = d.x
+        w = simpson_weights(across.size, k)[:, None] / abs(cos_a)
+        if d.reference is GAM:
+            w = w * np.exp(log_gaussian_weight((across[:, None] - t * sin_a) / cos_a))
+        index0 = (t / cos_a - along[0]) / h
+        shifts = across * (sin_a / cos_a / h)
+        vals = np.zeros(t.size)
+        for row, shift, wj in zip(coeffs, shifts, np.broadcast_to(w, (across.size, t.size))):
+            vals += wj * ndimage.map_coordinates(row, (index0 - shift)[None, :], order=3,
+                                                 mode="constant", cval=0.0, prefilter=False)
+        vals = np.maximum(vals, 0.0)
+        return vals / integral(d.reference, vals, d.axes[0])
+
+    @pytest.mark.parametrize("ref", [LEB, GAM])
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 4.0, 1.0, 2.0, 3.0 * math.pi / 4.0])
+    def test_blocks_give_the_whole_grid_values(self, ref, theta):
+        d = self.density(ref)
+        np.testing.assert_array_equal(marginal(d, theta).values,
+                                      self.whole_grid_marginal(d, theta))
+
+    @pytest.mark.parametrize("ref", [LEB, GAM])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2.0])
+    def test_axis_marginal_is_the_simpson_sum(self, ref, theta, monkeypatch):
+        """Nothing is prefiltered or sampled.  At pi/2, cos = 6e-17 moved the
+        first node of the sampled path by ~6e-14 index units, off the grid in
+        half of the lines: its Gaussian-reference edge value was 2e-9 of the
+        peak short."""
+        d = self.density(ref)
+        (x, h), (y, k) = d.axes
+        values, across = (d.values, (y, k)) if theta == 0.0 else (d.values.T, (x, h))
+        w = simpson_weights(across[0].size, across[1]) * reference_weight(ref, across[0])
+        expected = values @ w
+        expected /= integral(ref, expected, d.axes[0])
+
+        def unused(*args, **kwargs):
+            raise AssertionError("an axis marginal prefiltered or sampled a line")
+        monkeypatch.setattr(density_module, "spline_coefficients", unused)
+        monkeypatch.setattr(density_module, "sheared_sum", unused)
+        got = marginal(d, theta).values
+        assert np.max(np.abs(got - expected)) <= 1e-14 * expected.max()
 
 
 class TestMarginalRotationInvariance:

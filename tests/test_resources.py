@@ -103,33 +103,45 @@ class TestResources:
     def test_grid_passes_hold_no_square_temporaries(self):
         """The 2d grid passes run BLOCK_ROWS lines at a time, so each call
         raises the process peak by what it keeps, plus at most 16 MB:
-        nothing for entropy and Fisher, the flowed pass and the result for
-        a flow, the two line-coefficient memos for a subadditivity check.
+        nothing for entropy, Fisher and the frame checks, whose marginals
+        prefilter each block of lines right before sampling it, and the
+        flowed pass and the result for a flow or a stability check.
         Their whole n x n temporaries took +38 MB for entropy, +105 to
         +139 MB for Fisher, +166 MB for ou_flow, +269 MB for heat_flow and
         +106 MB for check_subadditivity, each in a process of its own; a
-        copy of the flowed result in C order kept heat_flow at +166 MB.
-        Each child measures its flow last, after calls that hold no more
-        than it does, so no earlier peak hides it."""
+        copy of the flowed result in C order kept heat_flow at +166 MB; a
+        whole-grid line-spline memo per axis kept +65 to +68 MB after a
+        frame check and took stability_check to +167 MB; with its n x n
+        weights, a Gaussian-reference marginal rose +66 MB.  Every density
+        is built before the first measurement and each child measures its
+        flow last, after calls that hold no more than it does, so no earlier
+        peak hides it."""
         grown = """
             import resource
-            from entroframe import (check_fisher_subadditivity,
-                                    check_subadditivity, heat_flow, ou_flow)
+            from entroframe import (check_fisher_subadditivity, check_main_entropy,
+                                    check_subadditivity, check_young_entropy,
+                                    heat_flow, marginal, ou_flow, stability_check)
             def grown(name, call):
                 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                 out = call()
                 print(f"{name}:{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base}")
                 return out
             cov = [[1.1, 0.2], [0.2, 0.8]]
+            f = gaussian(LEB, [0.0, 0.0], [[4.0, 0.0], [0.0, 1.0]]).to_grid()
         """
         lines = run_child(grown + """
             leb, gam = (gaussian(ref, [0.2, -0.1], cov).to_grid() for ref in (LEB, GAM))
             for d in (leb, gam):
                 grown(f"entropy {d.reference.value}", lambda: entropy(d))
                 grown(f"fisher {d.reference.value}", lambda: fisher(d))
+            # f, leb and gam have no marginal yet
+            grown("marginal gaussian", lambda: marginal(gam, 0.7))
+            grown("main-entropy", lambda: check_main_entropy(t, leb))
+            grown("young-entropy", lambda: check_young_entropy(f, 4.0 / 3.0, 4.0 / 3.0, 2.0))
             grown("ou_flow", lambda: ou_flow(gam, 0.5))
         """) + run_child(grown + """
-            f = gaussian(LEB, [0.0, 0.0], [[4.0, 0.0], [0.0, 1.0]]).to_grid()
+            grown("stability", lambda: stability_check(f, 0.7, 0.25))
+        """) + run_child(grown + """
             grown("subadditivity", lambda: check_subadditivity(mercedes_frame(), f))
             grown("fisher subadditivity", lambda: check_fisher_subadditivity(mercedes_frame(), f))
             out = grown("heat_flow", lambda: heat_flow(f, 0.25))
@@ -138,10 +150,9 @@ class TestResources:
         *calls, sizes = lines
         _, output, intermediate = sizes.split(":")
         square, slack = 2049 ** 2 * 8, 16e6
-        bounds = {"ou_flow": 2 * square + slack,
-                  "heat_flow": int(output) + int(intermediate) + slack,
-                  "subadditivity": 2 * square + slack}
-        assert len(calls) == 8
+        flow = int(output) + int(intermediate) + slack
+        bounds = {"ou_flow": 2 * square + slack, "heat_flow": flow, "stability": flow}
+        assert len(calls) == 12
         for line in calls:
             name, grown = line.split(":")
             assert int(grown) * RSS_UNIT <= bounds.get(name, slack), line
