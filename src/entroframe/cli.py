@@ -28,9 +28,11 @@ from .density import (
     uniform_density,
 )
 from .density_io import load_csv_1d, load_csv_2d, load_json
-from .errors import EntroframeError, InvalidExponents, NormalizationError, ReferenceMismatch
+from .errors import EntroframeError, FrameError, NormalizationError, ReferenceMismatch
 from .frames import (
     ExponentTriple,
+    _snap_triple,
+    conjugate_exponent,
     directions_from_weights,
     mercedes_frame,
     shannon_limit_frame,
@@ -95,45 +97,23 @@ def _floats(text, count, what):
     return values
 
 
-def _repaired_weights(text, flag):
-    """Weight triple given to flag, rescaled onto sum 2; rejects gross deviations."""
-    c = _floats(text, 3, flag)
-    if min(c) <= 0.0:
-        raise NormalizationError(f"{flag}: weights must be positive, got {c}")
-    total = sum(c)
-    if abs(total - 2.0) > REPAIR_TOL:
-        raise NormalizationError(
-            f"{flag}: triple sums to {total:.6f}, needs 2 (off by more "
-            f"than {REPAIR_TOL})")
-    return tuple(v * (2.0 / total) for v in c)
+def _repaired(flag, values, kind):
+    """The triple given to flag on its constraint surface, the frame weights
+    summing to 2, through the library's snap at REPAIR_TOL.
 
-
-def _repaired_exponents(values, what):
-    """Exponent triple rescaled so the reciprocals sum to exactly 2."""
-    if min(values) <= 1.0:
-        raise InvalidExponents(f"{what}: exponents must exceed 1, got {values}")
-    s = sum(1.0 / p for p in values)
-    if abs(s - 2.0) > REPAIR_TOL:
-        raise InvalidExponents(
-            f"{what}: reciprocals sum to {s:.6f}, needs 2 (off by more than "
-            f"{REPAIR_TOL})")
-    return ExponentTriple(*(p * (s / 2.0) for p in values))
-
-
-def _repaired_young(p, q, r):
-    """Young triple with r recomputed from 1/p + 1/q = 1 + 1/r."""
-    for name, v in (("p", p), ("q", q), ("r", r)):
-        if v <= 1.0:
-            raise InvalidExponents(f"--{name} must exceed 1, got {v}")
-    defect = 1.0 / p + 1.0 / q - 1.0
-    if defect <= 0.0:
-        raise InvalidExponents(
-            f"1/p + 1/q = {1.0 / p + 1.0 / q:.6f} <= 1 leaves no valid r")
-    repaired = 1.0 / defect
-    if abs(1.0 / r - defect) > REPAIR_TOL:
-        raise InvalidExponents(
-            f"--r {r} is inconsistent with p, q (expected about {repaired:.4f})")
-    return p, q, repaired
+    kind "weights" is a triple of frame weights and comes back as one;
+    "exponents" is their reciprocals and "young" a Young triple p, q, r,
+    the exponent triple (r', p, q): both come back as an ExponentTriple.
+    An error starts with flag and names the value given.
+    """
+    young = kind == "young"
+    try:
+        triple = (conjugate_exponent(values[2]), values[0], values[1]) if young else values
+        triple = _snap_triple(triple, kind != "weights", REPAIR_TOL)
+    except FrameError as exc:
+        given = ",".join(f"{v:g}" for v in values) + " as (r', p, q): " if young else ""
+        raise type(exc)(f"{flag}: {given}{exc}") from None
+    return triple if kind == "weights" else ExponentTriple(*triple)
 
 
 def _loaded(what, reference, dim, load, *args):
@@ -231,24 +211,12 @@ def cmd_frame(args):
         raise NormalizationError(
             f"frame needs exactly one of --angles | --weights | --exponents "
             f"| --young, got {given or 'none'}")
-    if args.angles is not None:
-        t1, t2, t3 = _floats(args.angles, 3, "--angles")
-        frame = weights_from_directions(t1, t2, t3)
-    elif args.weights is not None:
-        frame = directions_from_weights(*_repaired_weights(args.weights, "--weights"))
-    elif args.exponents is not None:
-        triple = _repaired_exponents(_floats(args.exponents, 3, "--exponents"),
-                                     "--exponents")
+    flag = given[0]
+    if flag in ("--exponents", "--young"):
+        triple = _repaired(flag, _floats(_arg(args, flag), 3, flag), flag.lstrip("-"))
         frame = directions_from_weights(*triple.weights())
     else:
-        p, q, r = _floats(args.young, 3, "--young")
-        for name, v in (("p", p), ("q", q), ("r", r)):
-            if v <= 1.0:
-                raise InvalidExponents(f"--young: {name} must exceed 1, got {v}")
-        # route through the conjugate so --young and --exponents literals
-        # land on the identical repaired triple
-        triple = _repaired_exponents((r / (r - 1.0), p, q), "--young")
-        frame = directions_from_weights(*triple.weights())
+        frame = _frame(args, "--angles", "--weights")
     print("directions (rad): " + " ".join(f"{t:.12f}" for t in frame.thetas))
     print("weights:          " + " ".join(f"{c:.12f}" for c in frame.weights))
     print(f"residual:         {frame.residual():.2e}")
@@ -257,34 +225,44 @@ def cmd_frame(args):
 
 # === check command ========================================================
 
-def _frame(args):
-    if args.frame_angles is not None and args.frame_weights is not None:
-        raise NormalizationError(
-            "give at most one of --frame-angles | --frame-weights")
-    if args.frame_angles is not None:
-        return weights_from_directions(*_floats(args.frame_angles, 3,
-                                                "--frame-angles"))
-    if args.frame_weights is not None:
+def _arg(args, flag):
+    return getattr(args, flag.lstrip("-").replace("-", "_"))
+
+
+def _frame(args, angles="--frame-angles", weights="--frame-weights"):
+    """The frame given by the angles or the weights flag, Mercedes by default."""
+    by_angles, by_weights = _arg(args, angles), _arg(args, weights)
+    if by_angles is not None and by_weights is not None:
+        raise NormalizationError(f"give at most one of {angles} | {weights}")
+    if by_angles is not None:
+        return weights_from_directions(*_floats(by_angles, 3, angles))
+    if by_weights is not None:
         return directions_from_weights(
-            *_repaired_weights(args.frame_weights, "--frame-weights"))
+            *_repaired(weights, _floats(by_weights, 3, weights), "weights"))
     return mercedes_frame()
 
 
 def _need(args, flag):
-    value = getattr(args, flag.lstrip("-").replace("-", "_"))
+    value = _arg(args, flag)
     if value is None:
         raise NormalizationError(f"{args.name} needs {flag}")
     return value
 
 
 def _exponents(args):
-    return _repaired_exponents(
-        _floats(_need(args, "--exponents"), 3, "--exponents"), "--exponents")
+    return _repaired("--exponents", _floats(_need(args, "--exponents"), 3,
+                                            "--exponents"), "exponents")
 
 
-def _young(args):
-    return _repaired_young(_need(args, "--p"), _need(args, "--q"),
-                           _need(args, "--r"))
+def _young(args, defaults=(None, None, None)):
+    """Young's p, q, r from --p, --q, --r (a flag not given takes its default,
+    and is needed where that is None), repaired as the exponent triple
+    (r', p, q); r stays as given while its conjugate does."""
+    flags = ("--p", "--q", "--r")
+    p, q, r = (d if d is not None and _arg(args, f) is None else _need(args, f)
+               for f, d in zip(flags, defaults))
+    t = _repaired("/".join(flags), (p, q, r), "young")
+    return t.p2, t.p3, (r if t.p1 == conjugate_exponent(r) else conjugate_exponent(t.p1))
 
 
 # one row per check: (slots, dim, fixed reference or None, exp-friendly,
@@ -377,9 +355,7 @@ def _sweep_rows(args, values):
             yield theta, rep.lhs, rep.rhs, rep.slack
         return
     if name == "young-conv":
-        p, q, r = _repaired_young(args.p if args.p is not None else 4.0 / 3.0,
-                                  args.q if args.q is not None else 4.0 / 3.0,
-                                  args.r if args.r is not None else 2.0)
+        p, q, r = _young(args, (4.0 / 3.0, 4.0 / 3.0, 2.0))
         g = gaussian(Reference.LEBESGUE, 0.0, 1.0).to_grid(args.grid_l,
                                                            args.grid_n)
         for sigma in values:

@@ -45,12 +45,14 @@ def canonical_angle(theta):
 
 
 def conjugate_exponent(p):
-    """Hoelder conjugate p' = p/(p-1); p = 1 maps to inf."""
+    """Hoelder conjugate p' = p/(p-1); p = 1 and inf map to each other."""
     p = float(p)
     if p < 1.0:
         raise InvalidExponents(f"exponent {p} < 1 has no conjugate")
     if p == 1.0:
         return math.inf
+    if p == math.inf:
+        return 1.0
     return p / (p - 1.0)
 
 
@@ -114,12 +116,7 @@ class Frame2:
         object.__setattr__(self, "directions", ds)
         object.__setattr__(self, "weights", ws)
         _check_directions(ds)
-        for c in ws:
-            if not 0.0 < c < 1.0:
-                raise WeightOutOfRange(f"weight {c!r} outside (0, 1)")
-        if abs(sum(ws) - 2.0) > CONSTRAINT_TOL:
-            raise CompatibilityViolation(
-                f"weights sum to {sum(ws)!r}, expected 2")
+        _snap_triple(ws, False, CONSTRAINT_TOL)  # validates; the frame keeps ws
         res = self.residual()
         if res > RESIDUAL_TOL:
             raise CompatibilityViolation(
@@ -175,25 +172,39 @@ def weights_from_directions(theta_1, theta_2, theta_3):
 
 # === weights -> directions ================================================
 
-def normalize_weights(weights, what="weights"):
+def _snap_triple(values, exponents, tol):
+    """A triple of frame weights, or of exponents (their reciprocals) when
+    exponents is true, put on the constraint surface: the weights sum to 2.
+
+    Each weight must lie in (0, 1), so each exponent in (1, inf), and the
+    weights' sum s within tol of 2.  s != 2 rescales the weights by 2/s, the
+    exponents by s/2; a triple with s == 2 comes back as given.
+    """
+    vs = tuple(float(v) for v in values)
+    if len(vs) != 3:
+        raise CompatibilityViolation("a triple has three entries")
+    error, noun, low, high = ((InvalidExponents, "exponent", 1.0, math.inf) if exponents
+                              else (WeightOutOfRange, "weight", 0.0, 1.0))
+    for v in vs:
+        if not low < v < high:
+            raise error(f"{noun} {v!r} outside ({low:g}, {high:g})")
+    s = sum(1.0 / v if exponents else v for v in vs)
+    if abs(s - 2.0) > tol:
+        raise (error if exponents else CompatibilityViolation)(
+            f"{'reciprocals' if exponents else 'weights'} sum to {s!r}, "
+            f"expected 2 within {tol:g}")
+    if s == 2.0:
+        return vs
+    return tuple(v * (s / 2.0) if exponents else v * (2.0 / s) for v in vs)
+
+
+def normalize_weights(weights):
     """Snap a weight triple onto the constraint surface sum c = 2.
 
     Accepts triples within CONSTRAINT_TOL of the surface; rescales so the
     sum is exactly 2 in floating point.
     """
-    ws = tuple(float(c) for c in weights)
-    if len(ws) != 3:
-        raise CompatibilityViolation(f"{what} must have three entries")
-    for c in ws:
-        if not 0.0 < c < 1.0:
-            raise WeightOutOfRange(f"weight {c!r} outside (0, 1)")
-    s = ws[0] + ws[1] + ws[2]
-    if abs(s - 2.0) > CONSTRAINT_TOL:
-        raise CompatibilityViolation(
-            f"{what} sum to {s!r}, expected 2 within {CONSTRAINT_TOL:g}")
-    if s != 2.0:
-        ws = tuple(c * (2.0 / s) for c in ws)
-    return ws
+    return _snap_triple(weights, False, CONSTRAINT_TOL)
 
 
 def directions_from_weights(c_1, c_2, c_3):
@@ -228,21 +239,9 @@ class ExponentTriple:
     p3: float
 
     def __post_init__(self):
-        ps = (float(self.p1), float(self.p2), float(self.p3))
-        for p in ps:
-            if not p > 1.0:
-                raise InvalidExponents(f"exponent {p!r} must be > 1")
-            if not math.isfinite(p):
-                raise InvalidExponents("exponents must be finite")
-        s = 1.0 / ps[0] + 1.0 / ps[1] + 1.0 / ps[2]
-        if abs(s - 2.0) > CONSTRAINT_TOL:
-            raise InvalidExponents(
-                f"reciprocals sum to {s!r}, expected 2 within {CONSTRAINT_TOL:g}")
-        if s != 2.0:
-            ps = tuple(p * (s / 2.0) for p in ps)
-        object.__setattr__(self, "p1", ps[0])
-        object.__setattr__(self, "p2", ps[1])
-        object.__setattr__(self, "p3", ps[2])
+        ps = _snap_triple((self.p1, self.p2, self.p3), True, CONSTRAINT_TOL)
+        for name, p in zip(("p1", "p2", "p3"), ps):
+            object.__setattr__(self, name, p)
 
     def as_tuple(self):
         return (self.p1, self.p2, self.p3)
@@ -262,27 +261,25 @@ def angles_from_exponents(triple):
     return directions_from_weights(*_coerce_triple(triple).weights())
 
 
-def young_frame(p, q, r):
-    """Frame of the Young triple (r', p, q) for 1/p + 1/q = 1 + 1/r.
+def _young_triple(p, q, r):
+    """The exponent triple (r', p, q) of a Young triple, 1/p + 1/q = 1 + 1/r.
 
-    All of p, q, r must exceed 1.  Example: young_frame(3/2, 3/2, 3) is the
-    Mercedes frame (triple (3/2, 3/2, 3/2)).
+    It exists iff p, q, r > 1 are finite and the relation holds within
+    CONSTRAINT_TOL; raises InvalidExponents otherwise.
     """
-    p, q, r = validate_young(p, q, r)
-    return angles_from_exponents((conjugate_exponent(r), p, q))
+    return ExponentTriple(conjugate_exponent(r), p, q)
+
+
+def young_frame(p, q, r):
+    """Frame of the Young triple (r', p, q).  Example: young_frame(3/2, 3/2, 3)
+    is the Mercedes frame (triple (3/2, 3/2, 3/2))."""
+    return angles_from_exponents(_young_triple(p, q, r))
 
 
 def validate_young(p, q, r):
-    """The Young triple as floats: each exponent > 1 and 1/p + 1/q = 1 + 1/r
-    within CONSTRAINT_TOL; raises InvalidExponents otherwise."""
-    p, q, r = float(p), float(q), float(r)
-    for v in (p, q, r):
-        if not v > 1.0:
-            raise InvalidExponents(f"Young exponent {v!r} must be > 1")
-    if abs(1.0 / p + 1.0 / q - 1.0 - 1.0 / r) > CONSTRAINT_TOL:
-        raise InvalidExponents(
-            f"Young scaling violated: 1/{p} + 1/{q} != 1 + 1/{r}")
-    return p, q, r
+    """The Young triple as floats, as given, once _young_triple accepts it."""
+    _young_triple(p, q, r)
+    return float(p), float(q), float(r)
 
 
 # === the Shannon limit ====================================================

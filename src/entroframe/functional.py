@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (GaussianDensity, GridDensity1D, GridDensity2D,
+from .density import (LOG_2PI, GaussianDensity, GridDensity1D, GridDensity2D,
                       GridFunction1D, Reference, block_integral, integral,
                       log_gaussian_weight)
 from .errors import InvalidExponents, NonSmoothWarning, ReferenceMismatch
@@ -28,8 +28,6 @@ VALUE_FLOOR = 1e-300
 # Relative disagreement between the h and 2h Fisher estimates above which
 # the input is flagged as insufficiently resolved.
 ROUGHNESS_TOL = 0.05
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)

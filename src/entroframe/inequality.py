@@ -35,7 +35,7 @@ from .density import (ExpFunction, GaussianDensity, GridDensity1D,
 from .errors import InvalidExponents, ReferenceMismatch
 from .frames import (ExponentTriple, Frame2, _coerce_triple,
                      angles_from_exponents, conjugate_exponent,
-                     shannon_limit_frame, validate_young)
+                     shannon_limit_frame, validate_young, young_frame)
 from .functional import _lp_norm, entropy, fisher, lp_norm
 from .quadrature import blocks, contract, simpson_weights
 from .semigroup import FlowTime, hermite_p_theta, ou_flow
@@ -169,9 +169,7 @@ def young_extremal_covariance(p, q, r):
     its diagonal swapped, [[M22, M12], [M12, M11]].  Any positive multiple
     is extremal as well.
     """
-    p, q, r = validate_young(p, q, r)
-    frame = angles_from_exponents((conjugate_exponent(r), p, q))
-    ct2, ct3 = (1.0 / math.tan(t) for t in frame.thetas[1:])
+    ct2, ct3 = (1.0 / math.tan(t) for t in young_frame(p, q, r).thetas[1:])
     a = np.array([[ct3, 1.0], [ct3 - ct2, 0.0]])
     m = a @ a.T
     return np.array([[m[1, 1], m[0, 1]], [m[0, 1], m[0, 0]]])
@@ -336,15 +334,16 @@ def check_main_integral(triple, g, h, reference=Reference.LEBESGUE,
 
 def check_hyper_two_function(f, g, p, r, tolerance=None, length=None, points=None):
     """Two-function hypercontractivity: the integral inequality on the
-    Gaussian-reference frame of (q', p, r) with 1/q = 1/p + 1/r - 1."""
+    Gaussian-reference frame of (q', p, r) with 1/q = 1/p + 1/r - 1; p and r
+    are valid iff that exponent triple exists (0 < 1/q < 1 among others)."""
     p, r = float(p), float(r)
-    if not (p > 1.0 and r > 1.0):
-        raise InvalidExponents(f"need p, r > 1, got ({p}, {r})")
-    qinv = 1.0 / p + 1.0 / r - 1.0
-    if not 0.0 < qinv < 1.0:
-        raise InvalidExponents(f"1/p + 1/r - 1 = {qinv!r} leaves no valid q")
-    q = 1.0 / qinv
-    triple = ExponentTriple(conjugate_exponent(q), p, r)
+    # 1/q; p or r = 0 and 1/q = 0 give exponents the triple rejects, not a ZeroDivisionError
+    qinv = 1.0 / p + 1.0 / r - 1.0 if p and r else math.nan
+    try:
+        triple = ExponentTriple(conjugate_exponent(1.0 / qinv if qinv else math.inf), p, r)
+    except InvalidExponents as exc:
+        raise InvalidExponents(f"p = {p!r}, r = {r!r} give no exponent triple (q', p, r): "
+                               f"{exc}") from None
     lhs, rhs, t, x = _two_function_integral(triple, f, g, Reference.GAUSSIAN, length, points)
     return _report("hyper2", lhs, rhs, 1.0, tolerance, (t, f, g, _axis_part(x)))
 
@@ -478,8 +477,6 @@ def check_hypercontractivity(f, p, q, theta, tolerance=None,
     threshold the slack goes negative for exponential inputs.
     """
     p, q = float(p), float(q)
-    if not (p >= 1.0 and q >= 1.0):
-        raise InvalidExponents(f"need p, q >= 1, got ({p}, {q})")
     x = f.x if isinstance(f, (GridFunction1D, GridDensity1D)) else default_axis(length, points)
     pf = hermite_p_theta(f, theta, x=x)
     lhs = lp_norm(pf, q, Reference.GAUSSIAN)

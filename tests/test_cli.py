@@ -14,7 +14,7 @@ import pytest
 from entroframe import cli
 from entroframe.cli import CHECK_TABLE, main
 from entroframe.density import ExpFunction, Reference, gaussian
-from entroframe.frames import ExponentTriple, mercedes_frame
+from entroframe.frames import ExponentTriple, mercedes_frame, young_frame
 from entroframe.inequality import (
     CHECK_NAMES,
     check_blachmann_stam,
@@ -86,7 +86,8 @@ class TestFrameCommand:
         weights = [float(v) for v in out.splitlines()[1].split()[1:]]
         np.testing.assert_allclose(sum(weights), 2.0, atol=1e-9)
 
-    @pytest.mark.parametrize("weights", ["0.5,0.5", "0.5,0.5,0.1", "0,1,1"])
+    @pytest.mark.parametrize("weights", ["0.5,0.5", "0.5,0.5,0.1", "0,1,1",
+                                         "1.2,0.5,0.3", "nan,0.5,0.5"])
     def test_weight_errors_name_their_flag(self, capsys, weights):
         _, _, frame_err = run(capsys, "frame", "--weights", weights)
         code, out, err = run(capsys, "check", "subadditivity", "--frame-weights",
@@ -94,6 +95,27 @@ class TestFrameCommand:
         assert frame_err.startswith("--weights: ")
         assert code == 2 and out == ""
         assert err == frame_err.replace("--weights", "--frame-weights", 1)
+
+    def test_young_errors_name_their_flag_and_value(self, capsys):
+        """r = inf has r' = 1: the error names the triple given, not only r'."""
+        code, out, frame_err = run(capsys, "frame", "--young", "2,2,inf")
+        assert code == 2 and out == ""
+        assert frame_err.startswith("--young: 2,2,inf ")
+        code, out, err = run(capsys, "check", "young-conv", "--p", "2", "--q", "2",
+                             "--r", "inf", "--grid-n", "129")
+        assert code == 2 and out == ""
+        assert err == frame_err.replace("--young", "--p/--q/--r", 1)
+
+    def test_young_literals_repaired_alike(self, capsys):
+        """frame --young and the Young checks rescale a rounded triple to the
+        same exponent triple (r', p, q)."""
+        code, out, _ = run(capsys, "frame", "--young", "1.3333,1.3333,2")
+        args = cli.build_parser().parse_args(
+            ["check", "young-conv", "--p", "1.3333", "--q", "1.3333", "--r", "2"])
+        weights = young_frame(*cli._young(args)).weights
+        assert code == 0
+        assert out.splitlines()[1] == "weights:          " + " ".join(
+            f"{c:.12f}" for c in weights)
 
     def test_output_is_deterministic(self, capsys):
         a = run(capsys, "frame", "--exponents", "2,1.3333,1.3333")

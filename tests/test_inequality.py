@@ -153,11 +153,17 @@ class TestYoungConstants:
         with pytest.raises(InvalidExponents):
             young_constant(0.9, 2.0, 2.0)
 
-    @pytest.mark.parametrize("defect, ok", [(5e-10, True), (2e-9, False)])
-    def test_one_validator_one_tolerance(self, defect, ok):
-        """Every Young entry point accepts or rejects the same near-miss triple."""
-        p, q = 1.5, 1.25
-        r = 1.0 / (1.0 / p + 1.0 / q - 1.0 - defect)
+    @pytest.mark.parametrize("p, q, r, ok", [
+        pytest.param(1.5, 1.25, 1.0 / (1.0 / 1.5 + 1.0 / 1.25 - 1.0 - 5e-10), True,
+                     id="5e-10-True"),
+        pytest.param(1.5, 1.25, 1.0 / (1.0 / 1.5 + 1.0 / 1.25 - 1.0 - 2e-9), False,
+                     id="2e-09-False"),
+        # 1/2 + 1/2 = 1 + 1/inf, but r' = 1: (r', p, q) is no exponent triple
+        pytest.param(2.0, 2.0, math.inf, False, id="2-2-inf-False"),
+    ])
+    def test_one_validator_one_tolerance(self, p, q, r, ok):
+        """Every Young entry point accepts or rejects the same triple: the
+        near misses of the relation by 5e-10 and 2e-9, and r = inf."""
         g = gaussian(Reference.LEBESGUE, 0.0, 1.0).to_grid(points=129)
         f = gaussian(Reference.LEBESGUE, [0.0, 0.0], np.eye(2))
         users = (young_frame, young_constant, young_log_constant, young_extremal_covariance,
@@ -516,6 +522,13 @@ class TestHyperTwoFunction:
         with pytest.raises(InvalidExponents):
             check_hyper_two_function(ExpFunction(1.0), ExpFunction(1.0),
                                      3.0, 3.0)
+
+    @pytest.mark.parametrize("p, r", [(1.0, 1.0), (2.0, 2.0), (0.0, 1.5), (1.5, 0.5)])
+    def test_rejected_by_the_exponent_triple(self, p, r):
+        """p = r = 2 gives 1/q = 0 and p = 0 a zero reciprocal: both are
+        InvalidExponents of the triple (q', p, r), not a ZeroDivisionError."""
+        with pytest.raises(InvalidExponents, match="no exponent triple"):
+            check_hyper_two_function(ExpFunction(1.0), ExpFunction(1.0), p, r)
 
 
 # === log-Sobolev ==========================================================
