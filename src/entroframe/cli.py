@@ -28,9 +28,11 @@ from .density import (
     uniform_density,
 )
 from .density_io import load_csv_1d, load_csv_2d, load_json
-from .errors import EntroframeError, FrameError, NormalizationError, ReferenceMismatch
+from .errors import (EntroframeError, FrameError, InvalidExponents, NormalizationError,
+                     ReferenceMismatch)
 from .frames import (
     ExponentTriple,
+    _hyper2_exponents,
     _snap_triple,
     conjugate_exponent,
     directions_from_weights,
@@ -38,6 +40,7 @@ from .frames import (
     shannon_limit_frame,
     weights_from_directions,
 )
+from .functional import _norm_exponent
 from .inequality import (
     check_blachmann_stam,
     check_brascamp_lieb,
@@ -97,23 +100,34 @@ def _floats(text, count, what):
     return values
 
 
+# how a triple of each kind given on the command line becomes frame weights
+# ("weights") or an exponent triple: (its triple of the values, the name of
+# that triple in an error, if it is not the values themselves)
+_TRIPLES = {
+    "weights": (lambda *v: v, ""),
+    "exponents": (lambda *v: v, ""),
+    "young": (lambda p, q, r: (conjugate_exponent(r), p, q), "(r', p, q)"),
+    "hyper2": (_hyper2_exponents, "(q', p, r)"),
+}
+
+
 def _repaired(flag, values, kind):
     """The triple given to flag on its constraint surface, the frame weights
     summing to 2, through the library's snap at REPAIR_TOL.
 
     kind "weights" is a triple of frame weights and comes back as one;
-    "exponents" is their reciprocals and "young" a Young triple p, q, r,
-    the exponent triple (r', p, q): both come back as an ExponentTriple.
-    An error starts with flag and names the value given.
+    "exponents" is their reciprocals, "young" a Young triple p, q, r, the
+    exponent triple (r', p, q), and "hyper2" the pair p, r of two-function
+    hypercontractivity, the exponent triple (q', p, r): these come back as
+    an ExponentTriple.  An error starts with flag and names the value given.
     """
-    young = kind == "young"
+    triple, name = _TRIPLES[kind]
     try:
-        triple = (conjugate_exponent(values[2]), values[0], values[1]) if young else values
-        triple = _snap_triple(triple, kind != "weights", REPAIR_TOL)
+        snapped = _snap_triple(triple(*values), kind != "weights", REPAIR_TOL)
     except FrameError as exc:
-        given = ",".join(f"{v:g}" for v in values) + " as (r', p, q): " if young else ""
+        given = ",".join(f"{v:g}" for v in values) + f" as {name}: " if name else ""
         raise type(exc)(f"{flag}: {given}{exc}") from None
-    return triple if kind == "weights" else ExponentTriple(*triple)
+    return snapped if kind == "weights" else ExponentTriple(*snapped)
 
 
 def _loaded(what, reference, dim, load, *args):
@@ -254,15 +268,41 @@ def _exponents(args):
                                             "--exponents"), "exponents")
 
 
+def _given(args, flags, defaults):
+    """The values of flags; a flag not given takes its default, and is
+    needed where that is None."""
+    return [d if d is not None and _arg(args, f) is None else _need(args, f)
+            for f, d in zip(flags, defaults)]
+
+
 def _young(args, defaults=(None, None, None)):
-    """Young's p, q, r from --p, --q, --r (a flag not given takes its default,
-    and is needed where that is None), repaired as the exponent triple
+    """Young's p, q, r from --p, --q, --r, repaired as the exponent triple
     (r', p, q); r stays as given while its conjugate does."""
     flags = ("--p", "--q", "--r")
-    p, q, r = (d if d is not None and _arg(args, f) is None else _need(args, f)
-               for f, d in zip(flags, defaults))
+    p, q, r = _given(args, flags, defaults)
     t = _repaired("/".join(flags), (p, q, r), "young")
     return t.p2, t.p3, (r if t.p1 == conjugate_exponent(r) else conjugate_exponent(t.p1))
+
+
+def _hyper2(args):
+    """p and r of hyper2 from --p and --r, checked as the exponent triple
+    (q', p, r).  That triple is built on its constraint surface, so p and r
+    go on as given."""
+    p, r = _need(args, "--p"), _need(args, "--r")
+    _repaired("--p/--r", (p, r), "hyper2")
+    return p, r
+
+
+def _norm_exponents(args, defaults=(None, None)):
+    """hyper's norm exponents --p and --q, each finite and >= 1; an error
+    starts with its flag."""
+    exponents = _given(args, ("--p", "--q"), defaults)
+    for flag, value in zip(("--p", "--q"), exponents):
+        try:
+            _norm_exponent(value)
+        except InvalidExponents as exc:
+            raise InvalidExponents(f"{flag}: {exc}") from None
+    return exponents
 
 
 # one row per check: (slots, dim, fixed reference or None, exp-friendly,
@@ -287,12 +327,10 @@ CHECK_TABLE = {
     "blachmann-stam": (("g", "h"), 1, Reference.LEBESGUE, False, lambda a, d, ref, grid:
                        check_blachmann_stam(*d, tolerance=a.tolerance)[0]),
     "hyper": (("f",), 1, Reference.GAUSSIAN, True, lambda a, d, ref, grid:
-              check_hypercontractivity(*d, _need(a, "--p"), _need(a, "--q"),
-                                       _need(a, "--theta"),
+              check_hypercontractivity(*d, *_norm_exponents(a), _need(a, "--theta"),
                                        tolerance=a.tolerance, **grid)),
     "hyper2": (("g", "h"), 1, Reference.GAUSSIAN, True, lambda a, d, ref, grid:
-               check_hyper_two_function(*d, _need(a, "--p"), _need(a, "--r"),
-                                        tolerance=a.tolerance, **grid)),
+               check_hyper_two_function(*d, *_hyper2(a), tolerance=a.tolerance, **grid)),
     "lsi": (("f",), 1, Reference.GAUSSIAN, False, lambda a, d, ref, grid:
             check_log_sobolev(*d, tolerance=a.tolerance)),
     "lsi-integrated": (("f",), 1, Reference.GAUSSIAN, False, lambda a, d, ref, grid:
@@ -347,8 +385,7 @@ def _sweep_rows(args, values):
         reference = Reference.GAUSSIAN
         f = parse_density_1d(args.f or "exp:1", reference, args.grid_l,
                              args.grid_n, allow_exp=True, what="--f")
-        p = args.p if args.p is not None else 2.0
-        q = args.q if args.q is not None else 4.0
+        p, q = _norm_exponents(args, (2.0, 4.0))
         for theta in values:
             rep = check_hypercontractivity(f, p, q, theta, length=args.grid_l,
                                            points=args.grid_n)

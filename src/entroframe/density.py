@@ -492,9 +492,12 @@ def marginal(f, direction, x_out=None):
         s = (y - t sin a) / cos a.
 
     The integral runs over the grid's own y nodes with Simpson weights; each
-    node's term is one 1d cubic-spline evaluation along x, on coefficients
+    node's term is the cubic spline of its line along x, on coefficients
     prefiltered along x only, BLOCK_ROWS lines at a time, right before they
-    are sampled, so no whole-grid copy of them is made or kept.  Steeper
+    are sampled, so no whole-grid copy of them is made or kept.  The lines
+    are sampled and summed on quadrature.sheared_sum's half-step lattice
+    of x, and the spline of that sum is evaluated at t / cos a; w is taken
+    at each lattice point x = X, where s = y / cos a - X sin a.  Steeper
     directions swap the roles of x and y.  w is 1 for the Lebesgue
     reference and the standard gaussian density for the Gaussian one.
     Along an axis (a = 0 or pi/2), on that axis's own nodes, the splines
@@ -556,13 +559,16 @@ def _marginal(f, theta, t):
         # sheared_sum has used up by then
         buffer = np.empty((BLOCK_ROWS, along.size))
 
-        def terms(rows):
+        def terms(rows, lattice):
             block = lines[rows]
             coeffs = spline_coefficients(block, axis=-1, out=buffer[:len(block)])
             if f.reference is Reference.LEBESGUE:
                 return coeffs, w[rows, None]
+            # the lattice point at x = X on line j is t = X cos a, so
+            # s = (y_j - t sin a) / cos a = y_j / cos a - X sin a
+            x = along[0] + h_along * lattice
             return coeffs, w[rows, None] * np.exp(
-                log_gaussian_weight((across[rows, None] - t * sin_a) / cos_a))
+                log_gaussian_weight(across[rows, None] / cos_a - x * sin_a))
         return sheared_sum(terms, grid_index(t / cos_a, along[0], h_along), shifts)
     return _line_density(f.reference, t, "marginal", line_sum)
 
@@ -658,8 +664,9 @@ def linear_combination(f, g, a, b):
 
         out(t) = |a|^-1 int g(y) f((t - b y) / a) dy,
 
-    a Simpson sum over g's own nodes of 1d cubic-spline evaluations of f,
-    which stays accurate as b -> 0 where rescale-then-convolve degenerates.
+    a Simpson sum over g's own nodes of shifted copies of f's cubic spline,
+    added on quadrature.sheared_sum's half-step lattice, which stays
+    accurate as b -> 0 where rescale-then-convolve degenerates.
     The output axis spans the Minkowski sum of the two scaled supports.
     Two Gaussians give N(a m_f + b m_g, a^2 v_f + b^2 v_g).
     """
@@ -680,4 +687,4 @@ def linear_combination(f, g, a, b):
     shifts = g.x * (b / a / f.h)
     w = (simpson_weights(g.x.size, g.h) * g.values)[:, None] / abs(a)
     return _line_density(Reference.LEBESGUE, t, "combination", lambda t: sheared_sum(
-        lambda lines: (rows[lines], w[lines]), grid_index(t / a, f.x[0], f.h), shifts))
+        lambda lines, lattice: (rows[lines], w[lines]), grid_index(t / a, f.x[0], f.h), shifts))

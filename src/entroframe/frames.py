@@ -270,6 +270,15 @@ def _young_triple(p, q, r):
     return ExponentTriple(conjugate_exponent(r), p, q)
 
 
+def _hyper2_exponents(p, r):
+    """The exponents (q', p, r) of two-function hypercontractivity, with
+    1/q = 1/p + 1/r - 1, not yet checked as an exponent triple.  p or r = 0
+    and 1/q = 0 give exponents the triple rejects, not a ZeroDivisionError."""
+    p, r = float(p), float(r)
+    qinv = 1.0 / p + 1.0 / r - 1.0 if p and r else math.nan
+    return conjugate_exponent(1.0 / qinv if qinv else math.inf), p, r
+
+
 def young_frame(p, q, r):
     """Frame of the Young triple (r', p, q).  Example: young_frame(3/2, 3/2, 3)
     is the Mercedes frame (triple (3/2, 3/2, 3/2))."""

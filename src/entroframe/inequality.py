@@ -33,7 +33,7 @@ from .density import (ExpFunction, GaussianDensity, GridDensity1D,
                       _cached, convolve, default_axis, integral,
                       linear_combination, marginal, reference_weight, scale1d)
 from .errors import InvalidExponents, ReferenceMismatch
-from .frames import (ExponentTriple, Frame2, _coerce_triple,
+from .frames import (ExponentTriple, Frame2, _coerce_triple, _hyper2_exponents,
                      angles_from_exponents, conjugate_exponent,
                      shannon_limit_frame, validate_young, young_frame)
 from .functional import _lp_norm, entropy, fisher, lp_norm
@@ -337,10 +337,8 @@ def check_hyper_two_function(f, g, p, r, tolerance=None, length=None, points=Non
     Gaussian-reference frame of (q', p, r) with 1/q = 1/p + 1/r - 1; p and r
     are valid iff that exponent triple exists (0 < 1/q < 1 among others)."""
     p, r = float(p), float(r)
-    # 1/q; p or r = 0 and 1/q = 0 give exponents the triple rejects, not a ZeroDivisionError
-    qinv = 1.0 / p + 1.0 / r - 1.0 if p and r else math.nan
     try:
-        triple = ExponentTriple(conjugate_exponent(1.0 / qinv if qinv else math.inf), p, r)
+        triple = ExponentTriple(*_hyper2_exponents(p, r))
     except InvalidExponents as exc:
         raise InvalidExponents(f"p = {p!r}, r = {r!r} give no exponent triple (q', p, r): "
                                f"{exc}") from None

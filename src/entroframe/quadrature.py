@@ -14,9 +14,22 @@ keep spinning on the other cores after the call returns: they cost CPU
 time and save no wall time at this size.  einsum runs on the calling
 thread alone.  A 1d Simpson sum of n values stays a dot product, which
 BLAS runs on one thread.
+
+A sheared sum, sum_j w_j s_j(a - shift_j) over the splines s_j of n lines
+(the marginals and linear combinations), is sampled on one lattice of step
+LATTICE_STEP = 1/2 in index units.  On the lattice points of one phase, a
+line's points share their fractional part, so the line's samples there are
+one 4-tap filter (np.correlate) of its coefficients.  The weighted lines add
+into one O(n) lattice array, and its own cubic spline is evaluated once at
+the output points: n^2 spline evaluations become 2 n^2 filter outputs plus
+O(n) evaluations, and the resampling adds the error of a spline at half the
+grid step.  On Gaussian marginals the largest pointwise error against the
+closed form was about 11% above that of one spline evaluation per point; a
+lattice of step 1 saved another fifth of the time but raised it 2.6 times.
 """
 
 import functools
+import math
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -123,6 +136,13 @@ def sample_coefficients(coeffs, indices):
                                    mode="constant", cval=0.0, prefilter=False)
 
 
+def _bspline_weights(u):
+    """6 x the cubic B-spline weights of the taps at floor(p) - 1 .. floor(p) + 2
+    of a point p with fractional part u, stacked on a new first axis."""
+    v = 1.0 - u
+    return v * v * v, 4.0 - 3.0 * u * u * (2.0 - u), 4.0 - 3.0 * v * v * (2.0 - v), u * u * u
+
+
 def spline_matrix(index, weights, n):
     """Sparse (m, n) matrix S with (S @ c)[i] = sum_k weights[k] * s(index[i, k]).
 
@@ -135,15 +155,10 @@ def spline_matrix(index, weights, n):
     index = np.asarray(index, dtype=float)
     m = index.shape[0]
     base = np.floor(index)
-    u = index - base
-    v = 1.0 - u
     scale = np.asarray(weights, dtype=float) * ((index >= 0.0) & (index <= n - 1)) / 6.0
-    # cubic B-spline weights of the taps at base - 1 .. base + 2
     taps = np.empty((4,) + index.shape)
-    np.multiply(v * v * v, scale, out=taps[0])
-    np.multiply(4.0 - 3.0 * u * u * (2.0 - u), scale, out=taps[1])
-    np.multiply(4.0 - 3.0 * v * v * (2.0 - v), scale, out=taps[2])
-    np.multiply(u * u * u, scale, out=taps[3])
+    for tap, weight in zip(taps, _bspline_weights(index - base)):
+        np.multiply(weight, scale, out=tap)
     # row i is one band of columns lo[i] .. lo[i] + width - 1 (before mirroring)
     first = base.astype(np.intp) - 1
     lo = first.min(axis=1)
@@ -160,25 +175,60 @@ def spline_matrix(index, weights, n):
                              shape=(m, n))
 
 
+# Step, in index units, of the lattice on which sheared_sum samples every
+# line, and the lattice points it keeps past the output points at each end:
+# the end conditions of the resampling spline reach an output point damped
+# by 0.268 per point, so by less than 1e-9 across the margin.
+LATTICE_STEP = 0.5
+LATTICE_MARGIN = 16
+
+
 def sheared_sum(terms, index0, shifts):
     """sum_j w_j * s_j(index0 - shifts[j]), s_j the 1d spline of line j.
 
     The lines come BLOCK_ROWS at a time: for each slice lines of
-    blocks(len(shifts)), terms(lines) returns their coefficients, one row
-    per line, each prefiltered along itself only, and their weights w_j,
-    broadcastable to (rows, k).  index0: (k,) fractional indices, shifted
-    by shifts[j] in line j.  One 4-tap evaluation per point of each line;
-    points outside a line evaluate to 0.
+    blocks(len(shifts)), terms(lines, lattice) returns their coefficients,
+    one row per line, each prefiltered along itself only, and their
+    weights w_j on the lattice, broadcastable to (rows, lattice.size).
+    index0: (k,) fractional indices, shifted by shifts[j] in line j.
+
+    Every line is sampled on one shared lattice a_m = a_0 + m LATTICE_STEP
+    of fractional indices, covering index0.  On the lattice points
+    a_0 + p LATTICE_STEP + i of one phase p, line j's points
+    a - shifts[j] share one fractional part, so its four B-spline weights
+    are constant along the line and its samples are one 4-tap filter of
+    its coefficients.  Taps past an edge read the mirrored coefficient
+    (c[-1] = c[1]) and points outside the line evaluate to 0, as in
+    sample_coefficients.  The weighted samples of all lines add into one
+    lattice array G, and the cubic spline of G is evaluated at index0.
     """
     index0 = np.asarray(index0, dtype=float)
-    out = np.zeros(index0.size)
-    samples = np.empty(index0.size)
+    phases = round(1.0 / LATTICE_STEP)
+    a0 = index0.min() - LATTICE_MARGIN * LATTICE_STEP
+    size = math.ceil((index0.max() - a0) / LATTICE_STEP) + LATTICE_MARGIN + 1
+    lattice = a0 + LATTICE_STEP * np.arange(size)
+    total = np.zeros(size)
+    # lattice points i of phase p sit at a_0 + p LATTICE_STEP + i, for
+    # 0 <= i < ends[p]
+    ends = np.array([len(range(p, size, phases)) for p in range(phases)])
     for lines in blocks(len(shifts)):
-        rows, weights = terms(lines)
-        weights = np.broadcast_to(weights, (len(rows), index0.size))
-        for row, shift, w in zip(rows, shifts[lines], weights):
-            ndimage.map_coordinates(row, (index0 - shift)[None, :], output=samples,
-                                    order=SPLINE_ORDER, mode="constant", cval=0.0,
-                                    prefilter=False)
-            out += w * samples
-    return out
+        rows, weights = terms(lines, lattice)
+        weights = np.broadcast_to(weights, (len(rows), size))
+        n = rows.shape[1]
+        # coefficient k of a row sits at k + 1; the ends are mirrored
+        ext = np.concatenate([rows[:, 1:2], rows, rows[:, -2:-4:-1]], axis=1)
+        # line j, phase p: lattice point i is at base + u + i on the line
+        start = a0 + LATTICE_STEP * np.arange(phases) - shifts[lines, None]
+        base = np.floor(start)
+        taps = np.stack(_bspline_weights(start - base), axis=-1) / 6.0
+        base = base.astype(np.intp)
+        # the points in [0, n - 1]
+        first = np.maximum(-base, 0)
+        last = np.minimum(n - 1 - base - (start > base), ends - 1)
+        for row, w, line_taps, line_base, line_first, line_last in zip(
+                ext, weights, taps, base.tolist(), first.tolist(), last.tolist()):
+            for p, (tap, b, lo, hi) in enumerate(zip(line_taps, line_base, line_first, line_last)):
+                if lo <= hi:
+                    on = slice(phases * lo + p, phases * hi + p + 1, phases)
+                    total[on] += w[on] * np.correlate(row[b + lo:b + hi + 4], tap)
+    return sample_coefficients(spline_coefficients(total), [(index0 - a0) / LATTICE_STEP])

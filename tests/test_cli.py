@@ -106,6 +106,20 @@ class TestFrameCommand:
         assert code == 2 and out == ""
         assert err == frame_err.replace("--young", "--p/--q/--r", 1)
 
+    @pytest.mark.parametrize("argv, start", [
+        (("check", "hyper", "--f", "exp:1", "--p", "0.5", "--q", "4", "--theta", "0.7"),
+         "--p: norm exponent"),
+        (("sweep", "--check", "hyper", "--param", "theta", "--range", "0.1:0.5",
+          "--steps", "3", "--p", "0.5"), "--p: norm exponent"),
+        (("check", "hyper2", "--p", "2", "--r", "2"), "--p/--r: 2,2 as (q', p, r): "),
+    ])
+    def test_hyper_exponent_errors_name_their_flag(self, capsys, argv, start):
+        """hyper's norm exponents and hyper2's triple (q', p, r) follow the
+        rule of the frame and Young triples."""
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(start), err
+
     def test_young_literals_repaired_alike(self, capsys):
         """frame --young and the Young checks rescale a rounded triple to the
         same exponent triple (r', p, q)."""

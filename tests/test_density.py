@@ -31,6 +31,7 @@ from entroframe import (
     convolve,
     default_axis,
     entropy,
+    fisher,
     gaussian,
     gaussian_mixture,
     independent_product,
@@ -43,7 +44,8 @@ from entroframe import density as density_module
 from entroframe.density import (DEFAULT_POINTS, LOG_2PI, integral, log_gaussian_weight,
                                 reference_weight)
 from entroframe.frames import Direction
-from entroframe.quadrature import simpson_weights, validate_axis
+from entroframe.quadrature import (LATTICE_MARGIN, LATTICE_STEP, simpson_weights,
+                                   validate_axis)
 
 LEB = Reference.LEBESGUE
 GAM = Reference.GAUSSIAN
@@ -483,18 +485,20 @@ class TestMarginal:
 
 class TestMarginalPaths:
     """A marginal prefilters its lines BLOCK_ROWS at a time, right before it
-    samples them; an axis marginal on the axis's own nodes sums the values."""
+    samples them on the half-step lattice of quadrature.sheared_sum; an axis
+    marginal on the axis's own nodes sums the values."""
 
     POINTS = 513
     COV = [[1.1, 0.3], [0.3, 0.8]]
+    THETAS = [0.3, math.pi / 4.0, 1.0, 2.0, 3.0 * math.pi / 4.0]
 
     def density(self, ref):
         return gaussian(ref, [0.2, -0.1], self.COV).to_grid(points=self.POINTS)
 
     @staticmethod
-    def whole_grid_marginal(d, theta):
-        """The marginal on d.x with every line prefiltered at once, as one
-        (n, n) array, and each line sampled by its own map_coordinates."""
+    def sheared_lines(d, theta):
+        """Every line prefiltered at once, as one (n, n) array, with the
+        weights and the fractional indices of the marginal on d.x."""
         cos_a, sin_a = math.cos(theta), math.sin(theta)
         (along, h), (across, k) = d.axes
         lines = d.values.T
@@ -503,25 +507,86 @@ class TestMarginalPaths:
             lines = d.values
             cos_a, sin_a = sin_a, cos_a
         coeffs = ndimage.spline_filter1d(lines, order=3, axis=-1, mode="constant")
-        t = d.x
-        w = simpson_weights(across.size, k)[:, None] / abs(cos_a)
-        if d.reference is GAM:
-            w = w * np.exp(log_gaussian_weight((across[:, None] - t * sin_a) / cos_a))
-        index0 = (t / cos_a - along[0]) / h
-        shifts = across * (sin_a / cos_a / h)
-        vals = np.zeros(t.size)
-        for row, shift, wj in zip(coeffs, shifts, np.broadcast_to(w, (across.size, t.size))):
-            vals += wj * ndimage.map_coordinates(row, (index0 - shift)[None, :], order=3,
-                                                 mode="constant", cval=0.0, prefilter=False)
+        return (coeffs, simpson_weights(across.size, k) / abs(cos_a), across, along, h,
+                cos_a, sin_a, (d.x / cos_a - along[0]) / h, across * (sin_a / cos_a / h))
+
+    @staticmethod
+    def renormalized(d, vals):
         vals = np.maximum(vals, 0.0)
         return vals / integral(d.reference, vals, d.axes[0])
 
+    def whole_grid_marginal(self, d, theta):
+        """The lattice algorithm on the whole grid: line j's samples on the
+        lattice points of one phase are a 4-tap filter of its mirrored
+        coefficients, and the cubic spline of their weighted sum is
+        evaluated at the output points."""
+        coeffs, w, across, along, h, cos_a, sin_a, index0, shifts = self.sheared_lines(d, theta)
+        n = along.size
+        a0 = index0.min() - LATTICE_MARGIN * LATTICE_STEP
+        size = math.ceil((index0.max() - a0) / LATTICE_STEP) + LATTICE_MARGIN + 1
+        lattice = a0 + LATTICE_STEP * np.arange(size)
+        w = w[:, None]
+        if d.reference is GAM:
+            w = w * np.exp(log_gaussian_weight(across[:, None] / cos_a
+                                               - (along[0] + h * lattice) * sin_a))
+        total = np.zeros(size)
+        phases = round(1.0 / LATTICE_STEP)
+        for c, shift, wj in zip(coeffs, shifts, np.broadcast_to(w, (n, size))):
+            ext = np.concatenate([c[1:2], c, c[-2:-4:-1]])
+            for p in range(phases):
+                start = a0 + LATTICE_STEP * p - shift
+                b = math.floor(start)
+                u = start - b
+                v = 1.0 - u
+                taps = np.array([v * v * v, 4.0 - 3.0 * u * u * (2.0 - u),
+                                 4.0 - 3.0 * v * v * (2.0 - v), u * u * u]) / 6.0
+                lo = max(-b, 0)
+                hi = min(n - 1 - b - (u > 0), len(range(p, size, phases)) - 1)
+                if lo <= hi:
+                    on = slice(phases * lo + p, phases * hi + p + 1, phases)
+                    total[on] += wj[on] * np.correlate(ext[b + lo:b + hi + 4], taps)
+        spline = ndimage.spline_filter1d(total, order=3, mode="constant")
+        return self.renormalized(d, ndimage.map_coordinates(
+            spline, [(index0 - a0) / LATTICE_STEP], order=3, mode="constant", cval=0.0,
+            prefilter=False))
+
+    def per_point_marginal(self, d, theta):
+        """The marginal as one 4-tap spline evaluation per output point of
+        every line, each line sampled by its own map_coordinates."""
+        coeffs, w, across, along, h, cos_a, sin_a, index0, shifts = self.sheared_lines(d, theta)
+        w = w[:, None]
+        if d.reference is GAM:
+            w = w * np.exp(log_gaussian_weight((across[:, None] - d.x * sin_a) / cos_a))
+        vals = np.zeros(d.x.size)
+        for row, shift, wj in zip(coeffs, shifts, np.broadcast_to(w, (across.size, d.x.size))):
+            vals += wj * ndimage.map_coordinates(row, (index0 - shift)[None, :], order=3,
+                                                 mode="constant", cval=0.0, prefilter=False)
+        return self.renormalized(d, vals)
+
     @pytest.mark.parametrize("ref", [LEB, GAM])
-    @pytest.mark.parametrize("theta", [0.3, math.pi / 4.0, 1.0, 2.0, 3.0 * math.pi / 4.0])
+    @pytest.mark.parametrize("theta", THETAS)
     def test_blocks_give_the_whole_grid_values(self, ref, theta):
         d = self.density(ref)
         np.testing.assert_array_equal(marginal(d, theta).values,
                                       self.whole_grid_marginal(d, theta))
+
+    @pytest.mark.parametrize("ref", [LEB, GAM])
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_lattice_matches_the_per_point_sum(self, ref, theta):
+        """Resampling the lattice sum moves the values by at most 1e-8 of
+        the peak (measured <= 2e-9), and entropy and Fisher information by
+        at most 1e-9 (measured <= 3.1e-11 and 1.4e-10).  Over the Gaussian
+        reference the values are compared as densities of Lebesgue measure,
+        times gamma: unweighted, both paths miss the closed form by ~25 at
+        x = 10, on a peak of 5.8e4."""
+        d = self.density(ref)
+        got = marginal(d, theta)
+        want = GridDensity1D(ref, d.x, self.per_point_marginal(d, theta))
+        weight = reference_weight(ref, d.x)
+        scale = np.max(want.values * weight)
+        assert np.max(np.abs(got.values - want.values) * weight) <= 1e-8 * scale
+        assert abs(float(entropy(got)) - float(entropy(want))) <= 1e-9
+        assert abs(float(fisher(got)) - float(fisher(want))) <= 1e-9
 
     @pytest.mark.parametrize("ref", [LEB, GAM])
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2.0])

@@ -61,21 +61,28 @@ class TestResources:
         """A process that runs on one thread cannot use more CPU time than
         wall time, whatever the host load.  A contraction through BLAS ran
         on its thread pool, whose threads kept spinning after each call:
-        CPU time 1.4-2.0 times the wall time."""
+        CPU time 1.4-2.0 times the wall time.  The sheared marginals and
+        linear_combination filter their lines with np.correlate and add
+        them on one lattice; they are held to the same bound."""
         lines = run_child("""
             import time
+            from entroframe import linear_combination, marginal
             f2 = gaussian(GAM, [0.2, -0.1], [[1.1, 0.2], [0.2, 0.8]]).to_grid()
+            l2 = gaussian(LEB, [0.2, -0.1], [[1.1, 0.2], [0.2, 0.8]]).to_grid()
             calls = dict(frame_checks,
                          hyper=lambda: check_hypercontractivity(ExpFunction(1.0), 2.0, 4.0, 0.7),
                          entropy2d=lambda: entropy(f2),
-                         fisher2d=lambda: fisher(f2))
+                         fisher2d=lambda: fisher(f2),
+                         marginal_gaussian=lambda: marginal(f2, 1.0),
+                         marginal_lebesgue=lambda: marginal(l2, 1.0),
+                         linear_combination=lambda: linear_combination(fs[0], fs[1], 0.8, 0.6))
             for name, call in calls.items():
                 cpu, wall = time.process_time(), time.perf_counter()
                 call()
                 cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
                 print(f"{name}:{cpu!r}:{wall!r}")
         """)
-        assert len(lines) == 7
+        assert len(lines) == 10
         for line in lines:
             name, cpu, wall = line.split(":")
             assert float(cpu) <= 1.05 * float(wall) + 0.010, line
