@@ -14,7 +14,7 @@ from .density import (ExpFunction, GaussianDensity, GridDensity1D,
                       GridDensity2D, GridFunction1D, Reference,
                       convolve, default_axis, gaussian, gaussian_mixture,
                       independent_product, linear_combination, marginal,
-                      scale1d, uniform_density)
+                      marginals, scale1d, uniform_density)
 from .errors import (CompatibilityViolation, DegenerateDirections,
                      DensityError, DomainTruncation, EntroframeError,
                      FrameError, GridError, InvalidExponents,
@@ -63,7 +63,7 @@ __all__ = [
     "directions_from_weights", "entropy", "exp_norm_gamma", "fisher",
     "gaussian", "gaussian_mixture", "heat_flow", "hermite_p_theta",
     "hyper_threshold", "independent_product", "linear_combination",
-    "lp_norm", "marginal", "mehler_exp_norm",
+    "lp_norm", "marginal", "marginals", "mehler_exp_norm",
     "mercedes_frame", "normalize_weights", "ou_flow", "scale1d", "sector_measures",
     "shannon_limit_frame", "shannon_taylor_check", "stability_check",
     "uniform_density", "weights_from_directions", "young_constant",

@@ -19,6 +19,7 @@ renormalize and keep their input's factor.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 import warnings
@@ -506,89 +507,147 @@ def marginal(f, direction, x_out=None):
     (factor recorded); DomainTruncation is raised if more than
     TRUNCATION_TOL of the mass falls outside the output axis.
 
-    Without x_out the marginal lives on f.x and is memoized on f per
-    canonical direction angle, so equal directions return the same
-    object for as long as f lives.  An explicit x_out bypasses the memo.
+    This is marginals(f, [direction], x_out)[0], memo included.
 
     A 2d GaussianDensity N(m, C) has the exact marginal N(u.m, u^T C u) on
     its reference; x_out applies to grids only.
     """
+    return marginals(f, [direction], x_out)[0]
+
+
+def marginals(f, directions, x_out=None):
+    """[marginal(f, d, x_out) for d in directions], computed together.
+
+    The directions whose lines run along the same grid axis (x where
+    |cos a| >= |sin a|, else y) share one quadrature.sheared_sum: each
+    block of BLOCK_ROWS lines of that axis is prefiltered once and sampled
+    for every one of them, so a frame pays one prefilter per axis, not one
+    per direction.  Axis marginals on their axis's own nodes prefilter
+    nothing.  The values are those of one direction at a time, bit for bit.
+
+    Without x_out the marginals live on f.x and are memoized on f per
+    canonical direction angle: only directions not yet in the memo are
+    computed, and equal directions return the same object for as long as
+    f lives.  An explicit x_out bypasses the memo.
+    """
     if isinstance(f, GaussianDensity) and f.dim == 2 and x_out is None:
-        u = _as_direction(direction).unit_vector()
-        return GaussianDensity(f.reference, [float(u @ f.mean)], [[float(u @ f.covariance @ u)]])
+        units = [_as_direction(d).unit_vector() for d in directions]
+        return [GaussianDensity(f.reference, [float(u @ f.mean)], [[float(u @ f.covariance @ u)]])
+                for u in units]
     if not isinstance(f, GridDensity2D):
         raise ReferenceMismatch(
             f"marginal needs a GridDensity2D or, without x_out, a 2d GaussianDensity; "
             f"got {type(f).__name__}")
-    theta = _as_direction(direction).theta
+    thetas = [_as_direction(d).theta for d in directions]
     if x_out is not None:
-        return _marginal(f, theta, x_out)
+        return _marginals(f, thetas, x_out)
     memo = _cached(f, "_marginals_memo", dict)
-    if theta not in memo:
-        memo[theta] = _marginal(f, theta, f.x)
-    return memo[theta]
+    new = [theta for theta in dict.fromkeys(thetas) if theta not in memo]
+    if new:
+        memo.update(zip(new, _marginals(f, new, f.x)))
+    return [memo[theta] for theta in thetas]
 
 
-def _marginal(f, theta, t):
+def _marginals(f, thetas, t):
+    """The marginals of grid density f along the angles thetas, on axis t."""
+    def line_sums(t):
+        sums = [None] * len(thetas)
+        # (position in thetas, sheared_sum terms) of the directions along x, along y
+        sheared = ([], [])
+        for k, theta in enumerate(thetas):
+            axis, cos_a, sin_a = _shear(theta)
+            (along, _), (across, h_across) = f.axes[axis], f.axes[1 - axis]
+            w = simpson_weights(across.size, h_across) / abs(cos_a)
+            if theta in (0.0, math.pi / 2.0) and np.array_equal(t, along):
+                # an axis marginal at the nodes: each line's spline there gives
+                # back the line's values, so the sum contracts the values themselves
+                sums[k] = _axis_sum(_lines(f, axis), w * reference_weight(f.reference, across))
+                continue
+            sheared[axis].append((k, _sheared_terms(f, axis, cos_a, sin_a, w, t)))
+        for axis, group in enumerate(sheared):
+            if group:
+                lines = _lines(f, axis)
+                positions, terms = zip(*group)
+                for k, values in zip(positions, sheared_sum(_prefiltered(lines), len(lines),
+                                                            terms)):
+                    sums[k] = values
+        return sums
+    return _line_densities(f.reference, t, "marginal", line_sums)
+
+
+def _sheared_terms(f, axis, cos_a, sin_a, w, t):
+    """sheared_sum's (index0, shifts, weights) of the marginal on t whose
+    lines run along axis, with the Simpson weights w of the other axis."""
+    (along, h), (across, _) = f.axes[axis], f.axes[1 - axis]
+
+    def weights(rows, lattice):
+        if f.reference is Reference.LEBESGUE:
+            return w[rows, None]
+        # the lattice point at x = X on line j is t = X cos a, so
+        # s = (y_j - t sin a) / cos a = y_j / cos a - X sin a
+        x = along[0] + h * lattice
+        return w[rows, None] * np.exp(log_gaussian_weight(across[rows, None] / cos_a - x * sin_a))
+    return grid_index(t / cos_a, along[0], h), across * (sin_a / cos_a / h), weights
+
+
+def _shear(theta):
+    """(axis, cos a, sin a) for a marginal along theta: its lines run along
+    grid axis 0 (x) where |cos theta| >= |sin theta|, with a = theta, and
+    else along axis 1 (y), x = t / sin theta - y cot theta being the same
+    shear with the axes swapped, so cos a and sin a swap too."""
     cos_a, sin_a = math.cos(theta), math.sin(theta)
     if abs(cos_a) >= abs(sin_a):
-        (along, h_along), (across, h_across) = f.axes
-        # the rows of values.T are the lines along x
-        lines = f.values.T
-    else:
-        # x = t / sin a - y cot a: the same shear with the axes swapped
-        (across, h_across), (along, h_along) = f.axes
-        lines = f.values
-        cos_a, sin_a = sin_a, cos_a
-    w = simpson_weights(across.size, h_across) / abs(cos_a)
-    if theta in (0.0, math.pi / 2.0) and np.array_equal(t, along):
-        # an axis marginal at the nodes: each line's spline there gives back
-        # the line's values, so the sum contracts the values themselves
-        w = w * reference_weight(f.reference, across)
-
-        def axis_sum(t):
-            sums = np.empty(along.size)
-            for block in blocks(along.size):
-                sums[block] = contract(lines.T[block], w)
-            return sums
-        return _line_density(f.reference, t, "marginal", axis_sum)
-    shifts = across * (sin_a / cos_a / h_along)
-
-    def line_sum(t):
-        # each block's coefficients overwrite the last block's, which
-        # sheared_sum has used up by then
-        buffer = np.empty((BLOCK_ROWS, along.size))
-
-        def terms(rows, lattice):
-            block = lines[rows]
-            coeffs = spline_coefficients(block, axis=-1, out=buffer[:len(block)])
-            if f.reference is Reference.LEBESGUE:
-                return coeffs, w[rows, None]
-            # the lattice point at x = X on line j is t = X cos a, so
-            # s = (y_j - t sin a) / cos a = y_j / cos a - X sin a
-            x = along[0] + h_along * lattice
-            return coeffs, w[rows, None] * np.exp(
-                log_gaussian_weight(across[rows, None] / cos_a - x * sin_a))
-        return sheared_sum(terms, grid_index(t / cos_a, along[0], h_along), shifts)
-    return _line_density(f.reference, t, "marginal", line_sum)
+        return 0, cos_a, sin_a
+    return 1, sin_a, cos_a
 
 
-def _line_density(reference, t, what, line_sum):
-    """The 1d density on axis t of a sheared line integral.
+def _lines(f, axis):
+    """The grid lines of f along axis, one per row: the rows of values.T run along x."""
+    return f.values.T if axis == 0 else f.values
 
-    The density is built first, so a bad t raises GridError before
-    line_sum(nodes) samples anything.  The sum is clipped at 0,
-    DomainTruncation is raised if more than TRUNCATION_TOL of the mass fell
-    off the grid, and the rest is renormalized, recording the factor.
+
+def _axis_sum(lines, w):
+    """sum_j w_j lines[j], the lines' nodes BLOCK_ROWS at a time."""
+    sums = np.empty(lines.shape[1])
+    for block in blocks(lines.shape[1]):
+        sums[block] = contract(lines.T[block], w)
+    return sums
+
+
+def _prefiltered(lines):
+    """sheared_sum's lines: each block of lines prefiltered along itself into
+    one reused buffer, which overwrites the last block once every sum has
+    used it up."""
+    buffer = np.empty((BLOCK_ROWS, lines.shape[1]))
+
+    def block_coefficients(rows):
+        block = lines[rows]
+        return spline_coefficients(block, axis=-1, out=buffer[:len(block)])
+    return block_coefficients
+
+
+def _line_densities(reference, t, what, line_sums):
+    """The 1d densities on axis t of sheared line integrals, in order.
+
+    The axis is checked once, before line_sums(nodes) samples anything, so
+    a bad t raises GridError first; line_sums returns one array of values
+    per density.  Each is clipped at 0, DomainTruncation is raised if more
+    than TRUNCATION_TOL of its mass fell off the grid, and the rest is
+    renormalized, recording the factor.
     """
     out = GridDensity1D(reference, t, _freeze(np.zeros(np.shape(t))))
-    vals = np.maximum(line_sum(out.x), 0.0)
-    raw_mass = integral(reference, vals, *out.axes)
-    if raw_mass < 1.0 - TRUNCATION_TOL:
-        raise DomainTruncation(
-            f"{what} mass {raw_mass:.6f}; more than {TRUNCATION_TOL:g} lost off-grid")
-    out._renormalize(_freeze(vals / raw_mass), 1.0 / raw_mass)
-    return out
+    densities = []
+    for vals in line_sums(out.x):
+        vals = np.maximum(vals, 0.0)
+        raw_mass = integral(reference, vals, *out.axes)
+        if raw_mass < 1.0 - TRUNCATION_TOL:
+            raise DomainTruncation(
+                f"{what} mass {raw_mass:.6f}; more than {TRUNCATION_TOL:g} lost off-grid")
+        # a copy of the checked axis, not a second check of it
+        density = copy.copy(out)
+        density._renormalize(_freeze(vals / raw_mass), 1.0 / raw_mass)
+        densities.append(density)
+    return densities
 
 
 def _closed_form(what, *densities):
@@ -686,5 +745,8 @@ def linear_combination(f, g, a, b):
     rows = np.broadcast_to(f.spline_coeffs(), (g.x.size, f.x.size))
     shifts = g.x * (b / a / f.h)
     w = (simpson_weights(g.x.size, g.h) * g.values)[:, None] / abs(a)
-    return _line_density(Reference.LEBESGUE, t, "combination", lambda t: sheared_sum(
-        lambda lines, lattice: (rows[lines], w[lines]), grid_index(t / a, f.x[0], f.h), shifts))
+
+    def line_sums(t):
+        terms = (grid_index(t / a, f.x[0], f.h), shifts, lambda lines, lattice: w[lines])
+        return sheared_sum(lambda lines: rows[lines], len(rows), [terms])
+    return _line_densities(Reference.LEBESGUE, t, "combination", line_sums)[0]

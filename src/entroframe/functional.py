@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (LOG_2PI, GaussianDensity, GridDensity1D, GridDensity2D,
-                      GridFunction1D, Reference, block_integral, integral,
-                      log_gaussian_weight)
+                      GridFunction1D, Reference, _cached, block_integral,
+                      integral, log_gaussian_weight)
 from .errors import InvalidExponents, NonSmoothWarning, ReferenceMismatch
 
 VALUE_FLOOR = 1e-300
@@ -87,12 +87,17 @@ def _entropy_gaussian(f):
 
 
 def entropy(f):
-    """S_mu(f) for a grid or Gaussian density."""
+    """S_mu(f) for a grid or Gaussian density.
+
+    A grid density's quadrature runs once and is kept on the density, which
+    is frozen: a frame check asks for S(f) of the same density again and again.
+    """
     if isinstance(f, GaussianDensity):
         return EntropyValue(_entropy_gaussian(f), "closed-form")
     if isinstance(f, (GridDensity1D, GridDensity2D)):
-        return EntropyValue(block_integral(f.reference, lambda cols: xlogx(f.values[..., cols]),
-                                           *f.axes), "quadrature")
+        return _cached(f, "_entropy_memo", lambda: EntropyValue(
+            block_integral(f.reference, lambda cols: xlogx(f.values[..., cols]), *f.axes),
+            "quadrature"))
     raise ReferenceMismatch(f"entropy is not defined for {type(f).__name__}")
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .density import (ExpFunction, GaussianDensity, GridDensity1D,
                       GridDensity2D, GridFunction1D, Reference, _axis_step,
                       _cached, convolve, default_axis, integral,
-                      linear_combination, marginal, reference_weight, scale1d)
+                      linear_combination, marginals, reference_weight, scale1d)
 from .errors import InvalidExponents, ReferenceMismatch
 from .frames import (ExponentTriple, Frame2, _coerce_triple, _hyper2_exponents,
                      angles_from_exponents, conjugate_exponent,
@@ -279,8 +279,8 @@ def _frame_inner(thetas, f2, f3, axis):
 # === marginal entropy / Fisher subadditivity ==============================
 
 def _weighted_marginal_sum(frame, f, functional):
-    total = sum(c * float(functional(marginal(f, d)))
-                for d, c in zip(frame.directions, frame.weights))
+    total = sum(c * float(functional(m))
+                for m, c in zip(marginals(f, frame.directions), frame.weights))
     return total, float(functional(f))
 
 
@@ -362,11 +362,10 @@ def _young_entropy_terms(f):
     """(S_X, S_Y, S_{X-Y}, S_XY) for a joint 2d Lebesgue density."""
     if getattr(f, "reference", None) is not Reference.LEBESGUE:
         raise ReferenceMismatch("young-entropy needs a Lebesgue density")
-    s_x = float(entropy(marginal(f, 0.0)))
-    s_y = float(entropy(marginal(f, math.pi / 2.0)))
+    f_x, f_y, f_d = marginals(f, [0.0, math.pi / 2.0, 3.0 * math.pi / 4.0])
     # marginal along 3pi/4 is (Y - X)/sqrt(2); X - Y is its -sqrt(2) dilate
-    s_d = float(entropy(scale1d(marginal(f, 3.0 * math.pi / 4.0), -SQRT2)))
-    return s_x, s_y, s_d, float(entropy(f))
+    return (float(entropy(f_x)), float(entropy(f_y)), float(entropy(scale1d(f_d, -SQRT2))),
+            float(entropy(f)))
 
 
 def check_young_entropy(f, p, q, r, tolerance=None):

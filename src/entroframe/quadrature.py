@@ -26,6 +26,9 @@ O(n) evaluations, and the resampling adds the error of a spline at half the
 grid step.  On Gaussian marginals the largest pointwise error against the
 closed form was about 11% above that of one spline evaluation per point; a
 lattice of step 1 saved another fifth of the time but raised it 2.6 times.
+Several sums over the same lines (a frame check's directions along one
+grid axis) are computed in one pass: each block of lines is prefiltered
+once and filtered onto every sum's own lattice.
 """
 
 import functools
@@ -102,7 +105,8 @@ def _gauss_hermite(n):
 
 # Cubic B-spline coefficients are prefiltered once per 1d array, so repeated
 # sampling of the same line pays the filter cost once.  The lines of a 2d
-# grid are prefiltered BLOCK_ROWS at a time, right before they are sampled.
+# grid are prefiltered BLOCK_ROWS at a time, right before they are sampled,
+# once for all the sheared sums that read them.
 
 SPLINE_ORDER = 3
 
@@ -183,52 +187,89 @@ LATTICE_STEP = 0.5
 LATTICE_MARGIN = 16
 
 
-def sheared_sum(terms, index0, shifts):
-    """sum_j w_j * s_j(index0 - shifts[j]), s_j the 1d spline of line j.
+def sheared_sum(lines, count, sums):
+    """Sheared sums sum_j w_j * s_j(index0 - shifts[j]) over the splines s_j
+    of the same count lines, one array of values per sum.
 
-    The lines come BLOCK_ROWS at a time: for each slice lines of
-    blocks(len(shifts)), terms(lines, lattice) returns their coefficients,
-    one row per line, each prefiltered along itself only, and their
-    weights w_j on the lattice, broadcastable to (rows, lattice.size).
-    index0: (k,) fractional indices, shifted by shifts[j] in line j.
+    The lines come BLOCK_ROWS at a time, and every sum reads each block: for
+    each slice block of blocks(count), lines(block) returns their
+    coefficients, one row per line, each prefiltered along itself only.
+    sums holds one (index0, shifts, weights) per sum: index0, (k,)
+    fractional indices, is shifted by shifts[j] in line j, and
+    weights(block, lattice) returns the weights w_j of the block's lines at
+    the lattice points lattice, broadcastable to (rows, lattice.size).
 
-    Every line is sampled on one shared lattice a_m = a_0 + m LATTICE_STEP
-    of fractional indices, covering index0.  On the lattice points
-    a_0 + p LATTICE_STEP + i of one phase p, line j's points
+    Each sum samples every line on its own lattice a_m = a_0 + m LATTICE_STEP
+    of fractional indices, covering its index0, and passes weights only the
+    span of it on which the block's lines have points.  On the lattice
+    points a_0 + p LATTICE_STEP + i of one phase p, line j's points
     a - shifts[j] share one fractional part, so its four B-spline weights
     are constant along the line and its samples are one 4-tap filter of
     its coefficients.  Taps past an edge read the mirrored coefficient
     (c[-1] = c[1]) and points outside the line evaluate to 0, as in
     sample_coefficients.  The weighted samples of all lines add into one
-    lattice array G, and the cubic spline of G is evaluated at index0.
+    lattice array G per sum, and the cubic spline of G is evaluated at
+    index0.
     """
-    index0 = np.asarray(index0, dtype=float)
-    phases = round(1.0 / LATTICE_STEP)
-    a0 = index0.min() - LATTICE_MARGIN * LATTICE_STEP
-    size = math.ceil((index0.max() - a0) / LATTICE_STEP) + LATTICE_MARGIN + 1
-    lattice = a0 + LATTICE_STEP * np.arange(size)
-    total = np.zeros(size)
-    # lattice points i of phase p sit at a_0 + p LATTICE_STEP + i, for
-    # 0 <= i < ends[p]
-    ends = np.array([len(range(p, size, phases)) for p in range(phases)])
-    for lines in blocks(len(shifts)):
-        rows, weights = terms(lines, lattice)
-        weights = np.broadcast_to(weights, (len(rows), size))
-        n = rows.shape[1]
+    lattices = [_Lattice(*terms) for terms in sums]
+    for block in blocks(count):
+        rows = lines(block)
         # coefficient k of a row sits at k + 1; the ends are mirrored
         ext = np.concatenate([rows[:, 1:2], rows, rows[:, -2:-4:-1]], axis=1)
+        for lattice in lattices:
+            lattice.add(block, ext, rows.shape[1])
+    return [lattice.resample() for lattice in lattices]
+
+
+class _Lattice:
+    """One sum of sheared_sum: its lattice and the O(n) sum G on it, kept
+    as one row per phase, so each line adds into contiguous values."""
+
+    PHASES = round(1.0 / LATTICE_STEP)
+
+    def __init__(self, index0, shifts, weights):
+        self.index0 = np.asarray(index0, dtype=float)
+        self.shifts, self.weights = shifts, weights
+        self.a0 = self.index0.min() - LATTICE_MARGIN * LATTICE_STEP
+        self.size = math.ceil((self.index0.max() - self.a0) / LATTICE_STEP) + LATTICE_MARGIN + 1
+        self.points = self.a0 + LATTICE_STEP * np.arange(self.size)
+        # lattice point i of phase p, at a_0 + p LATTICE_STEP + i, is
+        # G[PHASES i + p] = phase_sums[p, i], for 0 <= i < ends[p]
+        self.ends = np.array([len(range(p, self.size, self.PHASES)) for p in range(self.PHASES)])
+        self.phase_sums = np.zeros((self.PHASES, self.ends[0]))
+
+    def add(self, block, ext, n):
+        """Add the weighted samples of the block's lines, ext their mirrored
+        coefficients of n points each."""
+        phases = self.PHASES
         # line j, phase p: lattice point i is at base + u + i on the line
-        start = a0 + LATTICE_STEP * np.arange(phases) - shifts[lines, None]
+        start = self.a0 + LATTICE_STEP * np.arange(phases) - self.shifts[block, None]
         base = np.floor(start)
         taps = np.stack(_bspline_weights(start - base), axis=-1) / 6.0
         base = base.astype(np.intp)
         # the points in [0, n - 1]
         first = np.maximum(-base, 0)
-        last = np.minimum(n - 1 - base - (start > base), ends - 1)
+        last = np.minimum(n - 1 - base - (start > base), self.ends - 1)
+        read = first <= last
+        if not read.any():
+            return
+        # the weights are taken on lattice indices lo .. hi alone, the span
+        # of the points that the block's lines read
+        phase = np.arange(phases)
+        lo = int((phases * first + phase)[read].min())
+        hi = int((phases * last + phase)[read].max())
+        weights = np.broadcast_to(self.weights(block, self.points[lo:hi + 1]),
+                                  (len(ext), hi + 1 - lo))
         for row, w, line_taps, line_base, line_first, line_last in zip(
                 ext, weights, taps, base.tolist(), first.tolist(), last.tolist()):
-            for p, (tap, b, lo, hi) in enumerate(zip(line_taps, line_base, line_first, line_last)):
-                if lo <= hi:
-                    on = slice(phases * lo + p, phases * hi + p + 1, phases)
-                    total[on] += w[on] * np.correlate(row[b + lo:b + hi + 4], tap)
-    return sample_coefficients(spline_coefficients(total), [(index0 - a0) / LATTICE_STEP])
+            for p, (tap, b, i, j) in enumerate(zip(line_taps, line_base, line_first, line_last)):
+                if i <= j:
+                    self.phase_sums[p, i:j + 1] += \
+                        w[phases * i + p - lo:phases * j + p + 1 - lo:phases] \
+                        * np.correlate(row[b + i:b + j + 4], tap)
+
+    def resample(self):
+        """The cubic spline of the sum G, evaluated at index0."""
+        total = self.phase_sums.T.reshape(-1)[:self.size]
+        return sample_coefficients(spline_coefficients(total),
+                                   [(self.index0 - self.a0) / LATTICE_STEP])

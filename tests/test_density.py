@@ -37,13 +37,14 @@ from entroframe import (
     independent_product,
     linear_combination,
     marginal,
+    marginals,
     scale1d,
     uniform_density,
 )
 from entroframe import density as density_module
 from entroframe.density import (DEFAULT_POINTS, LOG_2PI, integral, log_gaussian_weight,
                                 reference_weight)
-from entroframe.frames import Direction
+from entroframe.frames import Direction, directions_from_weights, mercedes_frame
 from entroframe.quadrature import (LATTICE_MARGIN, LATTICE_STEP, simpson_weights,
                                    validate_axis)
 
@@ -608,6 +609,84 @@ class TestMarginalPaths:
         monkeypatch.setattr(density_module, "sheared_sum", unused)
         got = marginal(d, theta).values
         assert np.max(np.abs(got - expected)) <= 1e-14 * expected.max()
+
+
+class TestMarginalBatch:
+    """marginals computes several directions in one pass over the lines of
+    each axis: the same values as one marginal call per direction."""
+
+    POINTS = 513
+    COV = [[1.1, 0.3], [0.3, 0.8]]
+    DIRECTION_SETS = {
+        # both sheared directions run along y
+        "mercedes": mercedes_frame().thetas,
+        # theta_2 = 0.615 runs along x, theta_3 = 1.846 along y
+        "split weight triple": directions_from_weights(0.6, 0.5, 0.9).thetas,
+        "young": (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0),
+    }
+
+    def density(self, ref):
+        return gaussian(ref, [0.2, -0.1], self.COV).to_grid(points=self.POINTS)
+
+    @staticmethod
+    def fresh(d):
+        """A copy of d with no memo, so its marginals are computed anew."""
+        return GridDensity2D(d.reference, d.x, d.y, d.values)
+
+    @pytest.mark.parametrize("ref", [LEB, GAM])
+    @pytest.mark.parametrize("name", sorted(DIRECTION_SETS))
+    @pytest.mark.parametrize("x_out", [None, default_axis(length=7.0, points=301)],
+                             ids=["nodes", "x_out"])
+    def test_batch_equals_single_calls(self, ref, name, x_out):
+        d = self.density(ref)
+        thetas = self.DIRECTION_SETS[name]
+        batch = marginals(d, thetas, x_out=x_out)
+        assert len(batch) == len(thetas)
+        for theta, got in zip(thetas, batch):
+            want = marginal(self.fresh(d), theta, x_out=x_out)
+            np.testing.assert_array_equal(got.x, want.x)
+            np.testing.assert_array_equal(got.values, want.values)
+            assert got.renormalization == want.renormalization
+
+    def test_batch_fills_the_memo(self):
+        d = self.density(LEB)
+        thetas = self.DIRECTION_SETS["split weight triple"]
+        first = marginal(d, thetas[1])
+        batch = marginals(d, thetas + (thetas[1],))
+        assert batch[1] is first and batch[3] is first
+        assert all(marginal(d, theta) is m for theta, m in zip(thetas, batch))
+
+    def test_one_prefilter_per_axis(self, monkeypatch):
+        """Two sheared directions along one axis prefilter its n lines once,
+        not once each, and a repeated call prefilters nothing."""
+        d = self.density(LEB)
+        lines = []
+        prefilter = density_module.spline_coefficients
+
+        def counting(values, axis=None, out=None):
+            lines.append(len(values))
+            return prefilter(values, axis, out)
+        monkeypatch.setattr(density_module, "spline_coefficients", counting)
+        thetas = self.DIRECTION_SETS["mercedes"]
+        marginals(d, thetas)
+        assert sum(lines) == self.POINTS
+        lines.clear()
+        marginals(d, thetas)
+        assert lines == []
+        marginals(self.fresh(d), self.DIRECTION_SETS["split weight triple"])
+        assert sum(lines) == 2 * self.POINTS
+
+    def test_closed_form_and_errors(self):
+        g = gaussian(LEB, [0.2, -0.3], [[2.0, 0.7], [0.7, 1.2]])
+        for theta, m in zip((0.3, 1.9), marginals(g, (0.3, 1.9))):
+            reference, mean, variance = closed_form_marginal_law(g, theta)
+            assert (m.reference, float(m.mean[0]), float(m.covariance[0, 0])) == \
+                (reference, mean, variance)
+        with pytest.raises(ReferenceMismatch):
+            marginals(gaussian(LEB, 0.0, 1.0).to_grid(points=129), (0.3,))
+        with pytest.raises(ReferenceMismatch):
+            marginals(g, (0.3,), x_out=default_axis(points=129))
+        assert marginals(self.density(LEB), ()) == []
 
 
 class TestMarginalRotationInvariance:

@@ -22,10 +22,12 @@ from entroframe import (
     fisher,
     gaussian,
     lp_norm,
+    marginal,
 )
+from entroframe import functional as functional_module
 from entroframe.errors import (InvalidExponents, NonSmoothWarning,
                                ReferenceMismatch, RenormalizationWarning)
-from entroframe.functional import EntropyValue, FisherValue
+from entroframe.functional import EntropyValue, FisherValue, xlogx
 
 LEB = Reference.LEBESGUE
 GAM = Reference.GAUSSIAN
@@ -102,6 +104,36 @@ class TestEntropyQuadrature:
         f = GridFunction1D(default_axis(), np.ones(default_axis().size))
         with pytest.raises(ReferenceMismatch):
             entropy(f)
+
+    def test_quadrature_runs_once_per_density(self, monkeypatch):
+        calls = []
+
+        def counting(values):
+            calls.append(np.shape(values))
+            return xlogx(values)
+        monkeypatch.setattr(functional_module, "xlogx", counting)
+        for d in (gaussian(LEB, 0.3, 1.4).to_grid(points=129),
+                  gaussian(GAM, [0.2, -0.1], [[1.1, 0.3], [0.3, 0.8]]).to_grid(points=129)):
+            calls.clear()
+            first = entropy(d)
+            assert calls and first.method == "quadrature"
+            calls.clear()
+            assert entropy(d) is first
+            assert calls == []
+
+    def test_renormalized_densities_keep_their_final_entropy(self):
+        """A density that is renormalized as it is built has the entropy of
+        its final values: of a fresh density on them, bit for bit."""
+        x = default_axis(points=129)
+        values = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * 1.002
+        with pytest.warns(RenormalizationWarning):
+            built = GridDensity1D.from_values(LEB, x, values)
+        f = gaussian(LEB, [0.2, -0.1], [[1.1, 0.3], [0.3, 0.8]]).to_grid(points=129)
+        sheared = marginal(f, 0.7)
+        assert built.renormalization != 1.0 and sheared.renormalization != 1.0
+        for d in (built, sheared, marginal(f, 0.0)):
+            want = entropy(GridDensity1D(d.reference, d.x, d.values))
+            assert entropy(d).value == want.value
 
 
 # === Fisher information ===================================================
