@@ -26,7 +26,7 @@ from .frames import (Direction, ExponentTriple, Frame2,
                      conjugate_exponent, directions_from_weights,
                      mercedes_frame, normalize_weights, sector_measures,
                      shannon_limit_frame, weights_from_directions, young_frame)
-from .functional import EntropyValue, FisherValue, entropy, fisher, lp_norm
+from .functional import entropy, fisher, lp_norm
 from .inequality import (CHECK_NAMES, GaussianExtremizer, InequalityReport,
                          TaylorPoint, check_blachmann_stam,
                          check_brascamp_lieb, check_fisher_subadditivity,
@@ -46,8 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CHECK_NAMES", "CompatibilityViolation", "DegenerateDirections",
     "DensityError", "Direction", "DomainTruncation", "EntroframeError",
-    "EntropyValue", "ExpFunction", "ExponentTriple", "FisherValue",
-    "FlowTime", "Frame2", "FrameError", "GaussianDensity",
+    "ExpFunction", "ExponentTriple", "FlowTime", "Frame2", "FrameError", "GaussianDensity",
     "GaussianExtremizer", "GridDensity1D", "GridDensity2D", "GridError",
     "GridFunction1D", "InequalityReport", "InvalidExponents",
     "InvalidFlowTime", "NonSmoothWarning", "NormalizationError", "NotSPD",

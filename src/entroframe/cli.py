@@ -165,6 +165,8 @@ def parse_density_1d(spec, reference, length, points, allow_exp=False,
             raise NormalizationError(f"{what}: empty mixture spec")
         w, m, v = (list(col) for col in zip(*comps))
         total = sum(w)
+        if total == 0.0:
+            raise NormalizationError(f"{what}: mixture weights sum to 0, got {rest!r}")
         return gaussian_mixture(reference, [x / total for x in w], m, v,
                                 length=length, points=points)
     if kind == "uniform":
@@ -268,18 +270,11 @@ def _exponents(args):
                                             "--exponents"), "exponents")
 
 
-def _given(args, flags, defaults):
-    """The values of flags; a flag not given takes its default, and is
-    needed where that is None."""
-    return [d if d is not None and _arg(args, f) is None else _need(args, f)
-            for f, d in zip(flags, defaults)]
-
-
-def _young(args, defaults=(None, None, None)):
+def _young(args):
     """Young's p, q, r from --p, --q, --r, repaired as the exponent triple
     (r', p, q); r stays as given while its conjugate does."""
     flags = ("--p", "--q", "--r")
-    p, q, r = _given(args, flags, defaults)
+    p, q, r = (_need(args, f) for f in flags)
     t = _repaired("/".join(flags), (p, q, r), "young")
     return t.p2, t.p3, (r if t.p1 == conjugate_exponent(r) else conjugate_exponent(t.p1))
 
@@ -293,10 +288,10 @@ def _hyper2(args):
     return p, r
 
 
-def _norm_exponents(args, defaults=(None, None)):
+def _norm_exponents(args):
     """hyper's norm exponents --p and --q, each finite and >= 1; an error
     starts with its flag."""
-    exponents = _given(args, ("--p", "--q"), defaults)
+    exponents = [_need(args, f) for f in ("--p", "--q")]
     for flag, value in zip(("--p", "--q"), exponents):
         try:
             _norm_exponent(value)
@@ -376,44 +371,39 @@ def cmd_check(args):
 
 # === sweep command ========================================================
 
-SWEEP_PARAMS = {"hyper": "theta", "young-conv": "sigma", "shannon-limit": "s"}
+def _sigma_flags(sigma):
+    """A young-conv row's --f: N(0, sigma^2), beside --g's default N(0, 1)."""
+    if sigma <= 0.0:
+        raise NormalizationError(f"sigma must be positive, got {sigma}")
+    return {"f": f"gauss:0,{sigma * sigma!r}"}
 
 
-def _sweep_rows(args, values):
-    name = args.check
-    if name == "hyper":
-        reference = Reference.GAUSSIAN
-        f = parse_density_1d(args.f or "exp:1", reference, args.grid_l,
-                             args.grid_n, allow_exp=True, what="--f")
-        p, q = _norm_exponents(args, (2.0, 4.0))
-        for theta in values:
-            rep = check_hypercontractivity(f, p, q, theta, length=args.grid_l,
-                                           points=args.grid_n)
-            yield theta, rep.lhs, rep.rhs, rep.slack
-        return
-    if name == "young-conv":
-        p, q, r = _young(args, (4.0 / 3.0, 4.0 / 3.0, 2.0))
-        g = gaussian(Reference.LEBESGUE, 0.0, 1.0).to_grid(args.grid_l,
-                                                           args.grid_n)
-        for sigma in values:
-            if sigma <= 0.0:
-                raise NormalizationError(f"sigma must be positive, got {sigma}")
-            f = gaussian(Reference.LEBESGUE, 0.0, sigma * sigma).to_grid(
-                args.grid_l, args.grid_n)
-            rep = check_young_convolution(f, g, p, q, r)
-            yield sigma, rep.lhs, rep.rhs, rep.slack
-        return
-    if name == "shannon-limit":
-        for s in values:
-            c1, c2, c3 = shannon_limit_frame(s).weights
-            lhs, rhs = c2, -4.0 * s
-            yield s, lhs, rhs, rhs - lhs
-        return
-    raise NormalizationError(f"unknown sweep {name!r}")
+# one row per sweep: (its parameter, the defaults of the exponent flags, the
+# flags a row sets from the parameter's value).  A row of hyper or
+# young-conv is that check, run as `check` runs it; shannon-limit's rows are
+# the middle weight of the Shannon limit frame against -4 s.
+SWEEPS = {
+    "hyper": ("theta", {"p": 2.0, "q": 4.0}, lambda theta: {"theta": theta}),
+    "young-conv": ("sigma", {"p": 4.0 / 3.0, "q": 4.0 / 3.0, "r": 2.0}, _sigma_flags),
+    "shannon-limit": ("s", None, None),
+}
+
+
+def _sweep_row(args, value):
+    """The row (value, lhs, rhs, slack) of the sweep args at value."""
+    _, defaults, flags = SWEEPS[args.check]
+    if flags is None:
+        lhs, rhs = shannon_limit_frame(value).weights[1], -4.0 * value
+        return value, lhs, rhs, rhs - lhs
+    row = {"name": args.check, "reference": None, "tolerance": None, "g": None,
+           **vars(args), **flags(value)}
+    row.update((flag, d) for flag, d in defaults.items() if row[flag] is None)
+    report = _run_check(argparse.Namespace(**row))
+    return value, report.lhs, report.rhs, report.slack
 
 
 def cmd_sweep(args):
-    expected = SWEEP_PARAMS[args.check]
+    expected = SWEEPS[args.check][0]
     if args.param != expected:
         raise NormalizationError(
             f"sweep {args.check} varies {expected!r}, not {args.param!r}")
@@ -427,7 +417,7 @@ def cmd_sweep(args):
     if args.steps < 2:
         raise NormalizationError(f"--steps must be at least 2, got {args.steps}")
     # every row is computed before the sink opens: a failing sweep writes nothing
-    rows = list(_sweep_rows(args, [float(v) for v in np.linspace(lo, hi, args.steps)]))
+    rows = [_sweep_row(args, float(v)) for v in np.linspace(lo, hi, args.steps)]
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(sink, lineterminator="\n")
@@ -491,7 +481,7 @@ def build_parser():
     check.set_defaults(func=cmd_check)
 
     sweep = sub.add_parser("sweep", help="sweep one parameter, emit CSV rows")
-    sweep.add_argument("--check", required=True, choices=sorted(SWEEP_PARAMS),
+    sweep.add_argument("--check", required=True, choices=sorted(SWEEPS),
                        help="sweep target")
     sweep.add_argument("--param", required=True,
                        help="parameter name (theta | sigma | s)")

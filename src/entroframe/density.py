@@ -425,8 +425,12 @@ def gaussian_mixture(reference, weights, means, variances, length=None, points=N
     v = np.asarray(variances, dtype=float)
     if not (w.shape == m.shape == v.shape) or w.ndim != 1 or w.size == 0:
         raise NormalizationError("mixture weights/means/variances must be 1d and equal length")
-    if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-9:
-        raise NormalizationError(f"mixture weights must be positive and sum to 1, got {w.sum()!r}")
+    bad = np.flatnonzero(w <= 0.0)
+    if bad.size:
+        raise NormalizationError(
+            f"mixture weight {bad[0] + 1} must be positive, got {float(w[bad[0]])!r}")
+    if abs(w.sum() - 1.0) > 1e-9:
+        raise NormalizationError(f"mixture weights must sum to 1, got {float(w.sum())!r}")
     if np.any(v <= 0.0):
         raise NotSPD("mixture variances must be positive")
     w = w / w.sum()

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,34 +27,6 @@ VALUE_FLOOR = 1e-300
 # Relative disagreement between the h and 2h Fisher estimates above which
 # the input is flagged as insufficiently resolved.
 ROUGHNESS_TOL = 0.05
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """S_mu(f) together with how it was obtained."""
-
-    value: float
-    method: str  # "closed-form" or "quadrature"
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-
-    def __float__(self):
-        return self.value
-
-
-@dataclass(frozen=True)
-class FisherValue:
-    """I_mu(f) together with how it was obtained."""
-
-    value: float
-    method: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-
-    def __float__(self):
-        return self.value
 
 
 # === integrands ===========================================================
@@ -87,17 +58,16 @@ def _entropy_gaussian(f):
 
 
 def entropy(f):
-    """S_mu(f) for a grid or Gaussian density.
+    """S_mu(f), a float, for a grid or Gaussian density.
 
     A grid density's quadrature runs once and is kept on the density, which
     is frozen: a frame check asks for S(f) of the same density again and again.
     """
     if isinstance(f, GaussianDensity):
-        return EntropyValue(_entropy_gaussian(f), "closed-form")
+        return float(_entropy_gaussian(f))
     if isinstance(f, (GridDensity1D, GridDensity2D)):
-        return _cached(f, "_entropy_memo", lambda: EntropyValue(
-            block_integral(f.reference, lambda cols: xlogx(f.values[..., cols]), *f.axes),
-            "quadrature"))
+        return _cached(f, "_entropy_memo", lambda: block_integral(
+            f.reference, lambda cols: xlogx(f.values[..., cols]), *f.axes))
     raise ReferenceMismatch(f"entropy is not defined for {type(f).__name__}")
 
 
@@ -148,21 +118,21 @@ def _fisher_gaussian(f):
 
 
 def fisher(f):
-    """I_mu(f) for a grid or Gaussian density.
+    """I_mu(f), a float, for a grid or Gaussian density.
 
     Grid path: second-order central differences at steps h and 2h with one
     Richardson extrapolation; NonSmoothWarning when the two estimates
     disagree by more than 5%.
     """
     if isinstance(f, GaussianDensity):
-        return FisherValue(_fisher_gaussian(f), "closed-form")
+        return _fisher_gaussian(f)
     if isinstance(f, (GridDensity1D, GridDensity2D)):
         slices = tuple(_coarse_slice(x.size) for x, _ in f.axes)
         fine = _fisher_estimate(f.values, f.axes, f.reference)
         coarse = _fisher_estimate(f.values[slices],
                                   [(x[s], 2.0 * h) for (x, h), s in zip(f.axes, slices)],
                                   f.reference)
-        return FisherValue(_richardson(fine, coarse, "fisher"), "quadrature")
+        return _richardson(fine, coarse, "fisher")
     raise ReferenceMismatch(f"fisher information is not defined for {type(f).__name__}")
 
 

@@ -128,6 +128,8 @@ def _axis_part(x):
 
 def _report(name, lhs, rhs, constant, tolerance, parts):
     tol = DEFAULT_TOLERANCES[name] if tolerance is None else float(tolerance)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     return InequalityReport(name=name, lhs=float(lhs), rhs=float(rhs),
                             constant=float(constant), slack=float(rhs) - float(lhs),
                             tolerance=tol, inputs_digest=inputs_digest(name, *parts))
@@ -279,9 +281,9 @@ def _frame_inner(thetas, f2, f3, axis):
 # === marginal entropy / Fisher subadditivity ==============================
 
 def _weighted_marginal_sum(frame, f, functional):
-    total = sum(c * float(functional(m))
+    total = sum(c * functional(m)
                 for m, c in zip(marginals(f, frame.directions), frame.weights))
-    return total, float(functional(f))
+    return total, functional(f)
 
 
 def check_subadditivity(frame, f, tolerance=None):
@@ -364,8 +366,7 @@ def _young_entropy_terms(f):
         raise ReferenceMismatch("young-entropy needs a Lebesgue density")
     f_x, f_y, f_d = marginals(f, [0.0, math.pi / 2.0, 3.0 * math.pi / 4.0])
     # marginal along 3pi/4 is (Y - X)/sqrt(2); X - Y is its -sqrt(2) dilate
-    return (float(entropy(f_x)), float(entropy(f_y)), float(entropy(scale1d(f_d, -SQRT2))),
-            float(entropy(f)))
+    return entropy(f_x), entropy(f_y), entropy(scale1d(f_d, -SQRT2)), entropy(f)
 
 
 def check_young_entropy(f, p, q, r, tolerance=None):
@@ -384,11 +385,6 @@ def check_young_entropy(f, p, q, r, tolerance=None):
 
 # === Shannon's inequality =================================================
 
-def _combination_entropy(g, h, a, b):
-    """S of the density of a X + b Y."""
-    return float(entropy(linear_combination(g, h, a, b)))
-
-
 def _sum_density(g, h):
     """Density of (X + Y)/sqrt(2) for independent X ~ g, Y ~ h."""
     return scale1d(convolve(g, h), 1.0 / SQRT2)
@@ -396,8 +392,8 @@ def _sum_density(g, h):
 
 def check_shannon(g, h, tolerance=None):
     """S((X + Y)/sqrt 2) <= (S(X) + S(Y))/2 for Lebesgue densities."""
-    lhs = float(entropy(_sum_density(g, h)))
-    rhs = 0.5 * (float(entropy(g)) + float(entropy(h)))
+    lhs = entropy(_sum_density(g, h))
+    rhs = 0.5 * (entropy(g) + entropy(h))
     return _report("shannon", lhs, rhs, 0.0, tolerance, (g, h))
 
 
@@ -426,17 +422,17 @@ def shannon_taylor_check(g, h, s_values):
 
     tends to 0 (|rho| <= C |s|), vanishing identically for iid inputs.
     """
-    s_g = float(entropy(g))
-    s_h = float(entropy(h))
-    s_sum = _combination_entropy(g, h, 1.0 / SQRT2, 1.0 / SQRT2)
+    s_g = entropy(g)
+    s_h = entropy(h)
+    s_sum = entropy(linear_combination(g, h, 1.0 / SQRT2, 1.0 / SQRT2))
     bracket = 2.0 * s_g + 2.0 * s_h - 4.0 * s_sum
     points = []
     for s in s_values:
         s = float(s)
         frame = shannon_limit_frame(s)
         c1, c2, c3 = frame.weights
-        m1 = _combination_entropy(g, h, math.cos(s), math.sin(s))
-        m3 = _combination_entropy(g, h, math.sin(s), math.cos(s))
+        m1 = entropy(linear_combination(g, h, math.cos(s), math.sin(s)))
+        m3 = entropy(linear_combination(g, h, math.sin(s), math.cos(s)))
         lhs = c1 * m1 + c2 * s_sum + c3 * m3
         rhs = s_g + s_h
         rho = (rhs - lhs) / (-s) - bracket
@@ -454,9 +450,9 @@ def check_blachmann_stam(g, h, tolerance=None):
     I(X) I(Y) / (I(X) + I(Y)).
     """
     conv = convolve(g, h)
-    i_g, i_h = float(fisher(g)), float(fisher(h))
-    i_half = float(fisher(scale1d(conv, 1.0 / SQRT2)))
-    i_sum = float(fisher(conv))
+    i_g, i_h = fisher(g), fisher(h)
+    i_half = fisher(scale1d(conv, 1.0 / SQRT2))
+    i_sum = fisher(conv)
     first = _report("blachmann-stam", i_half, 0.5 * (i_g + i_h), 0.0,
                     tolerance, (g, h))
     second = _report("blachmann-stam-harmonic", i_sum,
@@ -485,8 +481,8 @@ def check_log_sobolev(f, tolerance=None):
     """S_gamma(f) <= (1/2) I_gamma(f); equality on exp(a t - a^2/2)."""
     if f.reference is not Reference.GAUSSIAN:
         raise ReferenceMismatch("log-Sobolev lives over the Gaussian reference")
-    lhs = float(entropy(f))
-    rhs = 0.5 * float(fisher(f))
+    lhs = entropy(f)
+    rhs = 0.5 * fisher(f)
     return _report("lsi", lhs, rhs, 0.5, tolerance, (f,))
 
 
@@ -495,8 +491,8 @@ def check_integrated_lsi(f, theta, tolerance=None):
     theta = float(theta)
     flowed = ou_flow(f, FlowTime.from_theta(theta))
     constant = math.cos(theta) ** 2
-    lhs = float(entropy(flowed))
-    rhs = constant * float(entropy(f))
+    lhs = entropy(flowed)
+    rhs = constant * entropy(f)
     return _report("lsi-integrated", lhs, rhs, constant, tolerance, (f, theta))
 
 

@@ -252,8 +252,8 @@ def _criterion_8(scale, n):
     for a in (0.5, 1.0, 2.0):
         f = gaussian(GAM, a, 1.0).to_grid(points=n)
         worst_family = max(worst_family,
-                           abs(float(entropy(f)) - a * a / 2.0),
-                           abs(float(fisher(f)) - a * a))
+                           abs(entropy(f) - a * a / 2.0),
+                           abs(fisher(f) - a * a))
     rng = _rng(8)
     worst = math.inf
     for _ in range(50):

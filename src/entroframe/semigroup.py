@@ -283,9 +283,9 @@ def de_bruijn_check(f, t, step=1e-3):
     step = float(step)
     if step <= 0.0 or t - step < 0.0:
         raise InvalidFlowTime(f"need 0 < step <= t, got step={step!r}, t={t!r}")
-    s_plus = float(entropy(_flow_for(f, t + step)))
-    s_minus = float(entropy(_flow_for(f, t - step)))
-    i_mid = float(fisher(_flow_for(f, t)))
+    s_plus = entropy(_flow_for(f, t + step))
+    s_minus = entropy(_flow_for(f, t - step))
+    i_mid = fisher(_flow_for(f, t))
     return abs((s_plus - s_minus) / (2.0 * step) + i_mid)
 
 

@@ -214,6 +214,20 @@ class TestCheckCommand:
         assert code == 0
         assert json.loads(out)["tolerance"] == 5.0
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-3"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tolerance):
+        """NaN and Infinity are not JSON: such a report is refused, not printed."""
+        code, out, err = run(capsys, "check", "shannon", "--g", "gauss:0,1",
+                             "--h", "gauss:0,1", "--grid-n", "129",
+                             f"--tolerance={tolerance}")
+        assert code == 2 and out == ""
+        assert err == f"tolerance must be finite and >= 0, got {float(tolerance)!r}\n"
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-3])
+    def test_library_refuses_the_same_tolerances(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            check_shannon(_g1(LEB), _g1(LEB), tolerance=tolerance)
+
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "check", "shannon", "--g", "gauss:0,1",
@@ -227,6 +241,18 @@ class TestCheckCommand:
                            "--h", "gauss:0,1")
         assert code == 0
         assert json.loads(out)["slack"] > 0.0
+
+    @pytest.mark.parametrize("spec", ["gaussmix:0,0,1", "gaussmix:1,0,1;-1,0,1"])
+    def test_mixture_weights_summing_to_zero(self, capsys, spec):
+        code, out, err = run(capsys, "check", "shannon", "--g", spec, "--grid-n", "129")
+        assert code == 2 and out == ""
+        assert err == f"--g: mixture weights sum to 0, got {spec[9:]!r}\n"
+
+    def test_mixture_zero_weight_is_named(self, capsys):
+        code, out, err = run(capsys, "check", "shannon", "--g", "gaussmix:1,0,1;0,5,1",
+                             "--grid-n", "129")
+        assert code == 2 and out == ""
+        assert err == "mixture weight 2 must be positive, got 0.0\n"
 
     def test_exp_rejected_in_density_slot(self, capsys):
         code, _, err = run(capsys, "check", "shannon",
@@ -520,6 +546,37 @@ class TestSweepCommand:
         target.write_text("kept\n")
         assert run(capsys, *args)[0] == 2
         assert target.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("check, f, params", [
+        ("hyper", "exp:1", ()),
+        ("hyper", "exp:1", ("--p", "1.5", "--q", "3")),
+        ("hyper", "gauss:0.5,1", ("--p", "2", "--q", "4")),
+        ("hyper", "json", ("--p", "2", "--q", "4")),
+        ("young-conv", None, ()),
+        ("young-conv", None, ("--p", "2", "--q", "1.6", "--r", "8")),
+    ])
+    def test_rows_are_the_check(self, capsys, tmp_path, check, f, params):
+        """Each row is the report of `check` on the same flags, bit for bit;
+        a json: Gaussian goes on the grid as it does there.  hyper takes
+        p, q = 2, 4 and young-conv p, q, r = 4/3, 4/3, 2 when not given."""
+        if f == "json":
+            f = _write_json(tmp_path / "g.json", {"family": "gaussian", "mean": 0.5,
+                                                  "variance": 1, "reference": "gaussian"})
+        param, defaults = (("theta", ("--p", "2", "--q", "4")) if check == "hyper" else
+                           ("sigma", ("--p", repr(4 / 3), "--q", repr(4 / 3), "--r", "2")))
+        grid = ("--grid-n", "129")
+        code, out, err = run(capsys, "sweep", "--check", check, "--param", param,
+                             "--range", "0.8:1.2", "--steps", "3", *params, *grid,
+                             *(("--f", f) if f else ()))
+        assert code == 0 and err == ""
+        for row in out.splitlines()[1:]:
+            value, lhs, rhs, slack = row.split(",")
+            slot = (("--f", f, "--theta", value) if check == "hyper" else
+                    ("--f", f"gauss:0,{float(value) ** 2!r}"))
+            _, report, _ = run(capsys, "check", check, *slot, *(params or defaults), *grid)
+            report = json.loads(report)
+            assert [float(lhs), float(rhs), float(slack)] == \
+                [report["lhs"], report["rhs"], report["slack"]]
 
     def test_sweep_is_deterministic(self, capsys):
         args = ("sweep", "--check", "young-conv", "--param", "sigma",

@@ -27,31 +27,22 @@ from entroframe import (
 from entroframe import functional as functional_module
 from entroframe.errors import (InvalidExponents, NonSmoothWarning,
                                ReferenceMismatch, RenormalizationWarning)
-from entroframe.functional import EntropyValue, FisherValue, xlogx
+from entroframe.functional import xlogx
 
 LEB = Reference.LEBESGUE
 GAM = Reference.GAUSSIAN
 
 
-# === result wrappers ======================================================
+# === return types =========================================================
 
-class TestValueWrappers:
-    def test_entropy_value_coerces_to_float(self):
-        v = EntropyValue(1.25, "closed-form")
-        assert float(v) == 1.25
-        assert v.method == "closed-form"
-
-    def test_fisher_value_coerces_to_float(self):
-        v = FisherValue(np.float64(0.5), "quadrature")
-        assert isinstance(v.value, float)
-        assert float(v) == 0.5
-
-    def test_methods_are_labelled(self):
-        d = gaussian(LEB, 0.0, 1.0)
-        assert entropy(d).method == "closed-form"
-        assert entropy(d.to_grid()).method == "quadrature"
-        assert fisher(d).method == "closed-form"
-        assert fisher(d.to_grid()).method == "quadrature"
+class TestReturnTypes:
+    def test_entropy_and_fisher_return_floats(self):
+        """Plain Python floats, closed form or quadrature, in both references."""
+        for ref in (LEB, GAM):
+            for d in (gaussian(ref, 0.3, 1.4),
+                      gaussian(ref, [0.2, -0.1], [[1.1, 0.3], [0.3, 0.8]])):
+                for f in (d, d.to_grid(points=129)):
+                    assert type(entropy(f)) is float and type(fisher(f)) is float
 
 
 # === entropy closed forms =================================================
@@ -116,7 +107,7 @@ class TestEntropyQuadrature:
                   gaussian(GAM, [0.2, -0.1], [[1.1, 0.3], [0.3, 0.8]]).to_grid(points=129)):
             calls.clear()
             first = entropy(d)
-            assert calls and first.method == "quadrature"
+            assert calls
             calls.clear()
             assert entropy(d) is first
             assert calls == []
@@ -133,7 +124,7 @@ class TestEntropyQuadrature:
         assert built.renormalization != 1.0 and sheared.renormalization != 1.0
         for d in (built, sheared, marginal(f, 0.0)):
             want = entropy(GridDensity1D(d.reference, d.x, d.values))
-            assert entropy(d).value == want.value
+            assert entropy(d) == want
 
 
 # === Fisher information ===================================================
