@@ -38,15 +38,15 @@ from .inequality import (CHECK_NAMES, GaussianExtremizer, InequalityReport,
                          exp_norm_gamma, hyper_threshold, mehler_exp_norm,
                          shannon_taylor_check, young_constant,
                          young_extremal_covariance, young_log_constant)
-from .semigroup import (FlowTime, de_bruijn_check, heat_flow,
-                        hermite_p_theta, ou_flow, stability_check)
+from .semigroup import (de_bruijn_check, heat_flow, hermite_p_theta,
+                        ou_flow, stability_check)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CHECK_NAMES", "CompatibilityViolation", "DegenerateDirections",
     "DensityError", "Direction", "DomainTruncation", "EntroframeError",
-    "ExpFunction", "ExponentTriple", "FlowTime", "Frame2", "FrameError", "GaussianDensity",
+    "ExpFunction", "ExponentTriple", "Frame2", "FrameError", "GaussianDensity",
     "GaussianExtremizer", "GridDensity1D", "GridDensity2D", "GridError",
     "GridFunction1D", "InequalityReport", "InvalidExponents",
     "InvalidFlowTime", "NonSmoothWarning", "NormalizationError", "NotSPD",

@@ -70,7 +70,7 @@ REPAIR_TOL = 1e-2
 DENSITY_HELP = """\
 density specs (1d):
   gauss:M,V              Gaussian, mean M, variance V, on the grid
-  gaussmix:W,M,V;W,M,V   Gaussian mixture (weights are normalized)
+  gaussmix:W,M,V;W,M,V   Gaussian mixture (positive weights, normalized)
   uniform:A,B            indicator of [A,B] smoothed by a sigma=0.05 kernel
   exp:A                  the test function exp(A t) (function slots only)
   csv:PATH               two-column x,f file
@@ -164,9 +164,11 @@ def parse_density_1d(spec, reference, length, points, allow_exp=False,
         if not comps:
             raise NormalizationError(f"{what}: empty mixture spec")
         w, m, v = (list(col) for col in zip(*comps))
+        for k, weight in enumerate(w, start=1):
+            if not weight > 0.0:
+                raise NormalizationError(
+                    f"{what}: mixture weight {k} must be positive, got {weight!r}")
         total = sum(w)
-        if total == 0.0:
-            raise NormalizationError(f"{what}: mixture weights sum to 0, got {rest!r}")
         return gaussian_mixture(reference, [x / total for x in w], m, v,
                                 length=length, points=points)
     if kind == "uniform":
@@ -251,7 +253,12 @@ def _frame(args, angles="--frame-angles", weights="--frame-weights"):
     if by_angles is not None and by_weights is not None:
         raise NormalizationError(f"give at most one of {angles} | {weights}")
     if by_angles is not None:
-        return weights_from_directions(*_floats(by_angles, 3, angles))
+        try:
+            return weights_from_directions(*_floats(by_angles, 3, angles))
+        except FrameError as exc:
+            # prefixed in place: a SectorViolation is built from its sector
+            exc.args = (f"{angles}: {exc}",)
+            raise
     if by_weights is not None:
         return directions_from_weights(
             *_repaired(weights, _floats(by_weights, 3, weights), "weights"))
@@ -395,8 +402,12 @@ def _sweep_row(args, value):
     if flags is None:
         lhs, rhs = shannon_limit_frame(value).weights[1], -4.0 * value
         return value, lhs, rhs, rhs - lhs
+    row_flags = flags(value)
+    given = [f"--{flag}" for flag in row_flags if getattr(args, flag, None) is not None]
+    if given:
+        raise NormalizationError(f"sweep {args.check} sets {given[0]} in every row; drop it")
     row = {"name": args.check, "reference": None, "tolerance": None, "g": None,
-           **vars(args), **flags(value)}
+           **vars(args), **row_flags}
     row.update((flag, d) for flag, d in defaults.items() if row[flag] is None)
     report = _run_check(argparse.Namespace(**row))
     return value, report.lhs, report.rhs, report.slack

@@ -79,13 +79,12 @@ def log_gaussian_weight(x):
     return -0.5 * x * x - 0.5 * LOG_2PI
 
 
-def reference_weight(reference, *axes):
-    """d(mu)/dx on the product grid of axes: 1 for Lebesgue, else the
-    product of the standard gaussian densities of the axes."""
+def reference_weight(reference, x):
+    """d(mu)/dx at the points x, an array of any shape: 1 for Lebesgue, else
+    the standard gaussian density."""
     if reference is Reference.LEBESGUE:
         return 1.0
-    logs = [log_gaussian_weight(x) for x in axes]
-    return np.exp(logs[0] if len(logs) == 1 else logs[0][:, None] + logs[1][None, :])
+    return np.exp(log_gaussian_weight(x))
 
 
 def integral(reference, values, *axes):
@@ -101,29 +100,22 @@ def block_integral(reference, integrand, *axes):
     """int g dmu over the product grid of axes, g given one block at a time.
 
     integrand(cols) returns g[..., cols], g restricted to the nodes cols
-    (a slice) of the last axis.  A 1d grid takes one block, the whole axis;
-    a 2d grid takes BLOCK_ROWS columns of y at a time, weights each block
-    by the reference and contracts x first, wx @ block as
-    contract(block.T, wx).  The per-column sums then meet wy: in all,
-    wx @ v @ wy, with the same sums as on the whole array, and no n x n
-    temporary.
+    (a slice) of the last axis.  Each axis's Simpson weights carry that
+    axis's reference weight (the Gaussian reference is a product), so the
+    integrand is contracted as it comes: a 1d grid in one block, a 2d grid
+    BLOCK_ROWS columns of y at a time, x first (contract(block.T, wx)), the
+    per-column sums then meeting wy.  In all wx @ g @ wy, no n x n temporary.
     """
     *first, (y, k) = axes
-
-    def weighted(cols):
-        g = integrand(cols)
-        if reference is Reference.LEBESGUE:
-            return g
-        return g * reference_weight(reference, *(x for x, _ in first), y[cols])
+    wy = simpson_weights(y.size, k) * reference_weight(reference, y)
     if not first:
-        sums = weighted(slice(None))
-    else:
-        (x, h), = first
-        wx = simpson_weights(x.size, h)
-        sums = np.empty(y.size)
-        for cols in blocks(y.size):
-            sums[cols] = contract(weighted(cols).T, wx)
-    return float(sums @ simpson_weights(y.size, k))
+        return float(integrand(slice(None)) @ wy)
+    (x, h), = first
+    wx = simpson_weights(x.size, h) * reference_weight(reference, x)
+    sums = np.empty(y.size)
+    for cols in blocks(y.size):
+        sums[cols] = contract(integrand(cols).T, wx)
+    return float(sums @ wy)
 
 
 # === value policy =========================================================
@@ -626,7 +618,7 @@ def _prefiltered(lines):
 
     def block_coefficients(rows):
         block = lines[rows]
-        return spline_coefficients(block, axis=-1, out=buffer[:len(block)])
+        return spline_coefficients(block, out=buffer[:len(block)])
     return block_coefficients
 
 

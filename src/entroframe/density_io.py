@@ -67,6 +67,21 @@ def load_csv_2d(path, reference):
 
 # === JSON =================================================================
 
+def _field(spec, name, what, default=None, convert=float):
+    """convert(spec[name]), default when the field is absent or null;
+    NormalizationError naming what and the field if it is missing or malformed."""
+    if not isinstance(spec, dict):
+        raise NormalizationError(f"{what} must be an object, got {spec!r}")
+    value = spec.get(name, default)
+    if value is None:
+        raise NormalizationError(f"{what} needs field {name!r}")
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise NormalizationError(
+            f"{what} field {name!r} must be numeric, got {value!r}") from None
+
+
 def density_from_spec(spec, length=None, points=None):
     """Build a density from a parsed JSON spec (a dict)."""
     if not isinstance(spec, dict) or "family" not in spec:
@@ -74,24 +89,25 @@ def density_from_spec(spec, length=None, points=None):
     family = spec["family"]
     reference = _parse_reference(spec.get("reference", "lebesgue"))
     if family == "gaussian":
-        mean = spec.get("mean", 0.0)
-        cov = spec.get("covariance", spec.get("variance", 1.0))
-        return GaussianDensity(reference, mean, cov)
+        def array(v):
+            return np.asarray(v, dtype=float)
+        cov = "covariance" if "covariance" in spec else "variance"
+        return GaussianDensity(reference, _field(spec, "mean", "gaussian", 0.0, array),
+                               _field(spec, cov, "gaussian", 1.0, array))
     if family == "gaussian_mixture":
         comps = spec.get("components")
-        if not comps:
-            raise NormalizationError("gaussian_mixture needs a 'components' list")
-        return gaussian_mixture(
-            reference,
-            [c["weight"] for c in comps],
-            [c["mean"] for c in comps],
-            [c["variance"] for c in comps],
-            length=length, points=points)
+        if not isinstance(comps, list) or not comps:
+            raise NormalizationError(
+                f"gaussian_mixture needs a nonempty 'components' list, got {comps!r}")
+        w, m, v = ([_field(c, key, f"gaussian_mixture component {k}")
+                    for k, c in enumerate(comps, start=1)]
+                   for key in ("weight", "mean", "variance"))
+        return gaussian_mixture(reference, w, m, v, length=length, points=points)
     if family == "uniform":
         if reference is not Reference.LEBESGUE:
             raise NormalizationError("uniform is a Lebesgue-reference family")
-        return uniform_density(spec["a"], spec["b"],
-                               smoothing=spec.get("smoothing", 0.05),
+        return uniform_density(_field(spec, "a", "uniform"), _field(spec, "b", "uniform"),
+                               smoothing=_field(spec, "smoothing", "uniform", 0.05),
                                length=length, points=points)
     raise NormalizationError(f"unknown density family {family!r}")
 

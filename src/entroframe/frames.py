@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CompatibilityViolation, DegenerateDirections,
+from .errors import (CompatibilityViolation, DegenerateDirections, FrameError,
                      InvalidExponents, SectorViolation, WeightOutOfRange)
 
 # Tolerances: user-supplied triples may miss their constraint surface by up
@@ -35,8 +35,12 @@ _HALF_PI = math.pi / 2.0
 
 
 def canonical_angle(theta):
-    """Representative of theta modulo pi inside [0, pi)."""
-    t = math.fmod(float(theta), math.pi)
+    """Representative of theta modulo pi inside [0, pi); FrameError if theta
+    is not finite."""
+    t = float(theta)
+    if not math.isfinite(t):
+        raise FrameError(f"direction angle must be finite, got {t!r}")
+    t = math.fmod(t, math.pi)
     if t < 0.0:
         t += math.pi
     if t >= math.pi:  # fmod rounding at the top end

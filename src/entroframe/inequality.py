@@ -32,13 +32,13 @@ from .density import (ExpFunction, GaussianDensity, GridDensity1D,
                       GridDensity2D, GridFunction1D, Reference, _axis_step,
                       _cached, convolve, default_axis, integral,
                       linear_combination, marginals, reference_weight, scale1d)
-from .errors import InvalidExponents, ReferenceMismatch
+from .errors import InvalidExponents, InvalidFlowTime, ReferenceMismatch
 from .frames import (ExponentTriple, Frame2, _coerce_triple, _hyper2_exponents,
                      angles_from_exponents, conjugate_exponent,
                      shannon_limit_frame, validate_young, young_frame)
 from .functional import _lp_norm, entropy, fisher, lp_norm
 from .quadrature import blocks, contract, simpson_weights
-from .semigroup import FlowTime, hermite_p_theta, ou_flow
+from .semigroup import hermite_p_theta, ou_flow
 
 SQRT2 = math.sqrt(2.0)
 
@@ -222,7 +222,8 @@ class GaussianExtremizer:
         object.__setattr__(self, "a3", float(self.a3))
 
     def factor(self, slot, p, reference):
-        """Callable g with |g|^p = e^{-lam (t - a)^2} against the reference."""
+        """Callable g with |g|^p = e^{-lam (t - a)^2} against the reference,
+        named by its slot, lam, a, p and reference for inputs_digest."""
         a = {2: self.a2, 3: self.a3}[slot]
         lam, p = self.lam, float(p)
         if reference is Reference.GAUSSIAN:
@@ -233,6 +234,8 @@ class GaussianExtremizer:
             def g(t):
                 t = np.asarray(t, dtype=float)
                 return np.exp(-lam * (t - a) ** 2 / p)
+        g.__name__ = (f"extremizer(slot={slot},lam={lam!r},a={a!r},p={p!r},"
+                      f"{reference.value})")
         return g
 
     def pair(self, triple, reference):
@@ -489,7 +492,9 @@ def check_log_sobolev(f, tolerance=None):
 def check_integrated_lsi(f, theta, tolerance=None):
     """S_gamma(P_theta f) <= cos^2(theta) S_gamma(f) along the OU flow."""
     theta = float(theta)
-    flowed = ou_flow(f, FlowTime.from_theta(theta))
+    if not 0.0 <= theta < math.pi / 2.0:
+        raise InvalidFlowTime(f"theta must lie in [0, pi/2), got {theta!r}")
+    flowed = ou_flow(f, -math.log(math.cos(theta)))
     constant = math.cos(theta) ** 2
     lhs = entropy(flowed)
     rhs = constant * entropy(f)

@@ -103,25 +103,18 @@ def _gauss_hermite(n):
 
 # === spline sampling ======================================================
 
-# Cubic B-spline coefficients are prefiltered once per 1d array, so repeated
+# Cubic B-spline coefficients are prefiltered once per line, so repeated
 # sampling of the same line pays the filter cost once.  The lines of a 2d
 # grid are prefiltered BLOCK_ROWS at a time, right before they are sampled,
 # once for all the sheared sums that read them.
 
-SPLINE_ORDER = 3
+def spline_coefficients(lines, out=None):
+    """Prefiltered cubic spline coefficients of lines along their last axis.
 
-
-def spline_coefficients(values, axis=None, out=None):
-    """Prefiltered spline coefficients along every axis, or along one axis only.
-
-    out, if given, is the float array of values' shape that receives them.
+    out, if given, is the float array of lines' shape that receives them.
     """
-    values = np.asarray(values, dtype=float)
-    output = np.float64 if out is None else out
-    if axis is None:
-        return ndimage.spline_filter(values, order=SPLINE_ORDER, output=output,
-                                     mode="constant")
-    return ndimage.spline_filter1d(values, order=SPLINE_ORDER, axis=axis, output=output,
+    return ndimage.spline_filter1d(np.asarray(lines, dtype=float), order=3, axis=-1,
+                                   output=np.float64 if out is None else out,
                                    mode="constant")
 
 
@@ -136,7 +129,7 @@ def sample_coefficients(coeffs, indices):
     indices: sequence of index arrays, one per array axis; points outside
     the grid evaluate to 0.
     """
-    return ndimage.map_coordinates(coeffs, indices, order=SPLINE_ORDER,
+    return ndimage.map_coordinates(coeffs, indices, order=3,
                                    mode="constant", cval=0.0, prefilter=False)
 
 

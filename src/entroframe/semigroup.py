@@ -29,7 +29,6 @@ along both flows and is checked by a centered finite difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
@@ -50,33 +49,12 @@ MIN_BLUR_STEPS = 4.0
 KERNEL_RADIUS_SIGMAS = 8.0
 
 
-@dataclass(frozen=True)
-class FlowTime:
-    """A nonnegative semigroup time, interchangeable with the Mehler angle."""
-
-    t: float
-
-    def __post_init__(self):
-        t = float(self.t)
-        if not (math.isfinite(t) and t >= 0.0):
-            raise InvalidFlowTime(f"flow time must be finite and >= 0, got {t!r}")
-        object.__setattr__(self, "t", t)
-
-    @classmethod
-    def from_theta(cls, theta):
-        theta = float(theta)
-        if not 0.0 <= theta < math.pi / 2.0:
-            raise InvalidFlowTime(f"theta must lie in [0, pi/2), got {theta!r}")
-        return cls(-math.log(math.cos(theta)))
-
-    @property
-    def theta(self):
-        return math.acos(math.exp(-self.t))
-
-
-def _coerce_time(t):
-    ft = t if isinstance(t, FlowTime) else FlowTime(t)
-    return ft.t
+def _flow_time(t):
+    """t as a float, once it is finite and >= 0; InvalidFlowTime otherwise."""
+    t = float(t)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise InvalidFlowTime(f"flow time must be finite and >= 0, got {t!r}")
+    return t
 
 
 # === per-axis operators ===================================================
@@ -170,7 +148,7 @@ def _mehler_rows(values, x, h, c):
         w = np.ones(1)
 
     def coeffs(lines):
-        return spline_coefficients(blur(lines), axis=-1)
+        return spline_coefficients(blur(lines))
     if values.ndim == 1:
         # a lone line samples its points directly, cheaper than building
         # the matrix
@@ -180,7 +158,36 @@ def _mehler_rows(values, x, h, c):
     return _line_pass(values, lambda lines: (sample @ coeffs(lines).T).T, x.size)
 
 
-# === heat flow ============================================================
+# === heat and OU flows ====================================================
+
+def _flow(f, t, reference):
+    """f flowed for time t: the heat flow on the Lebesgue reference, the OU
+    flow on the Gaussian one.  Both map N(m, C) to N(c m, c^2 C + q I), with
+    (c, q) = (1, 2t) for heat and (e^{-t}, 1 - c^2) for OU; q == 0 returns f.
+    """
+    t = _flow_time(t)
+    if reference is Reference.LEBESGUE:
+        name, measure, c, q = "heat flow", "Lebesgue", 1.0, 2.0 * t
+    else:
+        c = math.exp(-t)
+        name, measure, q = "OU flow", "Gaussian-reference", 1.0 - c * c
+    if not isinstance(f, (GaussianDensity, GridDensity1D, GridDensity2D)):
+        raise ReferenceMismatch(f"{name} is not defined for {type(f).__name__}")
+    if f.reference is not reference:
+        raise ReferenceMismatch(f"{name} acts on {measure} densities")
+    if q == 0.0:
+        return f
+    if isinstance(f, GaussianDensity):
+        return GaussianDensity(reference, c * f.mean, c * c * f.covariance + q * np.eye(f.dim))
+    if reference is Reference.GAUSSIAN:
+        return _flow_grid(f, lambda values, x, h: (_mehler_rows(values, x, h, c), x))
+
+    def blur_axis(values, x, h):
+        blur, radius = _line_blur(math.sqrt(q), h, x.size)
+        return (_line_pass(values, blur, x.size + 2 * radius),
+                _extended_axis(x, h, radius))
+    return _flow_grid(f, blur_axis)
+
 
 def heat_flow(f, t):
     """e^{t Laplacian} applied to a Lebesgue density; variance grows by 2t per axis.
@@ -188,26 +195,8 @@ def heat_flow(f, t):
     Grid densities convolve each axis in turn with the sampled kernel, on
     an axis extended by the kernel radius, so no mass leaves the domain.
     """
-    t = _coerce_time(t)
-    if not isinstance(f, (GaussianDensity, GridDensity1D, GridDensity2D)):
-        raise ReferenceMismatch(f"heat flow is not defined for {type(f).__name__}")
-    if f.reference is not Reference.LEBESGUE:
-        raise ReferenceMismatch("heat flow acts on Lebesgue densities")
-    if isinstance(f, GaussianDensity):
-        return GaussianDensity(Reference.LEBESGUE, f.mean,
-                               f.covariance + 2.0 * t * np.eye(f.dim))
-    sigma = math.sqrt(2.0 * t)
-    if sigma == 0.0:
-        return f
+    return _flow(f, t, Reference.LEBESGUE)
 
-    def blur_axis(values, x, h):
-        blur, radius = _line_blur(sigma, h, x.size)
-        return (_line_pass(values, blur, x.size + 2 * radius),
-                _extended_axis(x, h, radius))
-    return _flow_grid(f, blur_axis)
-
-
-# === OU flow ==============================================================
 
 def ou_flow(f, t):
     """Ornstein-Uhlenbeck evolution of a Gaussian-reference density.
@@ -221,18 +210,7 @@ def ou_flow(f, t):
     prefilters along its own axis and samples through one banded sparse
     matrix, so a 2d flow costs two 1d passes and no 2d spline evaluation.
     """
-    t = _coerce_time(t)
-    if not isinstance(f, (GaussianDensity, GridDensity1D, GridDensity2D)):
-        raise ReferenceMismatch(f"OU flow is not defined for {type(f).__name__}")
-    if f.reference is not Reference.GAUSSIAN:
-        raise ReferenceMismatch("OU flow acts on Gaussian-reference densities")
-    c = math.exp(-t)
-    if isinstance(f, GaussianDensity):
-        cov = c * c * f.covariance + (1.0 - c * c) * np.eye(f.dim)
-        return GaussianDensity(Reference.GAUSSIAN, c * f.mean, cov)
-    if c == 1.0:
-        return f
-    return _flow_grid(f, lambda values, x, h: (_mehler_rows(values, x, h, c), x))
+    return _flow(f, t, Reference.GAUSSIAN)
 
 
 # === Mehler operator ======================================================
@@ -279,7 +257,7 @@ def de_bruijn_check(f, t, step=1e-3):
     and the OU flow (Gaussian reference); the residual is dominated by the
     O(step^2) difference error for closed-form inputs.
     """
-    t = _coerce_time(t)
+    t = _flow_time(t)
     step = float(step)
     if step <= 0.0 or t - step < 0.0:
         raise InvalidFlowTime(f"need 0 < step <= t, got step={step!r}, t={t!r}")
@@ -302,7 +280,7 @@ def stability_check(f, direction, t):
     amplified into a large absolute difference; weight by the reference
     density before comparing in that regime.
     """
-    t = _coerce_time(t)
+    t = _flow_time(t)
     if not isinstance(f, GridDensity2D):
         raise ReferenceMismatch("stability check needs a GridDensity2D")
     via_2d = marginal(_flow_for(f, t), direction)

@@ -140,6 +140,13 @@ RUNS = [
     ("check", "shannon", "--g", "gaussmix:1,0,1;0,5,1", *N1),
     ("check", "shannon", "--g", "gaussmix:", *N1),
     ("check", "shannon", "--g", "json:gaussmix-sum09.json", *N1),
+    ("check", "shannon", "--g", "gaussmix:-2,0,1;-1,3,1", *N1),
+    ("check", "shannon", "--g", "json:uniform-no-a.json", *N2),
+    ("check", "shannon", "--g", "json:gaussmix-no-variance.json", *N2),
+    ("check", "shannon", "--g", "json:gaussmix-components-5.json", *N2),
+    ("check", "subadditivity", "--frame-angles", "0,0.1,0.2", *N2),
+    ("check", "subadditivity", "--frame-angles", "0,nan,2", *N2),
+    ("check", "subadditivity", "--frame-angles", "0,inf,2", *N2),
     ("check", "shannon", "--g", "gauss:0,1", "--h", "gauss:0,1", "--tolerance", "nan", *N1),
     ("check", "shannon", "--g", "gauss:0,1", "--h", "gauss:0,1", "--tolerance", "inf", *N1),
     ("check", "shannon", "--g", "gauss:0,1", "--h", "gauss:0,1", "--tolerance=-1e-3", *N1),
@@ -156,6 +163,9 @@ RUNS = [
      "--p", "5", *N1),
     ("sweep", "--check", "hyper", "--param", "theta", "--f", "nope:1", "--range", "0.8:1",
      "--steps", "3", *N1),
+    # a flag that every row sets from the parameter
+    ("sweep", "--check", "young-conv", "--param", "sigma", "--range", "0.5:1", "--steps", "2",
+     "--f", "gauss:0,9", *N2),
     # two errors at once: a row meets them in the order `check` does
     ("sweep", "--check", "young-conv", "--param", "sigma", "--range=-1:1", "--steps", "3",
      "--p", "5", *N1),

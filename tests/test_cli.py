@@ -60,7 +60,21 @@ class TestFrameCommand:
     def test_sector_violation_message(self, capsys):
         code, out, err = run(capsys, "frame", "--angles", "0,0.5236,0.7854")
         assert code == 2 and out == ""
-        assert err == "sector violation: sector 3 measures 2.3562 ≥ π/2\n"
+        assert err == "--angles: sector violation: sector 3 measures 2.3562 ≥ π/2\n"
+
+    @pytest.mark.parametrize("angles, message", [
+        ("0,0.1,0.2", "sector violation: sector 3 measures 2.9416 ≥ π/2"),
+        ("0,nan,2", "direction angle must be finite, got nan"),
+        ("0,inf,2", "direction angle must be finite, got inf"),
+    ], ids=["sector", "nan", "inf"])
+    def test_angle_errors_name_their_flag(self, capsys, angles, message):
+        code, out, frame_err = run(capsys, "frame", "--angles", angles)
+        assert code == 2 and out == ""
+        assert frame_err == f"--angles: {message}\n"
+        code, out, err = run(capsys, "check", "subadditivity", "--frame-angles", angles,
+                             "--grid-n", "129")
+        assert code == 2 and out == ""
+        assert err == f"--frame-angles: {message}\n"
 
     def test_young_routes_to_conjugate_exponents(self, capsys):
         code_y, out_y, _ = run(capsys, "frame", "--young", "1.3333,1.3333,2")
@@ -244,15 +258,46 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("spec", ["gaussmix:0,0,1", "gaussmix:1,0,1;-1,0,1"])
     def test_mixture_weights_summing_to_zero(self, capsys, spec):
+        """A zero total has a weight <= 0, which is named before any normalizing."""
         code, out, err = run(capsys, "check", "shannon", "--g", spec, "--grid-n", "129")
         assert code == 2 and out == ""
-        assert err == f"--g: mixture weights sum to 0, got {spec[9:]!r}\n"
+        k, w = (1, 0.0) if spec == "gaussmix:0,0,1" else (2, -1.0)
+        assert err == f"--g: mixture weight {k} must be positive, got {w!r}\n"
 
     def test_mixture_zero_weight_is_named(self, capsys):
         code, out, err = run(capsys, "check", "shannon", "--g", "gaussmix:1,0,1;0,5,1",
                              "--grid-n", "129")
         assert code == 2 and out == ""
-        assert err == "mixture weight 2 must be positive, got 0.0\n"
+        assert err == "--g: mixture weight 2 must be positive, got 0.0\n"
+
+    def test_mixture_negative_weights_refused(self, capsys):
+        """All-negative weights would normalize to a valid mixture; they are refused."""
+        code, out, err = run(capsys, "check", "shannon", "--g", "gaussmix:-2,0,1;-1,3,1",
+                             "--grid-n", "513")
+        assert code == 2 and out == ""
+        assert err == "--g: mixture weight 1 must be positive, got -2.0\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"family": "uniform"}, "uniform needs field 'a'"),
+        ({"family": "uniform", "a": -1, "b": "x"},
+         "uniform field 'b' must be numeric, got 'x'"),
+        ({"family": "gaussian_mixture",
+          "components": [{"weight": 0.5, "mean": -1}, {"weight": 0.5, "mean": 1, "variance": 1}]},
+         "gaussian_mixture component 1 needs field 'variance'"),
+        ({"family": "gaussian_mixture", "components": 5},
+         "gaussian_mixture needs a nonempty 'components' list, got 5"),
+        ({"family": "gaussian_mixture", "components": [5]},
+         "gaussian_mixture component 1 must be an object, got 5"),
+        ({"family": "gaussian", "mean": {"x": 1}},
+         "gaussian field 'mean' must be numeric, got {'x': 1}"),
+    ], ids=["missing-a", "bad-b", "missing-variance", "components-5", "component-5",
+            "gaussian-mean"])
+    def test_malformed_json_spec_is_an_input_error(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "check", "shannon", "--g", f"json:{path}",
+                             "--grid-n", "129")
+        assert (code, out, err) == (2, "", message + "\n")
 
     def test_exp_rejected_in_density_slot(self, capsys):
         code, _, err = run(capsys, "check", "shannon",
@@ -516,6 +561,15 @@ class TestSweepCommand:
         assert len(rows) == 4
         for r in rows:
             assert all(math.isfinite(float(v)) for v in r)
+
+    def test_flag_set_by_every_row_is_refused(self, capsys):
+        """A young-conv row sets --f to N(0, sigma^2): a given --f is refused,
+        not overwritten."""
+        code, out, err = run(capsys, "sweep", "--check", "young-conv", "--param", "sigma",
+                             "--range", "0.5:1", "--steps", "2", "--f", "gauss:0,9",
+                             "--grid-n", "129")
+        assert (code, out) == (2, "")
+        assert err == "sweep young-conv sets --f in every row; drop it\n"
 
     def test_param_name_must_match(self, capsys):
         code, _, err = run(capsys, "sweep", "--check", "hyper",

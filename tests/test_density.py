@@ -183,6 +183,17 @@ class TestGridAxes:
         np.testing.assert_allclose(got, wx @ (v * phi) @ wy, rtol=1e-14)
         assert integral(LEB, v, (x, hx), (y, hy)) == float(wx @ v @ wy)
 
+    def test_gaussian_reference_integral_separates(self):
+        """The Gaussian reference weighs each axis once: the integral of
+        u(x) v(y) is the product of the two 1d integrals."""
+        x = default_axis(points=65)
+        y = default_axis(length=5.0, points=129)
+        u, v = np.cos(x) + 1.5, y * y
+        hx, hy = (x[-1] - x[0]) / 64, (y[-1] - y[0]) / 128
+        got = integral(GAM, np.outer(u, v), (x, hx), (y, hy))
+        want = integral(GAM, u, (x, hx)) * integral(GAM, v, (y, hy))
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+
 
 # === mass policy ==========================================================
 
@@ -663,9 +674,9 @@ class TestMarginalBatch:
         lines = []
         prefilter = density_module.spline_coefficients
 
-        def counting(values, axis=None, out=None):
-            lines.append(len(values))
-            return prefilter(values, axis, out)
+        def counting(block, out=None):
+            lines.append(len(block))
+            return prefilter(block, out)
         monkeypatch.setattr(density_module, "spline_coefficients", counting)
         thetas = self.DIRECTION_SETS["mercedes"]
         marginals(d, thetas)

@@ -18,6 +18,7 @@ from entroframe import (
     Direction,
     ExponentTriple,
     Frame2,
+    FrameError,
     InvalidExponents,
     SectorViolation,
     WeightOutOfRange,
@@ -64,6 +65,12 @@ class TestCanonicalAngle:
     def test_fixed_points(self):
         assert canonical_angle(0.0) == 0.0
         np.testing.assert_allclose(canonical_angle(1.0), 1.0, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_refused(self, theta):
+        for make in (canonical_angle, Direction):
+            with pytest.raises(FrameError, match=f"direction angle must be finite, got {theta!r}"):
+                make(theta)
 
 
 class TestDirection:

@@ -125,6 +125,22 @@ class TestReportPlumbing:
         assert len(set(digests[:3])) == 3
         assert digests[3] == digests[0]
 
+    def test_extremizer_factors_digest_their_parameters(self):
+        """Factors with another lam or centre digest differently; equal
+        extremizers digest alike."""
+        def digest(ext, ref=LEB):
+            return inputs_digest(*ext.pair(TRIPLE, ref))
+        base = digest(GaussianExtremizer(0.8))
+        assert digest(GaussianExtremizer(0.8)) == base
+        assert digest(GaussianExtremizer(0.8, 0.0, 0.0)) == base
+        others = [digest(GaussianExtremizer(1.3, 0.5)), digest(GaussianExtremizer(0.9)),
+                  digest(GaussianExtremizer(0.8, a3=0.1)), digest(GaussianExtremizer(0.8), GAM)]
+        assert len({base, *others}) == 5
+        reports = [check_main_integral(TRIPLE, *GaussianExtremizer(*ext).pair(TRIPLE, LEB),
+                                       points=129).inputs_digest
+                   for ext in ((0.8,), (1.3, 0.5))]
+        assert reports[0] != reports[1]
+
     def test_reports_carry_inputs_digest(self):
         d = gaussian(LEB, [0.0, 0.0], [[4.0, 0.0], [0.0, 1.0]])
         a = check_subadditivity(mercedes_frame(), d)

@@ -15,7 +15,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from scipy import signal
+from scipy import ndimage, signal
 
 import entroframe
 from entroframe import (
@@ -30,8 +30,8 @@ from entroframe import (
 from entroframe.errors import GridError, InvalidFlowTime, ReferenceMismatch
 from entroframe.quadrature import (contract, gauss_hermite,
                                    sample_coefficients, simpson_weights,
-                                   spline_coefficients, spline_matrix)
-from entroframe.semigroup import (MIN_BLUR_STEPS, FlowTime, _blur_kernel,
+                                   spline_matrix)
+from entroframe.semigroup import (MIN_BLUR_STEPS, _blur_kernel,
                                   de_bruijn_check, heat_flow, hermite_p_theta,
                                   ou_flow, stability_check)
 
@@ -53,27 +53,47 @@ def gamma_weighted_gap(grid, closed):
 # === flow time ============================================================
 
 class TestFlowTime:
+    """A flow time is a float, checked by every entry point that takes one."""
+
+    @staticmethod
+    def grids():
+        return (gaussian(LEB, [0.0, 0.0], np.eye(2)).to_grid(points=65),
+                gaussian(GAM, [0.0, 0.0], np.eye(2)).to_grid(points=65))
+
     def test_accepts_nonnegative(self):
-        assert FlowTime(0.0).t == 0.0
-        assert FlowTime(2.5).t == 2.5
+        """A zero time returns the input; a positive one flows it."""
+        leb, gam = self.grids()
+        for flow, f in ((heat_flow, leb), (ou_flow, gam)):
+            closed = gaussian(f.reference, 0.5, 2.0)
+            for d in (f, closed, closed.to_grid()):
+                assert flow(d, 0.0) is d
+                assert flow(d, 2.5) is not d
+        assert heat_flow(gaussian(LEB, 0.5, 2.0), 2.5).covariance[0, 0] == 7.0
 
     def test_rejects_bad_times(self):
-        for t in (-0.1, math.inf, math.nan):
-            with pytest.raises(InvalidFlowTime):
-                FlowTime(t)
+        leb, gam = self.grids()
+        calls = (lambda t: heat_flow(leb, t), lambda t: ou_flow(gam, t),
+                 lambda t: de_bruijn_check(gaussian(LEB, 0.0, 1.0), t),
+                 lambda t: stability_check(leb, 0.3, t))
+        for call in calls:
+            for t in (-0.1, math.inf, math.nan):
+                with pytest.raises(InvalidFlowTime, match="flow time must be finite"):
+                    call(t)
 
     def test_theta_round_trip(self):
-        """t = -log cos theta, theta = acos e^{-t}."""
+        """check_integrated_lsi flows for t = -log cos theta: its lhs is the
+        entropy of that OU flow, bit for bit."""
+        f = gaussian_mixture(GAM, [0.4, 0.6], [-0.5, 0.7], [0.8, 1.2], points=513)
         for theta in (0.0, 0.3, 1.2):
-            ft = FlowTime.from_theta(theta)
-            np.testing.assert_allclose(ft.t, -math.log(math.cos(theta)),
-                                       rtol=1e-14)
-            np.testing.assert_allclose(ft.theta, theta, atol=1e-14)
+            report = entroframe.check_integrated_lsi(f, theta)
+            assert report.lhs == entroframe.entropy(ou_flow(f, -math.log(math.cos(theta))))
 
     def test_from_theta_range(self):
+        """check_integrated_lsi refuses theta outside [0, pi/2)."""
+        f = gaussian(GAM, 0.0, 1.0)
         for theta in (-0.1, math.pi / 2.0, 2.0):
-            with pytest.raises(InvalidFlowTime):
-                FlowTime.from_theta(theta)
+            with pytest.raises(InvalidFlowTime, match="theta must lie in"):
+                entroframe.check_integrated_lsi(f, theta)
 
 
 # === heat flow ============================================================
@@ -162,6 +182,12 @@ class TestOUFlow:
 
 # === per-axis operators ===================================================
 
+def spline_at(coeffs, indices):
+    """The 2d cubic spline of prefiltered coeffs at indices, zero off the grid."""
+    return ndimage.map_coordinates(coeffs, indices, order=3, mode="constant", cval=0.0,
+                                   prefilter=False)
+
+
 def direct_ou_2d(f, t, rows):
     """Rows x[rows] of the OU-flowed values of f by 2d spline evaluation.
 
@@ -174,7 +200,7 @@ def direct_ou_2d(f, t, rows):
     a = math.sqrt(1.0 - c * c)
     if a < MIN_BLUR_STEPS * min(f.hx, f.hy):
         z, w = gauss_hermite()
-        coeffs = spline_coefficients(f.values)
+        coeffs = ndimage.spline_filter(f.values, order=3, mode="constant")
         x = f.x[rows]
         out = np.zeros((x.size, f.y.size))
         py = (c * f.y[:, None] + a * z[None, :] - f.y[0]) / f.hy
@@ -182,7 +208,7 @@ def direct_ou_2d(f, t, rows):
             px = (c * x + a * z[k] - f.x[0]) / f.hx
             ix = np.broadcast_to(px[:, None, None], (x.size,) + py.shape)
             iy = np.broadcast_to(py[None, :, :], ix.shape)
-            vals = sample_coefficients(coeffs, [ix.ravel(), iy.ravel()]).reshape(ix.shape)
+            vals = spline_at(coeffs, [ix.ravel(), iy.ravel()]).reshape(ix.shape)
             out += w[k] * (vals @ w)
         return np.maximum(out, 0.0)
     wx, rx = _blur_kernel(a, f.hx)
@@ -192,7 +218,8 @@ def direct_ou_2d(f, t, rows):
     ix = (c * f.x[rows] - (f.x[0] - rx * f.hx)) / f.hx
     iy = (c * f.y - (f.y[0] - ry * f.hy)) / f.hy
     IX, IY = np.meshgrid(ix, iy, indexing="ij")
-    vals = sample_coefficients(spline_coefficients(blurred), [IX.ravel(), IY.ravel()])
+    vals = spline_at(ndimage.spline_filter(blurred, order=3, mode="constant"),
+                     [IX.ravel(), IY.ravel()])
     return np.maximum(vals.reshape(IX.shape), 0.0)
 
 
