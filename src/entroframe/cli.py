@@ -11,6 +11,7 @@ on [-10, 10] without them).
 import argparse
 import csv
 import sys
+from contextlib import contextmanager, nullcontext
 from functools import partial
 
 import numpy as np
@@ -22,14 +23,14 @@ from .density import (
     GridDensity1D,
     GridDensity2D,
     Reference,
+    default_axis,
     gaussian,
     gaussian_mixture,
     independent_product,
     uniform_density,
 )
 from .density_io import load_csv_1d, load_csv_2d, load_json
-from .errors import (EntroframeError, FrameError, InvalidExponents, NormalizationError,
-                     ReferenceMismatch)
+from .errors import EntroframeError, NormalizationError, ReferenceMismatch
 from .frames import (
     ExponentTriple,
     _hyper2_exponents,
@@ -88,15 +89,28 @@ density specs (2d):
 
 # === shared parsing helpers ===============================================
 
-def _floats(text, count, what):
-    parts = [p for p in text.split(",")]
+@contextmanager
+def _flagged(flag):
+    """Prefix flag to an input error raised inside, "--g: ...": in place, or anew for an
+    OSError or a UnicodeError, whose message comes from its own fields."""
     try:
-        values = [float(p) for p in parts]
+        yield
+    except OSError as exc:
+        raise OSError(f"{flag}: {exc}") from exc
+    except UnicodeError as exc:
+        raise NormalizationError(f"{flag}: {exc}") from exc
+    except (EntroframeError, ValueError) as exc:
+        exc.args = (f"{flag}: {exc}",)
+        raise
+
+
+def _floats(text, count):
+    try:
+        values = [float(p) for p in text.split(",")]
     except ValueError:
-        raise NormalizationError(f"{what}: could not parse {text!r}")
+        raise NormalizationError(f"could not parse {text!r}")
     if len(values) != count:
-        raise NormalizationError(
-            f"{what}: expected {count} comma-separated values, got {len(values)}")
+        raise NormalizationError(f"expected {count} comma-separated values, got {len(values)}")
     return values
 
 
@@ -111,37 +125,30 @@ _TRIPLES = {
 }
 
 
-def _repaired(flag, values, kind):
-    """The triple given to flag on its constraint surface, the frame weights
+def _repaired(values, kind):
+    """The triple values on its constraint surface, the frame weights
     summing to 2, through the library's snap at REPAIR_TOL.
 
     kind "weights" is a triple of frame weights and comes back as one;
     "exponents" is their reciprocals, "young" a Young triple p, q, r, the
     exponent triple (r', p, q), and "hyper2" the pair p, r of two-function
     hypercontractivity, the exponent triple (q', p, r): these come back as
-    an ExponentTriple.  An error starts with flag and names the value given.
+    an ExponentTriple; an error of the last two names the values given.
     """
     triple, name = _TRIPLES[kind]
-    try:
+    given = ",".join(f"{v:g}" for v in values) + f" as {name}"
+    with _flagged(given) if name else nullcontext():
         snapped = _snap_triple(triple(*values), kind != "weights", REPAIR_TOL)
-    except FrameError as exc:
-        given = ",".join(f"{v:g}" for v in values) + f" as {name}: " if name else ""
-        raise type(exc)(f"{flag}: {given}{exc}") from None
     return snapped if kind == "weights" else ExponentTriple(*snapped)
 
 
-def _loaded(what, reference, dim, load, *args):
-    """The density load(*args) for the slot what, checked against the slot's
-    reference and dimension; an OS error names the slot."""
-    try:
-        density = load(*args)
-    except OSError as exc:
-        raise OSError(f"{what}: {exc}") from exc
+def _loaded(reference, dim, load, *args):
+    """The density load(*args), checked against the slot's reference and dim."""
+    density = load(*args)
     ref = getattr(density, "reference", None)
     if ref is not None and ref is not reference:
         raise ReferenceMismatch(
-            f"{what}: loaded density is {ref.value}-reference, the check "
-            f"needs {reference.value}")
+            f"loaded density is {ref.value}-reference, the check needs {reference.value}")
     if isinstance(density, GaussianDensity):
         actual = density.dim
     elif isinstance(density, (GridDensity1D, GridDensity2D)):
@@ -149,46 +156,43 @@ def _loaded(what, reference, dim, load, *args):
     else:
         actual = dim
     if actual != dim:
-        raise ReferenceMismatch(f"{what}: needs a {dim}d density, got {actual}d")
+        raise ReferenceMismatch(f"needs a {dim}d density, got {actual}d")
     return density
 
 
-def parse_density_1d(spec, reference, length, points, allow_exp=False,
-                     what="density"):
+def parse_density_1d(spec, reference, length, points, allow_exp=False):
     kind, _, rest = spec.partition(":")
     if kind == "gauss":
-        m, v = _floats(rest, 2, what)
+        m, v = _floats(rest, 2)
         return gaussian(reference, m, v).to_grid(length, points)
     if kind == "gaussmix":
-        comps = [_floats(c, 3, what) for c in rest.split(";") if c]
+        comps = [_floats(c, 3) for c in rest.split(";") if c]
         if not comps:
-            raise NormalizationError(f"{what}: empty mixture spec")
+            raise NormalizationError("empty mixture spec")
         w, m, v = (list(col) for col in zip(*comps))
         for k, weight in enumerate(w, start=1):
             if not weight > 0.0:
-                raise NormalizationError(
-                    f"{what}: mixture weight {k} must be positive, got {weight!r}")
+                raise NormalizationError(f"mixture weight {k} must be positive, got {weight!r}")
         total = sum(w)
         return gaussian_mixture(reference, [x / total for x in w], m, v,
                                 length=length, points=points)
     if kind == "uniform":
         if reference is not Reference.LEBESGUE:
-            raise ReferenceMismatch(f"{what}: uniform is a Lebesgue-reference family")
-        a, b = _floats(rest, 2, what)
+            raise ReferenceMismatch("uniform is a Lebesgue-reference family")
+        a, b = _floats(rest, 2)
         return uniform_density(a, b, length=length, points=points)
     if kind == "exp":
         if not allow_exp:
             raise NormalizationError(
-                f"{what}: exp: is a test function, not a density (for a "
-                f"gamma-reference density use gauss:A,1, which is "
-                f"exp(A t - A^2/2))")
-        (a,) = _floats(rest, 1, what)
+                "exp: is a test function, not a density (for a gamma-reference "
+                "density use gauss:A,1, which is exp(A t - A^2/2))")
+        (a,) = _floats(rest, 1)
         return ExpFunction(a)
     if kind == "csv":
-        return _loaded(what, reference, 1, load_csv_1d, rest, reference)
+        return _loaded(reference, 1, load_csv_1d, rest, reference)
     if kind == "json":
-        return _loaded(what, reference, 1, load_json, rest, length, points)
-    raise NormalizationError(f"{what}: unknown 1d density spec {spec!r}")
+        return _loaded(reference, 1, load_json, rest, length, points)
+    raise NormalizationError(f"unknown 1d density spec {spec!r}")
 
 
 def _gridded(densities, length, points):
@@ -197,41 +201,39 @@ def _gridded(densities, length, points):
             for d in densities]
 
 
-def parse_density_2d(spec, reference, length, points, what="density"):
+def parse_density_2d(spec, reference, length, points):
     kind, _, rest = spec.partition(":")
     if kind == "gauss2":
-        m1, m2, v11, v12, v22 = _floats(rest, 5, what)
+        m1, m2, v11, v12, v22 = _floats(rest, 5)
         return gaussian(reference, [m1, m2],
                         [[v11, v12], [v12, v22]]).to_grid(length, points)
     if kind == "product":
         left, sep, right = rest.partition("+")
         if not sep:
-            raise NormalizationError(f"{what}: product needs SPEC+SPEC")
+            raise NormalizationError("product needs SPEC+SPEC")
         return independent_product(*_gridded(
-            [parse_density_1d(s, reference, length, points, what=what)
-             for s in (left, right)], length, points))
+            [parse_density_1d(s, reference, length, points) for s in (left, right)],
+            length, points))
     if kind == "csv2":
-        return _loaded(what, reference, 2, load_csv_2d, rest, reference)
+        return _loaded(reference, 2, load_csv_2d, rest, reference)
     if kind == "json":
-        return _loaded(what, reference, 2, load_json, rest, length, points)
-    raise NormalizationError(f"{what}: unknown 2d density spec {spec!r}")
+        return _loaded(reference, 2, load_json, rest, length, points)
+    raise NormalizationError(f"unknown 2d density spec {spec!r}")
 
 
 # === frame command ========================================================
 
 def cmd_frame(args):
-    given = [name for name, value in (("--angles", args.angles),
-                                      ("--weights", args.weights),
-                                      ("--exponents", args.exponents),
-                                      ("--young", args.young))
-             if value is not None]
+    given = [flag for flag in ("--angles", "--weights", "--exponents", "--young")
+             if _arg(args, flag) is not None]
     if len(given) != 1:
         raise NormalizationError(
             f"frame needs exactly one of --angles | --weights | --exponents "
             f"| --young, got {given or 'none'}")
     flag = given[0]
     if flag in ("--exponents", "--young"):
-        triple = _repaired(flag, _floats(_arg(args, flag), 3, flag), flag.lstrip("-"))
+        with _flagged(flag):
+            triple = _repaired(_floats(_arg(args, flag), 3), flag.lstrip("-"))
         frame = directions_from_weights(*triple.weights())
     else:
         frame = _frame(args, "--angles", "--weights")
@@ -253,15 +255,11 @@ def _frame(args, angles="--frame-angles", weights="--frame-weights"):
     if by_angles is not None and by_weights is not None:
         raise NormalizationError(f"give at most one of {angles} | {weights}")
     if by_angles is not None:
-        try:
-            return weights_from_directions(*_floats(by_angles, 3, angles))
-        except FrameError as exc:
-            # prefixed in place: a SectorViolation is built from its sector
-            exc.args = (f"{angles}: {exc}",)
-            raise
+        with _flagged(angles):
+            return weights_from_directions(*_floats(by_angles, 3))
     if by_weights is not None:
-        return directions_from_weights(
-            *_repaired(weights, _floats(by_weights, 3, weights), "weights"))
+        with _flagged(weights):
+            return directions_from_weights(*_repaired(_floats(by_weights, 3), "weights"))
     return mercedes_frame()
 
 
@@ -273,8 +271,9 @@ def _need(args, flag):
 
 
 def _exponents(args):
-    return _repaired("--exponents", _floats(_need(args, "--exponents"), 3,
-                                            "--exponents"), "exponents")
+    text = _need(args, "--exponents")
+    with _flagged("--exponents"):
+        return _repaired(_floats(text, 3), "exponents")
 
 
 def _young(args):
@@ -282,7 +281,8 @@ def _young(args):
     (r', p, q); r stays as given while its conjugate does."""
     flags = ("--p", "--q", "--r")
     p, q, r = (_need(args, f) for f in flags)
-    t = _repaired("/".join(flags), (p, q, r), "young")
+    with _flagged("/".join(flags)):
+        t = _repaired((p, q, r), "young")
     return t.p2, t.p3, (r if t.p1 == conjugate_exponent(r) else conjugate_exponent(t.p1))
 
 
@@ -291,7 +291,8 @@ def _hyper2(args):
     (q', p, r).  That triple is built on its constraint surface, so p and r
     go on as given."""
     p, r = _need(args, "--p"), _need(args, "--r")
-    _repaired("--p/--r", (p, r), "hyper2")
+    with _flagged("--p/--r"):
+        _repaired((p, r), "hyper2")
     return p, r
 
 
@@ -300,10 +301,8 @@ def _norm_exponents(args):
     starts with its flag."""
     exponents = [_need(args, f) for f in ("--p", "--q")]
     for flag, value in zip(("--p", "--q"), exponents):
-        try:
+        with _flagged(flag):
             _norm_exponent(value)
-        except InvalidExponents as exc:
-            raise InvalidExponents(f"{flag}: {exc}") from None
     return exponents
 
 
@@ -355,14 +354,17 @@ def _run_check(args):
                else "exp:1" if args.name == "hyper" else "gauss:0,1")
     parse = (parse_density_2d if dim == 2
              else partial(parse_density_1d, allow_exp=allow_exp))
-    densities = [parse(getattr(args, slot) or default, reference, args.grid_l,
-                       args.grid_n, what=f"--{slot}") for slot in slots]
+    grid = dict(length=args.grid_l, points=args.grid_n)
+    with _flagged("--grid-l/--grid-n"):
+        default_axis(**grid)
+    # each slot parsed under its flag (_flagged decorates parse)
+    densities = [_flagged(f"--{slot}")(parse)(getattr(args, slot) or default, reference, **grid)
+                 for slot in slots]
     # closed-form Gaussians stay exact only when every slot holds one and none
     # is a function slot; otherwise they go on the grid
     if allow_exp or not all(isinstance(d, GaussianDensity) for d in densities):
         densities = _gridded(densities, args.grid_l, args.grid_n)
-    return run(args, densities, reference,
-               dict(length=args.grid_l, points=args.grid_n))
+    return run(args, densities, reference, grid)
 
 
 def cmd_check(args):
@@ -523,10 +525,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except EntroframeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError) as exc:
+    except (EntroframeError, OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:

@@ -319,6 +319,9 @@ class GaussianDensity:
             c = c.reshape(1, 1)
         if m.ndim != 1 or c.shape != (m.size, m.size):
             raise NotSPD(f"mean shape {m.shape} and covariance shape {c.shape} disagree")
+        for name, a in (("mean", m), ("covariance", c)):
+            if not np.all(np.isfinite(a)):
+                raise NotSPD(f"{name} must be finite, got {a.tolist()}")
         if not np.allclose(c, c.T, rtol=0.0, atol=1e-12):
             raise NotSPD("covariance must be symmetric")
         try:
@@ -417,14 +420,16 @@ def gaussian_mixture(reference, weights, means, variances, length=None, points=N
     v = np.asarray(variances, dtype=float)
     if not (w.shape == m.shape == v.shape) or w.ndim != 1 or w.size == 0:
         raise NormalizationError("mixture weights/means/variances must be 1d and equal length")
-    bad = np.flatnonzero(w <= 0.0)
-    if bad.size:
-        raise NormalizationError(
-            f"mixture weight {bad[0] + 1} must be positive, got {float(w[bad[0]])!r}")
+    # each test is of what is ok, so a NaN, which compares false, fails it
+    for name, a, ok, need, error in (
+            ("weight", w, w > 0.0, "positive", NormalizationError),
+            ("mean", m, np.isfinite(m), "finite", NotSPD),
+            ("variance", v, np.isfinite(v) & (v > 0.0), "finite and positive", NotSPD)):
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise error(f"mixture {name} {bad[0] + 1} must be {need}, got {float(a[bad[0]])!r}")
     if abs(w.sum() - 1.0) > 1e-9:
         raise NormalizationError(f"mixture weights must sum to 1, got {float(w.sum())!r}")
-    if np.any(v <= 0.0):
-        raise NotSPD("mixture variances must be positive")
     w = w / w.sum()
     x = _freeze(default_axis(length, points))
     logs = (-0.5 * (x[:, None] - m[None, :]) ** 2 / v[None, :]
@@ -536,39 +541,38 @@ def marginals(f, directions, x_out=None):
             f"got {type(f).__name__}")
     thetas = [_as_direction(d).theta for d in directions]
     if x_out is not None:
-        return _marginals(f, thetas, x_out)
+        return _marginals(f, thetas, _zero_on(f.reference, x_out))
     memo = _cached(f, "_marginals_memo", dict)
     new = [theta for theta in dict.fromkeys(thetas) if theta not in memo]
     if new:
-        memo.update(zip(new, _marginals(f, new, f.x)))
+        memo.update(zip(new, _marginals(f, new, _zero_on(f.reference, f.x))))
     return [memo[theta] for theta in thetas]
 
 
-def _marginals(f, thetas, t):
-    """The marginals of grid density f along the angles thetas, on axis t."""
-    def line_sums(t):
-        sums = [None] * len(thetas)
-        # (position in thetas, sheared_sum terms) of the directions along x, along y
-        sheared = ([], [])
-        for k, theta in enumerate(thetas):
-            axis, cos_a, sin_a = _shear(theta)
-            (along, _), (across, h_across) = f.axes[axis], f.axes[1 - axis]
-            w = simpson_weights(across.size, h_across) / abs(cos_a)
-            if theta in (0.0, math.pi / 2.0) and np.array_equal(t, along):
-                # an axis marginal at the nodes: each line's spline there gives
-                # back the line's values, so the sum contracts the values themselves
-                sums[k] = _axis_sum(_lines(f, axis), w * reference_weight(f.reference, across))
-                continue
-            sheared[axis].append((k, _sheared_terms(f, axis, cos_a, sin_a, w, t)))
-        for axis, group in enumerate(sheared):
-            if group:
-                lines = _lines(f, axis)
-                positions, terms = zip(*group)
-                for k, values in zip(positions, sheared_sum(_prefiltered(lines), len(lines),
-                                                            terms)):
-                    sums[k] = values
-        return sums
-    return _line_densities(f.reference, t, "marginal", line_sums)
+def _marginals(f, thetas, out):
+    """The marginals of grid density f along the angles thetas, on the axis
+    of the zero density out (see _zero_on)."""
+    t = out.x
+    sums = [None] * len(thetas)
+    # (position in thetas, sheared_sum terms) of the directions along x, along y
+    sheared = ([], [])
+    for k, theta in enumerate(thetas):
+        axis, cos_a, sin_a = _shear(theta)
+        (along, _), (across, h_across) = f.axes[axis], f.axes[1 - axis]
+        w = simpson_weights(across.size, h_across) / abs(cos_a)
+        if theta in (0.0, math.pi / 2.0) and np.array_equal(t, along):
+            # an axis marginal at the nodes: each line's spline there gives
+            # back the line's values, so the sum contracts the values themselves
+            sums[k] = _axis_sum(_lines(f, axis), w * reference_weight(f.reference, across))
+            continue
+        sheared[axis].append((k, _sheared_terms(f, axis, cos_a, sin_a, w, t)))
+    for axis, group in enumerate(sheared):
+        if group:
+            lines = _lines(f, axis)
+            positions, terms = zip(*group)
+            for k, values in zip(positions, sheared_sum(_prefiltered(lines), len(lines), terms)):
+                sums[k] = values
+    return _line_densities(out, "marginal", sums)
 
 
 def _sheared_terms(f, axis, cos_a, sin_a, w, t):
@@ -622,20 +626,24 @@ def _prefiltered(lines):
     return block_coefficients
 
 
-def _line_densities(reference, t, what, line_sums):
-    """The 1d densities on axis t of sheared line integrals, in order.
+def _zero_on(reference, t):
+    """The zero density on axis t, which _line_densities copies: t is
+    checked here, once, before anything is summed on it."""
+    return GridDensity1D(reference, t, _freeze(np.zeros(np.shape(t))))
 
-    The axis is checked once, before line_sums(nodes) samples anything, so
-    a bad t raises GridError first; line_sums returns one array of values
-    per density.  Each is clipped at 0, DomainTruncation is raised if more
-    than TRUNCATION_TOL of its mass fell off the grid, and the rest is
+
+def _line_densities(out, what, sums):
+    """The 1d densities of the sheared line integrals sums, in order, each a
+    copy of the zero density out with the sum as its values.
+
+    Each is clipped at 0, DomainTruncation is raised if more than
+    TRUNCATION_TOL of its mass fell off the grid, and the rest is
     renormalized, recording the factor.
     """
-    out = GridDensity1D(reference, t, _freeze(np.zeros(np.shape(t))))
     densities = []
-    for vals in line_sums(out.x):
+    for vals in sums:
         vals = np.maximum(vals, 0.0)
-        raw_mass = integral(reference, vals, *out.axes)
+        raw_mass = integral(out.reference, vals, *out.axes)
         if raw_mass < 1.0 - TRUNCATION_TOL:
             raise DomainTruncation(
                 f"{what} mass {raw_mass:.6f}; more than {TRUNCATION_TOL:g} lost off-grid")
@@ -741,8 +749,6 @@ def linear_combination(f, g, a, b):
     rows = np.broadcast_to(f.spline_coeffs(), (g.x.size, f.x.size))
     shifts = g.x * (b / a / f.h)
     w = (simpson_weights(g.x.size, g.h) * g.values)[:, None] / abs(a)
-
-    def line_sums(t):
-        terms = (grid_index(t / a, f.x[0], f.h), shifts, lambda lines, lattice: w[lines])
-        return sheared_sum(lambda lines: rows[lines], len(rows), [terms])
-    return _line_densities(Reference.LEBESGUE, t, "combination", line_sums)[0]
+    terms = (grid_index(t / a, f.x[0], f.h), shifts, lambda lines, lattice: w[lines])
+    sums = sheared_sum(lambda lines: rows[lines], len(rows), [terms])
+    return _line_densities(_zero_on(Reference.LEBESGUE, t), "combination", sums)[0]

@@ -9,13 +9,19 @@ density evolves by the Mehler operator itself,
 
 In d dimensions both operators are tensor products of 1d ones, so grid
 densities are flowed one axis at a time (_flow_grid): a 1d density along
-its axis, a 2d density along x and then along y.  The 1d OU operator,
-which is also hermite_p_theta on grid input, blurs with N(0, sin^2 theta)
-and dilates by cos theta; for a blur narrower than MIN_BLUR_STEPS grid
-steps it is the 64-node Gauss-Hermite quadrature of the Mehler integral
-instead.  Either way the values are prefiltered along that axis only and
-sampled through one banded sparse matrix (quadrature.spline_matrix), so
-no 2d spline is ever evaluated.
+its axis, a 2d density along x and then along y.  On each axis both flows,
+and hermite_p_theta on grid input, are one operator (_gauss_rows),
+
+    s(y) -> int s(c y + a z) dgamma(z),
+
+with (c, a) = (1, sqrt(2t)) for heat, (e^{-t}, sqrt(1 - e^{-2t})) for OU
+and (cos theta, sin theta) for P_theta.  A blur a narrower than
+MIN_BLUR_STEPS grid steps is the 64-node Gauss-Hermite sum of the spline,
+on the input axis.  A wider one convolves with the sampled N(0, a^2): heat
+keeps the convolution, on the axis grown by the kernel radius, and OU and
+P_theta dilate it by c back onto the input axis.  Splines are prefiltered
+along the flowed axis only and sampled through one banded sparse matrix
+(quadrature.spline_matrix), so no 2d spline is ever evaluated.
 
 A 2d flow is two passes, one per axis, each over BLOCK_ROWS lines at a
 time: a pass flows the last axis of its input and returns its result
@@ -43,7 +49,7 @@ from .quadrature import (blocks, contract, gauss_hermite, grid_index,
                          spline_matrix)
 
 # Below this blur width (in grid steps) the sampled kernel is too coarse
-# and the OU flow evaluates the Mehler integral at Gauss-Hermite nodes.
+# and a flow evaluates its Gaussian integral at Gauss-Hermite nodes.
 MIN_BLUR_STEPS = 4.0
 
 KERNEL_RADIUS_SIGMAS = 8.0
@@ -59,15 +65,12 @@ def _flow_time(t):
 
 # === per-axis operators ===================================================
 
-def _flow_grid(f, flow_axis):
-    """f flowed one axis at a time, as a density of f's kind and reference.
-
-    flow_axis(values, x, h) flows the last axis of values, on nodes x of
-    step h, and returns the result with that axis first and its nodes.
-    """
+def _flow_grid(f, c, a):
+    """f flowed by _gauss_rows(., c, a) one axis at a time, as a density of
+    f's kind and reference."""
     values, axes = f.values.T, []
     for x, h in f.axes:
-        values, x = flow_axis(values, x, h)
+        values, x = _gauss_rows(values, x, h, c, a)
         axes.append(x)
     values = values.T
     # every pass allocates its result (both flows return f for a zero
@@ -107,10 +110,6 @@ def _line_blur(sigma, h, n):
     return blur, radius
 
 
-def _extended_axis(x, h, radius):
-    return np.linspace(x[0] - radius * h, x[-1] + radius * h, x.size + 2 * radius)
-
-
 def _line_pass(values, flow, size):
     """flow on every line of values along its last axis, flowed axis first.
 
@@ -129,21 +128,25 @@ def _line_pass(values, flow, size):
     return out.T
 
 
-def _mehler_rows(values, x, h, c):
-    """The 1d Mehler operator P_theta, c = cos theta = e^{-t}, on every line
-    of values along its last axis, on nodes x; flowed axis first (see
-    _line_pass)."""
-    a = math.sqrt(max(1.0 - c * c, 0.0))
+def _gauss_rows(values, x, h, c, a):
+    """y -> int s(c y + a z) dgamma(z), s the spline of a line, on every line
+    of values along its last axis, on nodes x: the lines, flowed axis first
+    (see _line_pass), and their nodes.  a < MIN_BLUR_STEPS h is the 64-node
+    Gauss-Hermite sum on x; else the lines are blurred, and kept on x grown
+    by the kernel radius for c = 1 (heat) or dilated back onto x for c < 1.
+    """
     if a == 0.0:
-        return values.T
+        return values.T, x
     if a < MIN_BLUR_STEPS * h:
-        # Blur below grid resolution: Gauss-Hermite quadrature of the Mehler
-        # integral, sum_k w_k s(c x + a z_k), against the spline instead.
         z, w = gauss_hermite()
         index = grid_index(c * x[:, None] + a * z[None, :], x[0], h)
         blur, radius = (lambda lines: lines), 0
     else:
         blur, radius = _line_blur(a, h, x.size)
+        if c == 1.0:
+            size = x.size + 2 * radius
+            return (_line_pass(values, blur, size),
+                    np.linspace(x[0] - radius * h, x[-1] + radius * h, size))
         index = grid_index(c * x, x[0] - radius * h, h)[:, None]
         w = np.ones(1)
 
@@ -153,9 +156,9 @@ def _mehler_rows(values, x, h, c):
         # a lone line samples its points directly, cheaper than building
         # the matrix
         samples = sample_coefficients(coeffs(values), [index.ravel()])
-        return contract(samples.reshape(index.shape), w)
+        return contract(samples.reshape(index.shape), w), x
     sample = spline_matrix(index, w, x.size + 2 * radius)
-    return _line_pass(values, lambda lines: (sample @ coeffs(lines).T).T, x.size)
+    return _line_pass(values, lambda lines: (sample @ coeffs(lines).T).T, x.size), x
 
 
 # === heat and OU flows ====================================================
@@ -179,21 +182,20 @@ def _flow(f, t, reference):
         return f
     if isinstance(f, GaussianDensity):
         return GaussianDensity(reference, c * f.mean, c * c * f.covariance + q * np.eye(f.dim))
-    if reference is Reference.GAUSSIAN:
-        return _flow_grid(f, lambda values, x, h: (_mehler_rows(values, x, h, c), x))
-
-    def blur_axis(values, x, h):
-        blur, radius = _line_blur(math.sqrt(q), h, x.size)
-        return (_line_pass(values, blur, x.size + 2 * radius),
-                _extended_axis(x, h, radius))
-    return _flow_grid(f, blur_axis)
+    return _flow_grid(f, c, math.sqrt(q))
 
 
 def heat_flow(f, t):
     """e^{t Laplacian} applied to a Lebesgue density; variance grows by 2t per axis.
 
-    Grid densities convolve each axis in turn with the sampled kernel, on
-    an axis extended by the kernel radius, so no mass leaves the domain.
+    A grid axis is convolved with the sampled kernel on the axis grown by
+    its radius, so no mass leaves the domain; below MIN_BLUR_STEPS grid
+    steps of blur sqrt(2t) it keeps its nodes and takes the Gauss-Hermite
+    sum, as in the OU flow.  There the spline is zero off the grid, so a
+    density that is not negligible at an end loses mass: the end value
+    halves at once, h f(end) / 6 of mass, and the loss nears
+    f(end) sqrt(t / pi) as the blur widens.  The flow keeps the input's
+    renormalization; the grids this package builds vanish at their ends.
     """
     return _flow(f, t, Reference.LEBESGUE)
 
@@ -202,13 +204,9 @@ def ou_flow(f, t):
     """Ornstein-Uhlenbeck evolution of a Gaussian-reference density.
 
     The reversibility of the OU semigroup in L^2(gamma) means the relative
-    density itself evolves by the Mehler operator P_t.  On a grid P_t is
-    the tensor product of 1d operators, applied one axis at a time: blur
-    by N(0, 1 - e^{-2t}), then dilate the argument by e^{-t}; below
-    MIN_BLUR_STEPS grid steps of blur (chosen per axis), 64-node
-    Gauss-Hermite quadrature of the Mehler integral instead.  Each pass
-    prefilters along its own axis and samples through one banded sparse
-    matrix, so a 2d flow costs two 1d passes and no 2d spline evaluation.
+    density itself evolves by the Mehler operator P_t: on a grid, blur by
+    N(0, 1 - e^{-2t}) and dilate by e^{-t}, one axis at a time, or below
+    MIN_BLUR_STEPS grid steps of blur the Gauss-Hermite sum.
     """
     return _flow(f, t, Reference.GAUSSIAN)
 
@@ -219,7 +217,7 @@ def hermite_p_theta(f, theta, x=None):
     """P_theta f(x) = int f(x cos theta + y sin theta) dgamma(y), a GridFunction1D.
 
     A GridFunction1D or GridDensity1D (its spline, zero off-grid, possibly
-    signed) goes through the OU flow's operator _mehler_rows on its own
+    signed) goes through the OU flow's operator _gauss_rows on its own
     axis; an x that is not that axis raises GridError.  A callable is
     summed at 64 Gauss-Hermite nodes per point of x (default axis when
     omitted).  theta in [0, pi/2]; P_0 is the identity and P_{pi/2}
@@ -232,7 +230,8 @@ def hermite_p_theta(f, theta, x=None):
     if isinstance(f, (GridFunction1D, GridDensity1D)):
         if x is not None and not np.array_equal(x, f.x):
             raise GridError("a grid input is mapped on its own axis only")
-        return GridFunction1D(f.x, _freeze(_mehler_rows(f.values, f.x, f.h, max(c, 0.0))))
+        values, nodes = _gauss_rows(f.values, f.x, f.h, max(c, 0.0), s)
+        return GridFunction1D(nodes, _freeze(values))
     if not callable(f):
         raise ReferenceMismatch(f"cannot evaluate {type(f).__name__} at Mehler points")
     x = default_axis() if x is None else np.asarray(x, dtype=float)

@@ -141,6 +141,11 @@ RUNS = [
     ("check", "shannon", "--g", "gaussmix:", *N1),
     ("check", "shannon", "--g", "json:gaussmix-sum09.json", *N1),
     ("check", "shannon", "--g", "gaussmix:-2,0,1;-1,3,1", *N1),
+    # a NaN parameter is refused by name, under its flag
+    ("check", "shannon", "--g", "gauss:nan,1", *N1),
+    ("check", "shannon", "--g", "gauss:0,nan", *N1),
+    ("check", "shannon", "--g", "gaussmix:1,nan,1", *N2),
+    ("check", "shannon", "--g", "gaussmix:1,0,nan", *N2),
     ("check", "shannon", "--g", "json:uniform-no-a.json", *N2),
     ("check", "shannon", "--g", "json:gaussmix-no-variance.json", *N2),
     ("check", "shannon", "--g", "json:gaussmix-components-5.json", *N2),

@@ -206,7 +206,8 @@ class TestCheckCommand:
     def test_grid_half_length_must_be_finite(self, capsys, length):
         code, out, err = run(capsys, "check", "shannon", f"--grid-l={length}")
         assert code == 2 and out == ""
-        assert err == f"axis half-length must be positive and finite, got {length}\n"
+        assert err == ("--grid-l/--grid-n: axis half-length must be positive and finite, "
+                       f"got {length}\n")
 
     @pytest.mark.parametrize("grid", [(), ("--grid-n", "129")])
     def test_memory_exhaustion_is_an_input_error(self, capsys, monkeypatch, grid):
@@ -297,7 +298,7 @@ class TestCheckCommand:
         path.write_text(json.dumps(spec))
         code, out, err = run(capsys, "check", "shannon", "--g", f"json:{path}",
                              "--grid-n", "129")
-        assert (code, out, err) == (2, "", message + "\n")
+        assert (code, out, err) == (2, "", f"--g: {message}\n")
 
     def test_exp_rejected_in_density_slot(self, capsys):
         code, _, err = run(capsys, "check", "shannon",
@@ -490,6 +491,18 @@ class TestCsvLoaders:
         name, slot = ("shannon", "--g") if kind == "csv" else ("subadditivity", "--f")
         code, out, err = run(capsys, "check", name, slot, f"{kind}:{path}")
         assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("kind, name, slot", [
+        ("csv", "shannon", "--g"),
+        ("csv2", "subadditivity", "--f"),
+        ("json", "shannon", "--h"),
+    ])
+    def test_undecodable_file_names_its_slot(self, capsys, tmp_path, kind, name, slot):
+        path = tmp_path / "binary"
+        path.write_bytes(b"x,f\n\xc0\xff\x00\n")
+        code, out, err = run(capsys, "check", name, slot, f"{kind}:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith(f"{slot}: 'utf-8' codec can't decode byte 0xc0")
 
     @pytest.mark.parametrize("kind, name, slot", [
         ("csv", "shannon", "--g"),

@@ -6,6 +6,7 @@ the declared reference measure (Lebesgue, or standard Gaussian gamma).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,16 @@ class TestGaussianDensity:
         with pytest.raises(NotSPD):
             gaussian(LEB, [0.0, 0.0], [[1.0, 0.2], [0.1, 1.0]])
 
+    @pytest.mark.parametrize("mean, cov, name", [
+        (math.nan, 1.0, "mean"),
+        (0.0, math.nan, "covariance"),
+        ([0.0, math.inf], np.eye(2), "mean"),
+        ([0.0, 0.0], [[1.0, math.nan], [math.nan, 1.0]], "covariance"),
+    ])
+    def test_rejects_non_finite_parameters(self, mean, cov, name):
+        with pytest.raises(NotSPD, match=f"^{name} must be finite"):
+            gaussian(LEB, mean, cov)
+
     def test_lebesgue_pdf(self):
         d = gaussian(LEB, 0.5, 2.0)
         x = np.linspace(-3.0, 3.0, 7)
@@ -361,6 +372,22 @@ class TestGaussianMixture:
     def test_gamma_reference_mixture_mass(self):
         d = gaussian_mixture(GAM, [0.5, 0.5], [-0.5, 0.5], [0.7, 1.3])
         np.testing.assert_allclose(d.mass(), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("w, m, v, error, message", [
+        ([math.nan, 1.0], [0.0, 1.0], [1.0, 1.0], NormalizationError,
+         "mixture weight 1 must be positive, got nan"),
+        ([0.5, 0.5], [0.0, math.nan], [1.0, 1.0], NotSPD,
+         "mixture mean 2 must be finite, got nan"),
+        ([0.5, 0.5], [0.0, 1.0], [math.nan, 1.0], NotSPD,
+         "mixture variance 1 must be finite and positive, got nan"),
+        ([0.5, 0.5], [0.0, 1.0], [1.0, 0.0], NotSPD,
+         "mixture variance 2 must be finite and positive, got 0.0"),
+    ])
+    def test_rejects_bad_parameter_by_name(self, w, m, v, error, message):
+        """A NaN compares false, so it fails every positivity test and is
+        named, not caught later as non-finite grid values."""
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            gaussian_mixture(LEB, w, m, v, points=129)
 
 
 class TestUniformDensity:

@@ -20,9 +20,11 @@ from scipy import ndimage, signal
 import entroframe
 from entroframe import (
     ExpFunction,
+    GridDensity1D,
     GridFunction1D,
     Reference,
     default_axis,
+    entropy,
     gaussian,
     gaussian_mixture,
     independent_product,
@@ -125,6 +127,44 @@ class TestHeatFlow:
     def test_time_zero_is_identity(self):
         base = gaussian(LEB, 0.0, 1.0).to_grid()
         assert heat_flow(base, 0.0) is base
+
+    @pytest.mark.parametrize("points", [513, 2049])
+    @pytest.mark.parametrize("t", [1e-6, 1e-5])
+    @pytest.mark.parametrize("mean, cov, bound", [
+        (0.2, 1.0, 1e-9),
+        ([0.3, -0.2], [[1.0, 0.2], [0.2, 1.0]], 1e-7),
+    ], ids=["1d", "2d"])
+    def test_small_time_quadrature_keeps_axis(self, points, t, mean, cov, bound):
+        """A blur below MIN_BLUR_STEPS grid steps is the Gauss-Hermite sum on
+        the input axis: the entropy grows by t per axis, as in closed form,
+        where the sampled kernel (a near delta) gave the input back."""
+        g = gaussian(LEB, mean, cov)
+        base = g.to_grid(points=points)
+        assert math.sqrt(2.0 * t) < MIN_BLUR_STEPS * base.axes[0][1]
+        flowed = heat_flow(base, t)
+        for (x, _), (x0, _) in zip(flowed.axes, base.axes):
+            np.testing.assert_array_equal(x, x0)
+        assert abs(entropy(flowed) - entropy(heat_flow(g, t))) <= bound
+
+    @pytest.mark.parametrize("t, loss", [
+        (1e-6, lambda h, t: h / 6.0),
+        (2e-4, lambda h, t: math.sqrt(t / math.pi)),
+    ])
+    def test_small_time_edge_mass_leaves_the_grid(self, t, loss):
+        """On the input axis the spline is zero off the grid, so a density
+        that is not negligible at the ends loses mass there: the end values
+        halve at once, h f(end) / 6 per end, and the loss nears f(end)
+        sqrt(t / pi) per end as the blur widens.  The renormalization is kept."""
+        x = np.linspace(-2.0, 2.0, 513)
+        values = np.exp(-0.5 * x * x)
+        f = GridDensity1D(LEB, x, values / GridDensity1D(LEB, x, values).mass(),
+                          renormalization=0.5)
+        h = f.axes[0][1]
+        assert math.sqrt(2.0 * t) < MIN_BLUR_STEPS * h
+        flowed = heat_flow(f, t)
+        assert flowed.renormalization == 0.5
+        np.testing.assert_allclose(1.0 - flowed.mass(), 2.0 * f.values[0] * loss(h, t),
+                                   rtol=0.02)
 
     def test_semigroup_property(self):
         """Two short steps equal one long step (closed form)."""
@@ -285,6 +325,16 @@ class TestTensorProductFlows:
         got = ou_flow(f, t).values[rows]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * want.max())
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "FFT rounding in semigroup._line_blur spreads eps * max|line| over "
+        "each line of a block; at the grid edge a Gaussian-reference line of "
+        "variance 2 peaks near e^25, so the 2d entropy error is 1.4e-6 where "
+        "the 1d flow, one line summed directly, gives 2.4e-8"))
+    def test_ou_2d_wide_gaussian_entropy(self):
+        g = gaussian(GAM, [0.3, -0.2], [[2.0, 0.1], [0.1, 2.0]])
+        flowed = ou_flow(g.to_grid(points=513), 0.1)
+        assert abs(entropy(flowed) - entropy(ou_flow(g, 0.1))) <= 1e-7
+
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
     def test_small_time_2d_ou_default_grid_fits_in_memory(self):
         """The Gauss-Hermite branch in 2d on the default grid, under a 2 GiB
@@ -413,6 +463,12 @@ class TestDeBruijn:
             got = de_bruijn_check(d, t, step=1e-3)
             pred = (1e-6 / 6.0) * 8.0 / (1.0 + 2.0 * t) ** 3
             np.testing.assert_allclose(got, pred, rtol=0.02)
+
+    def test_small_time_grid_heat_flow(self):
+        """Every flow of the difference is below MIN_BLUR_STEPS grid steps of
+        blur, so each is the Gauss-Hermite sum on the input axis."""
+        g = gaussian(LEB, 0.2, 1.0).to_grid(points=513)
+        assert de_bruijn_check(g, 2e-5, step=1e-5) <= 1e-5
 
     def test_ou_flow_closed_form(self):
         got = de_bruijn_check(gaussian(GAM, 0.0, 2.0), 0.3, step=1e-3)
