@@ -173,6 +173,8 @@ def parse_density_1d(spec, reference, length, points, allow_exp=False):
         for k, weight in enumerate(w, start=1):
             if not weight > 0.0:
                 raise NormalizationError(f"mixture weight {k} must be positive, got {weight!r}")
+            if not np.isfinite(weight):
+                raise NormalizationError(f"mixture weight {k} must be finite, got {weight!r}")
         total = sum(w)
         return gaussian_mixture(reference, [x / total for x in w], m, v,
                                 length=length, points=points)

@@ -14,14 +14,16 @@ and hermite_p_theta on grid input, are one operator (_gauss_rows),
 
     s(y) -> int s(c y + a z) dgamma(z),
 
-with (c, a) = (1, sqrt(2t)) for heat, (e^{-t}, sqrt(1 - e^{-2t})) for OU
-and (cos theta, sin theta) for P_theta.  A blur a narrower than
-MIN_BLUR_STEPS grid steps is the 64-node Gauss-Hermite sum of the spline,
-on the input axis.  A wider one convolves with the sampled N(0, a^2): heat
-keeps the convolution, on the axis grown by the kernel radius, and OU and
-P_theta dilate it by c back onto the input axis.  Splines are prefiltered
-along the flowed axis only and sampled through one banded sparse matrix
-(quadrature.spline_matrix), so no 2d spline is ever evaluated.
+evaluated at the input's n nodes.  A flow keeps n nodes per axis, on the
+axis d x, d the spread of N(0, 1) after the flow: sqrt(1 + 2t) for heat and
+1 for OU.  Its value at d y is the operator at y with (c, a) = (d, sqrt(2t))
+for heat and (e^{-t}, sqrt(1 - e^{-2t})) for OU.
+P_theta takes (cos theta, sin theta) on its own axis.  A blur a narrower
+than MIN_BLUR_STEPS grid steps is the 64-node Gauss-Hermite sum of the
+spline; a wider one convolves with the sampled N(0, a^2) on the axis grown
+by the kernel radius and reads that spline at c y.  Splines are
+prefiltered along the flowed axis only and sampled through one banded
+sparse matrix (quadrature.spline_matrix), so no 2d spline is evaluated.
 
 A 2d flow is two passes, one per axis, each over BLOCK_ROWS lines at a
 time: a pass flows the last axis of its input and returns its result
@@ -65,18 +67,18 @@ def _flow_time(t):
 
 # === per-axis operators ===================================================
 
-def _flow_grid(f, c, a):
+def _flow_grid(f, c, a, d):
     """f flowed by _gauss_rows(., c, a) one axis at a time, as a density of
-    f's kind and reference."""
-    values, axes = f.values.T, []
+    f's kind and reference on the axes d x."""
+    values = f.values.T
     for x, h in f.axes:
-        values, x = _gauss_rows(values, x, h, c, a)
-        axes.append(x)
+        values = _gauss_rows(values, x, h, c, a)
     values = values.T
     # every pass allocates its result (both flows return f for a zero
     # time), so the output is clipped where it lies
     np.maximum(values, 0.0, out=values)
-    return type(f)(f.reference, *axes, _freeze(values), renormalization=f.renormalization)
+    return type(f)(f.reference, *(d * x for x, _ in f.axes), _freeze(values),
+                   renormalization=f.renormalization)
 
 
 def _blur_kernel(sigma, h):
@@ -110,19 +112,17 @@ def _line_blur(sigma, h, n):
     return blur, radius
 
 
-def _line_pass(values, flow, size):
-    """flow on every line of values along its last axis, flowed axis first.
+def _line_pass(values, flow):
+    """flow on every line of a 2d array along its last axis, flowed axis first.
 
-    flow maps a block of m lines to its (m, size) result.  A 1d array is
-    one line.  A 2d array goes BLOCK_ROWS lines at a time into a C-ordered
-    (lines, size) array, returned transposed, so two passes from the
-    transpose of a 2d array flow both of its axes and end C-contiguous in
-    its orientation.  Each block is copied to contiguous memory, so every
-    FFT, prefilter and copy runs along it.
+    flow maps a block of m lines to its (m, n) result on the lines' own
+    node count.  The lines go BLOCK_ROWS at a time into a C-ordered array
+    of values' shape, returned transposed, so two passes from the transpose
+    of a 2d array flow both of its axes and end C-contiguous in its
+    orientation.  Each block is copied to contiguous memory, so every FFT,
+    prefilter and copy runs along it.
     """
-    if values.ndim == 1:
-        return flow(values)
-    out = np.empty((values.shape[0], size))
+    out = np.empty(values.shape)
     for rows in blocks(values.shape[0]):
         out[rows] = flow(np.ascontiguousarray(values[rows]))
     return out.T
@@ -130,23 +130,20 @@ def _line_pass(values, flow, size):
 
 def _gauss_rows(values, x, h, c, a):
     """y -> int s(c y + a z) dgamma(z), s the spline of a line, on every line
-    of values along its last axis, on nodes x: the lines, flowed axis first
-    (see _line_pass), and their nodes.  a < MIN_BLUR_STEPS h is the 64-node
-    Gauss-Hermite sum on x; else the lines are blurred, and kept on x grown
-    by the kernel radius for c = 1 (heat) or dilated back onto x for c < 1.
+    of values along its last axis, at the nodes y = x: the lines, flowed
+    axis first (see _line_pass), on x's n nodes.  a < MIN_BLUR_STEPS h is
+    the 64-node Gauss-Hermite sum; else the lines are blurred by the
+    sampled N(0, a^2) on x grown by the kernel radius, and that spline is
+    read at c x.
     """
     if a == 0.0:
-        return values.T, x
+        return values.T
     if a < MIN_BLUR_STEPS * h:
         z, w = gauss_hermite()
         index = grid_index(c * x[:, None] + a * z[None, :], x[0], h)
         blur, radius = (lambda lines: lines), 0
     else:
         blur, radius = _line_blur(a, h, x.size)
-        if c == 1.0:
-            size = x.size + 2 * radius
-            return (_line_pass(values, blur, size),
-                    np.linspace(x[0] - radius * h, x[-1] + radius * h, size))
         index = grid_index(c * x, x[0] - radius * h, h)[:, None]
         w = np.ones(1)
 
@@ -156,9 +153,9 @@ def _gauss_rows(values, x, h, c, a):
         # a lone line samples its points directly, cheaper than building
         # the matrix
         samples = sample_coefficients(coeffs(values), [index.ravel()])
-        return contract(samples.reshape(index.shape), w), x
+        return contract(samples.reshape(index.shape), w)
     sample = spline_matrix(index, w, x.size + 2 * radius)
-    return _line_pass(values, lambda lines: (sample @ coeffs(lines).T).T, x.size), x
+    return _line_pass(values, lambda lines: (sample @ coeffs(lines).T).T)
 
 
 # === heat and OU flows ====================================================
@@ -167,6 +164,7 @@ def _flow(f, t, reference):
     """f flowed for time t: the heat flow on the Lebesgue reference, the OU
     flow on the Gaussian one.  Both map N(m, C) to N(c m, c^2 C + q I), with
     (c, q) = (1, 2t) for heat and (e^{-t}, 1 - c^2) for OU; q == 0 returns f.
+    A grid flow's value at d y, d = sqrt(c^2 + q), is E f(c d y + sqrt(q) Z).
     """
     t = _flow_time(t)
     if reference is Reference.LEBESGUE:
@@ -182,19 +180,19 @@ def _flow(f, t, reference):
         return f
     if isinstance(f, GaussianDensity):
         return GaussianDensity(reference, c * f.mean, c * c * f.covariance + q * np.eye(f.dim))
-    return _flow_grid(f, c, math.sqrt(q))
+    d = math.sqrt(c * c + q)
+    return _flow_grid(f, c * d, math.sqrt(q), d)
 
 
 def heat_flow(f, t):
     """e^{t Laplacian} applied to a Lebesgue density; variance grows by 2t per axis.
 
-    A grid axis is convolved with the sampled kernel on the axis grown by
-    its radius, so no mass leaves the domain; below MIN_BLUR_STEPS grid
-    steps of blur sqrt(2t) it keeps its nodes and takes the Gauss-Hermite
-    sum, as in the OU flow.  There the spline is zero off the grid, so a
-    density that is not negligible at an end loses mass: the end value
-    halves at once, h f(end) / 6 of mass, and the loss nears
-    f(end) sqrt(t / pi) as the blur widens.  The flow keeps the input's
+    A grid keeps n nodes per axis on the axis dilated by d = sqrt(1 + 2t),
+    its value at d y being E f(d y + sqrt(2t) Z).  The spline is zero off
+    the grid, so a density that is not negligible at an end e loses there
+    part of what the kernel carries past e: f(e) sqrt(2t) [phi(k) - k Q(k)],
+    k = (d - 1) |e| / sqrt(2t), Q the normal upper tail; about
+    f(e) sqrt(t / pi) at small t.  The flow keeps the input's
     renormalization; the grids this package builds vanish at their ends.
     """
     return _flow(f, t, Reference.LEBESGUE)
@@ -230,8 +228,8 @@ def hermite_p_theta(f, theta, x=None):
     if isinstance(f, (GridFunction1D, GridDensity1D)):
         if x is not None and not np.array_equal(x, f.x):
             raise GridError("a grid input is mapped on its own axis only")
-        values, nodes = _gauss_rows(f.values, f.x, f.h, max(c, 0.0), s)
-        return GridFunction1D(nodes, _freeze(values))
+        values = _gauss_rows(f.values, f.x, f.h, max(c, 0.0), s)
+        return GridFunction1D(f.x, _freeze(values))
     if not callable(f):
         raise ReferenceMismatch(f"cannot evaluate {type(f).__name__} at Mehler points")
     x = default_axis() if x is None else np.asarray(x, dtype=float)

@@ -265,6 +265,15 @@ class TestCheckCommand:
         k, w = (1, 0.0) if spec == "gaussmix:0,0,1" else (2, -1.0)
         assert err == f"--g: mixture weight {k} must be positive, got {w!r}\n"
 
+    @pytest.mark.parametrize("spec, k", [("gaussmix:inf,0,1", 1),
+                                         ("gaussmix:1,0,1;inf,1,1", 2)])
+    def test_mixture_infinite_weight_is_named(self, capsys, spec, k):
+        """Normalizing by an infinite total would give NaN or zero weights;
+        the infinite weight is named as given, before any normalizing."""
+        code, out, err = run(capsys, "check", "shannon", "--g", spec, "--grid-n", "129")
+        assert code == 2 and out == ""
+        assert err == f"--g: mixture weight {k} must be finite, got inf\n"
+
     def test_mixture_zero_weight_is_named(self, capsys):
         code, out, err = run(capsys, "check", "shannon", "--g", "gaussmix:1,0,1;0,5,1",
                              "--grid-n", "129")

@@ -111,18 +111,19 @@ class TestResources:
         """The 2d grid passes run BLOCK_ROWS lines at a time, so each call
         raises the process peak by what it keeps, plus at most 16 MB:
         nothing for entropy, Fisher and the frame checks, whose marginals
-        prefilter each block of lines right before sampling it, and the
-        flowed pass and the result for a flow or a stability check.
-        Their whole n x n temporaries took +38 MB for entropy, +105 to
-        +139 MB for Fisher, +166 MB for ou_flow, +269 MB for heat_flow and
-        +106 MB for check_subadditivity, each in a process of its own; a
-        copy of the flowed result in C order kept heat_flow at +166 MB; a
-        whole-grid line-spline memo per axis kept +65 to +68 MB after a
-        frame check and took stability_check to +167 MB; with its n x n
-        weights, a Gaussian-reference marginal rose +66 MB.  Every density
-        is built before the first measurement and each child measures its
-        flow last, after calls that hold no more than it does, so no earlier
-        peak hides it."""
+        prefilter each block of lines right before sampling it, and two
+        n x n arrays, the x pass and the result, for a flow or a stability
+        check; on its axis grown by the kernel radius heat flow held those
+        two at the grown sizes.  Their whole n x n temporaries took +38 MB
+        for entropy, +105 to +139 MB for Fisher, +166 MB for ou_flow,
+        +269 MB for heat_flow and +106 MB for check_subadditivity, each in
+        a process of its own; a copy of the flowed result in C order kept
+        heat_flow at +166 MB; a whole-grid line-spline memo per axis kept
+        +65 to +68 MB after a frame check and took stability_check to
+        +167 MB; with its n x n weights, a Gaussian-reference marginal rose
+        +66 MB.  Every density is built before the first measurement and
+        each child measures its flow last, after calls that hold no more
+        than it does, so no earlier peak hides it."""
         grown = """
             import resource
             from entroframe import (check_fisher_subadditivity, check_main_entropy,
@@ -151,15 +152,12 @@ class TestResources:
         """) + run_child(grown + """
             grown("subadditivity", lambda: check_subadditivity(mercedes_frame(), f))
             grown("fisher subadditivity", lambda: check_fisher_subadditivity(mercedes_frame(), f))
-            out = grown("heat_flow", lambda: heat_flow(f, 0.25))
-            print(f"sizes:{out.values.nbytes}:{out.x.size * f.y.nbytes}")
+            grown("heat_flow", lambda: heat_flow(f, 0.25))
         """)
-        *calls, sizes = lines
-        _, output, intermediate = sizes.split(":")
         square, slack = 2049 ** 2 * 8, 16e6
-        flow = int(output) + int(intermediate) + slack
-        bounds = {"ou_flow": 2 * square + slack, "heat_flow": flow, "stability": flow}
-        assert len(calls) == 12
-        for line in calls:
+        flow = 2 * square + slack
+        bounds = {"ou_flow": flow, "heat_flow": flow, "stability": flow}
+        assert len(lines) == 12
+        for line in lines:
             name, grown = line.split(":")
             assert int(grown) * RSS_UNIT <= bounds.get(name, slack), line

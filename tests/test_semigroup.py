@@ -46,6 +46,17 @@ LEB = Reference.LEBESGUE
 GAM = Reference.GAUSSIAN
 
 
+def dilated_end_loss(end, t):
+    """Mass per unit end value that heat flow for time t carries past the
+    end sqrt(1 + 2t) |end| of the dilated axis from a constant density on
+    the near side of end: sqrt(2t) [phi(k) - k Q(k)], with
+    k = (sqrt(1 + 2t) - 1) |end| / sqrt(2t) and Q the normal upper tail."""
+    a = math.sqrt(2.0 * t)
+    k = (math.sqrt(1.0 + 2.0 * t) - 1.0) * abs(end) / a
+    phi = math.exp(-0.5 * k * k) / math.sqrt(2.0 * math.pi)
+    return a * (phi - k * 0.5 * math.erfc(k / math.sqrt(2.0)))
+
+
 def gamma_weighted_gap(grid, closed):
     """sup of |grid - closed| against the standard Gaussian weight."""
     w = np.exp(-0.5 * grid.x ** 2) / math.sqrt(2.0 * math.pi)
@@ -117,12 +128,13 @@ class TestHeatFlow:
         want = gaussian(LEB, 0.0, 1.6)
         np.testing.assert_allclose(g.values, want.pdf(g.x), atol=1e-12)
 
-    def test_grid_axis_extends_by_kernel_radius(self):
+    def test_grid_axis_is_dilated(self):
+        """The output keeps the input's n nodes on the axis sqrt(1 + 2t) x,
+        and its mass."""
         base = gaussian(LEB, 0.0, 1.0).to_grid()
-        flowed = heat_flow(base, 0.3)
-        assert flowed.x[0] < base.x[0]
-        assert flowed.x[-1] > base.x[-1]
-        np.testing.assert_allclose(flowed.mass(), 1.0, atol=1e-10)
+        flowed = heat_flow(base, 0.25)
+        np.testing.assert_array_equal(flowed.x, math.sqrt(1.5) * base.x)
+        np.testing.assert_allclose(flowed.mass(), 1.0, rtol=0.0, atol=1e-10)
 
     def test_time_zero_is_identity(self):
         base = gaussian(LEB, 0.0, 1.0).to_grid()
@@ -136,25 +148,27 @@ class TestHeatFlow:
     ], ids=["1d", "2d"])
     def test_small_time_quadrature_keeps_axis(self, points, t, mean, cov, bound):
         """A blur below MIN_BLUR_STEPS grid steps is the Gauss-Hermite sum on
-        the input axis: the entropy grows by t per axis, as in closed form,
-        where the sampled kernel (a near delta) gave the input back."""
+        the input's nodes, dilated by sqrt(1 + 2t): the entropy grows by t
+        per axis, as in closed form, where the sampled kernel (a near delta)
+        gave the input back."""
         g = gaussian(LEB, mean, cov)
         base = g.to_grid(points=points)
         assert math.sqrt(2.0 * t) < MIN_BLUR_STEPS * base.axes[0][1]
         flowed = heat_flow(base, t)
         for (x, _), (x0, _) in zip(flowed.axes, base.axes):
-            np.testing.assert_array_equal(x, x0)
+            np.testing.assert_array_equal(x, math.sqrt(1.0 + 2.0 * t) * x0)
         assert abs(entropy(flowed) - entropy(heat_flow(g, t))) <= bound
 
     @pytest.mark.parametrize("t, loss", [
         (1e-6, lambda h, t: h / 6.0),
-        (2e-4, lambda h, t: math.sqrt(t / math.pi)),
+        (2e-4, lambda h, t: dilated_end_loss(2.0, t)),
     ])
     def test_small_time_edge_mass_leaves_the_grid(self, t, loss):
-        """On the input axis the spline is zero off the grid, so a density
-        that is not negligible at the ends loses mass there: the end values
-        halve at once, h f(end) / 6 per end, and the loss nears f(end)
-        sqrt(t / pi) per end as the blur widens.  The renormalization is kept."""
+        """The spline is zero off the grid, so a density that is not
+        negligible at the ends loses mass there: the end values halve at
+        once, h f(end) / 6 per end, and as the blur widens the dilated
+        domain keeps only part of what the kernel carries past an end.
+        The renormalization is kept."""
         x = np.linspace(-2.0, 2.0, 513)
         values = np.exp(-0.5 * x * x)
         f = GridDensity1D(LEB, x, values / GridDensity1D(LEB, x, values).mass(),
@@ -336,18 +350,24 @@ class TestTensorProductFlows:
         assert abs(entropy(flowed) - entropy(ou_flow(g, 0.1))) <= 1e-7
 
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
-    def test_small_time_2d_ou_default_grid_fits_in_memory(self):
-        """The Gauss-Hermite branch in 2d on the default grid, under a 2 GiB
-        address-space cap, stays accurate and under 1 GB resident."""
-        script = textwrap.dedent("""
+    @pytest.mark.parametrize("flow, reference, t", [
+        ("ou_flow", "GAUSSIAN", 1e-5),
+        ("heat_flow", "LEBESGUE", 100.0),
+    ], ids=["ou-small-t", "heat-large-t"])
+    def test_2d_flow_default_grid_fits_in_memory(self, flow, reference, t):
+        """A 2d flow on the default grid, under a 2 GiB address-space cap,
+        stays accurate and under 1 GB resident: OU on the Gauss-Hermite
+        branch, and heat at t = 100, whose blur sqrt(2t) = 14 exceeds the
+        grid's half-length."""
+        script = textwrap.dedent(f"""
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
             from entroframe import Reference, entropy, gaussian
             from entroframe.density import DEFAULT_POINTS
-            from entroframe.semigroup import ou_flow
-            g = gaussian(Reference.GAUSSIAN, [0.3, -0.2], [[1.1, 0.3], [0.3, 0.8]])
-            flowed = ou_flow(g.to_grid(points=DEFAULT_POINTS), 1e-5)
-            err = float(entropy(flowed)) - float(entropy(ou_flow(g, 1e-5)))
+            from entroframe.semigroup import {flow} as flow
+            g = gaussian(Reference.{reference}, [0.3, -0.2], [[1.1, 0.3], [0.3, 0.8]])
+            flowed = flow(g.to_grid(points=DEFAULT_POINTS), {t!r})
+            err = float(entropy(flowed)) - float(entropy(flow(g, {t!r})))
             print(err, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(entroframe.__file__)))
