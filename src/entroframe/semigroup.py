@@ -24,6 +24,8 @@ spline; a wider one convolves with the sampled N(0, a^2) on the axis grown
 by the kernel radius and reads that spline at c y.  Splines are
 prefiltered along the flowed axis only and sampled through one banded
 sparse matrix (quadrature.spline_matrix), so no 2d spline is evaluated.
+A block of lines is blurred through the FFT, whose kernel spectrum carries
+the prefilter too (_line_blur), so that blur costs no prefilter pass.
 
 A 2d flow is two passes, one per axis, each over BLOCK_ROWS lines at a
 time: a pass flows the last axis of its input and returns its result
@@ -89,27 +91,30 @@ def _blur_kernel(sigma, h):
     return w / w.sum(), radius
 
 
-def _line_blur(sigma, h, n):
-    """Full convolution of lines of n values with the sampled N(0, sigma^2).
+def _line_blur(sigma, h, shape):
+    """Cubic-spline coefficients of lines of the given shape, (n,) or (m, n),
+    fully convolved with the sampled N(0, sigma^2) along their last axis.
 
-    Returns (blur, radius): blur maps lines of shape (n,) or (m, n) to
-    (..., n + 2 radius), the axis grown by the kernel radius at each end.
-    A block of lines is convolved through the FFT, with the kernel's
-    spectrum computed once here: the sums of scipy's fftconvolve, bit for
-    bit.  A single line is summed directly, which keeps each output's
-    rounding local; FFT rounding spreads eps * max|values| (4.5e4 at the
-    edge of a Gaussian-reference grid) over the whole axis.
+    Returns (coeffs, radius): coeffs maps such lines to (..., n + 2 radius),
+    the axis grown by the kernel radius at each end.  A single line is
+    summed directly and prefiltered by spline_coefficients, which keeps each
+    output's rounding local; FFT rounding spreads eps * max|values| (4.5e4
+    at the edge of a Gaussian-reference grid) over the whole axis.  A block
+    of lines is convolved through the FFT, and its prefilter, the inverse of
+    the filter (1, 4, 1) / 6, is the factor 6 / (4 + 2 cos w) folded into
+    the kernel's spectrum once here, so the inverse transform returns the
+    coefficients.  That filter is circular: it differs from
+    spline_coefficients' only near the grown axis's ends, by a difference
+    that decays as (2 - sqrt 3)^k.
     """
     w, radius = _blur_kernel(sigma, h)
-    size = n + w.size - 1
+    if len(shape) == 1:
+        return (lambda line: spline_coefficients(np.convolve(line, w))), radius
+    size = shape[-1] + w.size - 1
     nfft = fft.next_fast_len(size, True)
     spectrum = fft.rfft(w, nfft)
-
-    def blur(lines):
-        if lines.ndim == 1:
-            return np.convolve(lines, w)
-        return fft.irfft(fft.rfft(lines, nfft) * spectrum, nfft)[:, :size]
-    return blur, radius
+    spectrum *= 6.0 / (4.0 + 2.0 * np.cos(2.0 * np.pi / nfft * np.arange(spectrum.size)))
+    return (lambda lines: fft.irfft(fft.rfft(lines, nfft) * spectrum, nfft)[:, :size]), radius
 
 
 def _line_pass(values, flow):
@@ -141,14 +146,11 @@ def _gauss_rows(values, x, h, c, a):
     if a < MIN_BLUR_STEPS * h:
         z, w = gauss_hermite()
         index = grid_index(c * x[:, None] + a * z[None, :], x[0], h)
-        blur, radius = (lambda lines: lines), 0
+        coeffs, radius = spline_coefficients, 0
     else:
-        blur, radius = _line_blur(a, h, x.size)
+        coeffs, radius = _line_blur(a, h, values.shape)
         index = grid_index(c * x, x[0] - radius * h, h)[:, None]
         w = np.ones(1)
-
-    def coeffs(lines):
-        return spline_coefficients(blur(lines))
     if values.ndim == 1:
         # a lone line samples its points directly, cheaper than building
         # the matrix
@@ -256,7 +258,7 @@ def de_bruijn_check(f, t, step=1e-3):
     """
     t = _flow_time(t)
     step = float(step)
-    if step <= 0.0 or t - step < 0.0:
+    if not (math.isfinite(step) and 0.0 < step <= t):
         raise InvalidFlowTime(f"need 0 < step <= t, got step={step!r}, t={t!r}")
     s_plus = entropy(_flow_for(f, t + step))
     s_minus = entropy(_flow_for(f, t - step))

@@ -63,10 +63,11 @@ class TestResources:
         on its thread pool, whose threads kept spinning after each call:
         CPU time 1.4-2.0 times the wall time.  The sheared marginals and
         linear_combination filter their lines with np.correlate and add
-        them on one lattice; they are held to the same bound."""
+        them on one lattice; they are held to the same bound, and so are the
+        2d blur-path flows, whose FFTs also carry the spline prefilter."""
         lines = run_child("""
             import time
-            from entroframe import linear_combination, marginal
+            from entroframe import heat_flow, linear_combination, marginal, ou_flow
             f2 = gaussian(GAM, [0.2, -0.1], [[1.1, 0.2], [0.2, 0.8]]).to_grid()
             l2 = gaussian(LEB, [0.2, -0.1], [[1.1, 0.2], [0.2, 0.8]]).to_grid()
             calls = dict(frame_checks,
@@ -75,14 +76,16 @@ class TestResources:
                          fisher2d=lambda: fisher(f2),
                          marginal_gaussian=lambda: marginal(f2, 1.0),
                          marginal_lebesgue=lambda: marginal(l2, 1.0),
-                         linear_combination=lambda: linear_combination(fs[0], fs[1], 0.8, 0.6))
+                         linear_combination=lambda: linear_combination(fs[0], fs[1], 0.8, 0.6),
+                         heat_flow2d=lambda: heat_flow(l2, 0.1),
+                         ou_flow2d=lambda: ou_flow(f2, 0.5))
             for name, call in calls.items():
                 cpu, wall = time.process_time(), time.perf_counter()
                 call()
                 cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
                 print(f"{name}:{cpu!r}:{wall!r}")
         """)
-        assert len(lines) == 10
+        assert len(lines) == 12
         for line in lines:
             name, cpu, wall = line.split(":")
             assert float(cpu) <= 1.05 * float(wall) + 0.010, line
