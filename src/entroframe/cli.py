@@ -20,8 +20,6 @@ from .density import (
     DEFAULT_POINTS,
     ExpFunction,
     GaussianDensity,
-    GridDensity1D,
-    GridDensity2D,
     Reference,
     default_axis,
     gaussian,
@@ -43,6 +41,8 @@ from .frames import (
 )
 from .functional import _norm_exponent
 from .inequality import (
+    _lsi_angle,
+    _tolerance,
     check_blachmann_stam,
     check_brascamp_lieb,
     check_fisher_subadditivity,
@@ -58,6 +58,7 @@ from .inequality import (
     check_young_entropy,
 )
 from .selftest import TAGS, run as run_selftest
+from .semigroup import _mehler_angle
 
 EXIT_PASS = 0
 EXIT_VIOLATED = 1
@@ -142,19 +143,14 @@ def _repaired(values, kind):
     return snapped if kind == "weights" else ExponentTriple(*snapped)
 
 
-def _loaded(reference, dim, load, *args):
-    """The density load(*args), checked against the slot's reference and dim."""
-    density = load(*args)
-    ref = getattr(density, "reference", None)
-    if ref is not None and ref is not reference:
+def _loaded(path, reference, dim, length, points):
+    """The json: density at path, checked against the slot's reference and dim."""
+    density = load_json(path, length, points)
+    if density.reference is not reference:
         raise ReferenceMismatch(
-            f"loaded density is {ref.value}-reference, the check needs {reference.value}")
-    if isinstance(density, GaussianDensity):
-        actual = density.dim
-    elif isinstance(density, (GridDensity1D, GridDensity2D)):
-        actual = len(density.axes)
-    else:
-        actual = dim
+            f"loaded density is {density.reference.value}-reference, "
+            f"the check needs {reference.value}")
+    actual = density.dim if isinstance(density, GaussianDensity) else len(density.axes)
     if actual != dim:
         raise ReferenceMismatch(f"needs a {dim}d density, got {actual}d")
     return density
@@ -191,9 +187,9 @@ def parse_density_1d(spec, reference, length, points, allow_exp=False):
         (a,) = _floats(rest, 1)
         return ExpFunction(a)
     if kind == "csv":
-        return _loaded(reference, 1, load_csv_1d, rest, reference)
+        return load_csv_1d(rest, reference)
     if kind == "json":
-        return _loaded(reference, 1, load_json, rest, length, points)
+        return _loaded(rest, reference, 1, length, points)
     raise NormalizationError(f"unknown 1d density spec {spec!r}")
 
 
@@ -217,9 +213,9 @@ def parse_density_2d(spec, reference, length, points):
             [parse_density_1d(s, reference, length, points) for s in (left, right)],
             length, points))
     if kind == "csv2":
-        return _loaded(reference, 2, load_csv_2d, rest, reference)
+        return load_csv_2d(rest, reference)
     if kind == "json":
-        return _loaded(reference, 2, load_json, rest, length, points)
+        return _loaded(rest, reference, 2, length, points)
     raise NormalizationError(f"unknown 2d density spec {spec!r}")
 
 
@@ -330,23 +326,34 @@ CHECK_TABLE = {
     "blachmann-stam": (("g", "h"), 1, Reference.LEBESGUE, False, lambda a, d, ref, grid:
                        check_blachmann_stam(*d, tolerance=a.tolerance)[0]),
     "hyper": (("f",), 1, Reference.GAUSSIAN, True, lambda a, d, ref, grid:
-              check_hypercontractivity(*d, *_norm_exponents(a), _need(a, "--theta"),
+              check_hypercontractivity(*d, *_norm_exponents(a), a.theta,
                                        tolerance=a.tolerance, **grid)),
     "hyper2": (("g", "h"), 1, Reference.GAUSSIAN, True, lambda a, d, ref, grid:
                check_hyper_two_function(*d, *_hyper2(a), tolerance=a.tolerance, **grid)),
     "lsi": (("f",), 1, Reference.GAUSSIAN, False, lambda a, d, ref, grid:
             check_log_sobolev(*d, tolerance=a.tolerance)),
     "lsi-integrated": (("f",), 1, Reference.GAUSSIAN, False, lambda a, d, ref, grid:
-                       check_integrated_lsi(*d, _need(a, "--theta"),
-                                            tolerance=a.tolerance)),
+                       check_integrated_lsi(*d, a.theta, tolerance=a.tolerance)),
     "brascamp-lieb": (("f1", "f2", "f3"), 1, None, True, lambda a, d, ref, grid:
                       check_brascamp_lieb(_frame(a), *d, reference=ref,
                                           tolerance=a.tolerance, **grid)),
 }
 
 
+# the library's rule for each check's --theta: P_theta's closed range, or the
+# half-open one of the integrated log-Sobolev inequality
+_THETA_RULES = {"hyper": _mehler_angle, "lsi-integrated": _lsi_angle}
+
+
 def _run_check(args):
     slots, dim, fixed, allow_exp, run = CHECK_TABLE[args.name]
+    # the flags that set no density are checked before any slot is parsed
+    with _flagged("--tolerance"):
+        _tolerance(args.tolerance)
+    if args.name in _THETA_RULES:
+        theta = _need(args, "--theta")
+        with _flagged("--theta"):
+            _THETA_RULES[args.name](theta)
     if fixed is not None and args.reference not in (None, fixed.value):
         raise ReferenceMismatch(
             f"{args.name} is a {fixed.value}-reference inequality; "
@@ -389,29 +396,30 @@ def _sigma_flags(sigma):
     return {"f": f"gauss:0,{sigma * sigma!r}"}
 
 
-# one row per sweep: (its parameter, the defaults of the exponent flags, the
-# flags a row sets from the parameter's value).  A row of hyper or
-# young-conv is that check, run as `check` runs it; shannon-limit's rows are
-# the middle weight of the Shannon limit frame against -4 s.
+# one row per sweep: (its parameter, the defaults of the exponent flags, what
+# a row makes of the parameter's value, refusing a value its check refuses:
+# the flags it sets, or shannon-limit's frame).  A row of hyper or young-conv
+# is that check, run as `check` runs it; shannon-limit's rows are the middle
+# weight of the Shannon limit frame against -4 s.
 SWEEPS = {
-    "hyper": ("theta", {"p": 2.0, "q": 4.0}, lambda theta: {"theta": theta}),
+    "hyper": ("theta", {"p": 2.0, "q": 4.0}, lambda theta: {"theta": _mehler_angle(theta)}),
     "young-conv": ("sigma", {"p": 4.0 / 3.0, "q": 4.0 / 3.0, "r": 2.0}, _sigma_flags),
-    "shannon-limit": ("s", None, None),
+    "shannon-limit": ("s", None, shannon_limit_frame),
 }
 
 
-def _sweep_row(args, value):
-    """The row (value, lhs, rhs, slack) of the sweep args at value."""
-    _, defaults, flags = SWEEPS[args.check]
-    if flags is None:
-        lhs, rhs = shannon_limit_frame(value).weights[1], -4.0 * value
+def _sweep_row(args, value, made):
+    """The row (value, lhs, rhs, slack) of the sweep args at value; made is
+    what SWEEPS made of the value."""
+    defaults = SWEEPS[args.check][1]
+    if defaults is None:
+        lhs, rhs = made.weights[1], -4.0 * value
         return value, lhs, rhs, rhs - lhs
-    row_flags = flags(value)
-    given = [f"--{flag}" for flag in row_flags if getattr(args, flag, None) is not None]
+    given = [f"--{flag}" for flag in made if getattr(args, flag, None) is not None]
     if given:
         raise NormalizationError(f"sweep {args.check} sets {given[0]} in every row; drop it")
     row = {"name": args.check, "reference": None, "tolerance": None, "g": None,
-           **vars(args), **row_flags}
+           **vars(args), **made}
     row.update((flag, d) for flag, d in defaults.items() if row[flag] is None)
     report = _run_check(argparse.Namespace(**row))
     return value, report.lhs, report.rhs, report.slack
@@ -429,10 +437,16 @@ def cmd_sweep(args):
         lo, hi = float(lo), float(hi)
     except ValueError:
         raise NormalizationError(f"--range must be numeric, got {args.range!r}")
+    if not np.all(np.isfinite([lo, hi])):
+        raise NormalizationError(f"--range ends must be finite, got {args.range!r}")
     if args.steps < 2:
         raise NormalizationError(f"--steps must be at least 2, got {args.steps}")
-    # every row is computed before the sink opens: a failing sweep writes nothing
-    rows = [_sweep_row(args, float(v)) for v in np.linspace(lo, hi, args.steps)]
+    values = [float(v) for v in np.linspace(lo, hi, args.steps)]
+    # every value is checked before the first row runs, and every row is
+    # computed before the sink opens: a failing sweep writes nothing
+    with _flagged("--range"):
+        made = [SWEEPS[args.check][2](v) for v in values]
+    rows = [_sweep_row(args, v, m) for v, m in zip(values, made)]
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(sink, lineterminator="\n")

@@ -184,14 +184,6 @@ def _cached(obj, name, compute):
 
 # === grid containers ======================================================
 
-def _axis_step(x, name="x"):
-    """The step of x if it is a uniform ascending grid axis; GridError otherwise."""
-    try:
-        return validate_axis(x, name)
-    except ValueError as exc:
-        raise GridError(str(exc)) from None
-
-
 class _Grid:
     """Base of the grid containers: read-only values on checked axes.
 
@@ -205,7 +197,7 @@ class _Grid:
         axes = []
         for name, step in steps.items():
             x = _readonly(getattr(self, name))
-            h = _axis_step(x, name)
+            h = validate_axis(x, name)
             object.__setattr__(self, name, x)
             object.__setattr__(self, step, h)
             axes.append((x, h))
@@ -343,24 +335,17 @@ class GaussianDensity:
         return pts
 
     def _precision(self):
-        """(inverse covariance, log det covariance), computed once per density."""
-        def compute():
-            p = np.linalg.inv(self.covariance)
-            return _freeze(0.5 * (p + p.T)), np.linalg.slogdet(self.covariance)[1]
-        return _cached(self, "_precision_memo", compute)
-
-    def log_pdf_lebesgue(self, points):
-        """log of the Lebesgue-density at points of shape (..., dim)."""
-        pts = self._shaped(points)
-        d = pts - self.mean
-        precision, logdet = self._precision()
-        quad = np.einsum("...i,ij,...j->...", d, precision, d)
-        return -0.5 * (quad + self.dim * LOG_2PI + logdet)
+        """(inverse covariance, log det covariance)."""
+        p = np.linalg.inv(self.covariance)
+        return 0.5 * (p + p.T), np.linalg.slogdet(self.covariance)[1]
 
     def pdf(self, points):
         """Density values w.r.t. the carried reference measure."""
         pts = self._shaped(points)
-        logp = self.log_pdf_lebesgue(pts)
+        d = pts - self.mean
+        precision, logdet = self._precision()
+        quad = np.einsum("...i,ij,...j->...", d, precision, d)
+        logp = -0.5 * (quad + self.dim * LOG_2PI + logdet)
         if self.reference is Reference.GAUSSIAN:
             logp = logp + 0.5 * np.einsum("...i,...i->...", pts, pts) \
                 + 0.5 * self.dim * LOG_2PI
@@ -374,9 +359,8 @@ class GaussianDensity:
                 self.reference, x, _freeze(self.pdf(x[:, None])), what="gaussian grid")
         if self.dim == 2:
             x = _freeze(default_axis(length, points))
-            y = _freeze(default_axis(length, points))
             return GridDensity2D.from_values(
-                self.reference, x, y, _freeze(self._grid_pdf_2d(x, y)), what="gaussian grid")
+                self.reference, x, x, _freeze(self._grid_pdf_2d(x, x)), what="gaussian grid")
         raise GridError(f"no grid sampling for dimension {self.dim}")
 
     def _grid_pdf_2d(self, x, y):
@@ -458,7 +442,7 @@ def uniform_density(a, b, smoothing=0.05, length=None, points=None):
     try:
         return GridDensity1D.from_values(Reference.LEBESGUE, x, _freeze(vals), what="uniform")
     except NormalizationError as exc:
-        h = _axis_step(x)
+        h = validate_axis(x)
         if not 0.0 < smoothing < h:
             raise
         need = math.ceil((x[-1] - x[0]) / smoothing) // 2 * 2 + 1

@@ -28,10 +28,9 @@ def _parse_reference(raw):
 
 # === CSV ==================================================================
 
-def _read_csv(path, reference, header):
-    """The reference and the rows of a CSV file under the given header, as a
-    (rows, len(header)) float array."""
-    reference = _parse_reference(reference) if not isinstance(reference, Reference) else reference
+def _read_csv(path, header):
+    """The rows of a CSV file under the given header, as a (rows, len(header))
+    float array."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         got = next(reader, None)
@@ -43,16 +42,18 @@ def _read_csv(path, reference, header):
     for r in rows:
         if len(r) < len(header):
             raise GridError(f"{path}: row {r!r} has fewer than {len(header)} values")
-    return reference, np.array([[float(v) for v in r[:len(header)]] for r in rows])
+    return np.array([[float(v) for v in r[:len(header)]] for r in rows])
 
 
 def load_csv_1d(path, reference):
-    reference, rows = _read_csv(path, reference, ["x", "f"])
+    """The 1d grid density in the CSV file at path, over reference (a Reference)."""
+    rows = _read_csv(path, ["x", "f"])
     return GridDensity1D.from_values(reference, rows[:, 0], rows[:, 1], what=str(path))
 
 
 def load_csv_2d(path, reference):
-    reference, rows = _read_csv(path, reference, ["x", "y", "f"])
+    """The 2d grid density in the CSV file at path, over reference (a Reference)."""
+    rows = _read_csv(path, ["x", "y", "f"])
     x = np.unique(rows[:, 0])
     y = np.unique(rows[:, 1])
     if x.size * y.size != len(rows):

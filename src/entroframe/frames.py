@@ -142,9 +142,6 @@ class Frame2:
         """Frobenius distance of the weighted sum from the identity."""
         return float(np.linalg.norm(self.gram() - np.eye(2)))
 
-    def sectors(self):
-        return sector_measures(self.thetas)
-
 
 MERCEDES_WEIGHT = 2.0 / 3.0
 

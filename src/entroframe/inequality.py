@@ -29,15 +29,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .density import (ExpFunction, GaussianDensity, GridDensity1D,
-                      GridDensity2D, GridFunction1D, Reference, _axis_step,
-                      _cached, convolve, default_axis, integral,
-                      linear_combination, marginals, reference_weight, scale1d)
+                      GridDensity2D, GridFunction1D, Reference, _cached,
+                      convolve, default_axis, integral, linear_combination,
+                      marginals, reference_weight, scale1d)
 from .errors import InvalidExponents, InvalidFlowTime, ReferenceMismatch
 from .frames import (ExponentTriple, Frame2, _coerce_triple, _hyper2_exponents,
                      angles_from_exponents, conjugate_exponent,
                      shannon_limit_frame, validate_young, young_frame)
 from .functional import _lp_norm, entropy, fisher, lp_norm
-from .quadrature import blocks, contract, simpson_weights
+from .quadrature import blocks, contract, simpson_weights, validate_axis
 from .semigroup import hermite_p_theta, ou_flow
 
 SQRT2 = math.sqrt(2.0)
@@ -126,10 +126,18 @@ def _axis_part(x):
     return ("axis", float(x[0]), float(x[-1]), x.size)
 
 
-def _report(name, lhs, rhs, constant, tolerance, parts):
-    tol = DEFAULT_TOLERANCES[name] if tolerance is None else float(tolerance)
+def _tolerance(tolerance, default=None):
+    """tolerance as a float, once it is finite and >= 0; default if it is None."""
+    if tolerance is None:
+        return default
+    tol = float(tolerance)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
+
+
+def _report(name, lhs, rhs, constant, tolerance, parts):
+    tol = _tolerance(tolerance, DEFAULT_TOLERANCES[name])
     return InequalityReport(name=name, lhs=float(lhs), rhs=float(rhs),
                             constant=float(constant), slack=float(rhs) - float(lhs),
                             tolerance=tol, inputs_digest=inputs_digest(name, *parts))
@@ -313,7 +321,7 @@ def check_main_entropy(triple, f, tolerance=None):
 def _two_function_integral(triple, g, h, reference, length=None, points=None):
     t = _coerce_triple(triple)
     x = default_axis(length, points)
-    axis = (x, _axis_step(x))
+    axis = (x, validate_axis(x))
 
     def weight(p):
         return lambda v, s: v * reference_weight(reference, s) ** (1.0 / p)
@@ -388,14 +396,9 @@ def check_young_entropy(f, p, q, r, tolerance=None):
 
 # === Shannon's inequality =================================================
 
-def _sum_density(g, h):
-    """Density of (X + Y)/sqrt(2) for independent X ~ g, Y ~ h."""
-    return scale1d(convolve(g, h), 1.0 / SQRT2)
-
-
 def check_shannon(g, h, tolerance=None):
-    """S((X + Y)/sqrt 2) <= (S(X) + S(Y))/2 for Lebesgue densities."""
-    lhs = entropy(_sum_density(g, h))
+    """S((X + Y)/sqrt 2) <= (S(X) + S(Y))/2 for independent Lebesgue X ~ g, Y ~ h."""
+    lhs = entropy(scale1d(convolve(g, h), 1.0 / SQRT2))
     rhs = 0.5 * (entropy(g) + entropy(h))
     return _report("shannon", lhs, rhs, 0.0, tolerance, (g, h))
 
@@ -490,11 +493,17 @@ def check_log_sobolev(f, tolerance=None):
     return _report("lsi", lhs, rhs, 0.5, tolerance, (f,))
 
 
-def check_integrated_lsi(f, theta, tolerance=None):
-    """S_gamma(P_theta f) <= cos^2(theta) S_gamma(f) along the OU flow."""
+def _lsi_angle(theta):
+    """theta as a float, once it lies in [0, pi/2); InvalidFlowTime otherwise."""
     theta = float(theta)
     if not 0.0 <= theta < math.pi / 2.0:
         raise InvalidFlowTime(f"theta must lie in [0, pi/2), got {theta!r}")
+    return theta
+
+
+def check_integrated_lsi(f, theta, tolerance=None):
+    """S_gamma(P_theta f) <= cos^2(theta) S_gamma(f) along the OU flow."""
+    theta = _lsi_angle(theta)
     flowed = ou_flow(f, -math.log(math.cos(theta)))
     constant = math.cos(theta) ** 2
     lhs = entropy(flowed)
@@ -511,7 +520,7 @@ def check_brascamp_lieb(frame, f1, f2, f3, reference=Reference.LEBESGUE,
     (x . u_1, x . u_j) of _frame_inner on {|s_1|, |s_2| <= L}; over the
     Gaussian reference f_i becomes f_i gamma."""
     x = default_axis(length, points)
-    axis = (x, _axis_step(x))
+    axis = (x, validate_axis(x))
 
     def weight(c):
         return lambda v, s: (np.maximum(v, 0.0) * reference_weight(reference, s)) ** c

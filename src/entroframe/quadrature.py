@@ -37,22 +37,23 @@ import math
 import numpy as np
 from scipy import ndimage, sparse
 
+from .errors import GridError
+
 
 # === grids ================================================================
 
 def validate_axis(x, name="axis"):
     """Check that x is a uniform ascending grid of odd length >= 65.
 
-    Returns the grid step.  Raises ValueError on malformed axes; callers
-    wrap this in the package error types.
+    Returns the grid step; raises GridError on a malformed axis.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 65 or x.size % 2 == 0:
-        raise ValueError(f"{name} must be 1d with odd length >= 65, got shape {x.shape}")
+        raise GridError(f"{name} must be 1d with odd length >= 65, got shape {x.shape}")
     steps = np.diff(x)
     h = (x[-1] - x[0]) / (x.size - 1)
     if h <= 0 or not np.all(np.abs(steps - h) <= 1e-12 * max(abs(x[0]), abs(x[-1]), 1.0)):
-        raise ValueError(f"{name} must be uniform and ascending")
+        raise GridError(f"{name} must be uniform and ascending")
     return h
 
 

@@ -213,6 +213,14 @@ def ou_flow(f, t):
 
 # === Mehler operator ======================================================
 
+def _mehler_angle(theta):
+    """theta as a float, once it lies in [0, pi/2]; InvalidFlowTime otherwise."""
+    theta = float(theta)
+    if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
+        raise InvalidFlowTime(f"theta must lie in [0, pi/2], got {theta!r}")
+    return theta
+
+
 def hermite_p_theta(f, theta, x=None):
     """P_theta f(x) = int f(x cos theta + y sin theta) dgamma(y), a GridFunction1D.
 
@@ -223,9 +231,7 @@ def hermite_p_theta(f, theta, x=None):
     omitted).  theta in [0, pi/2]; P_0 is the identity and P_{pi/2}
     averages f against gamma.
     """
-    theta = float(theta)
-    if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
-        raise InvalidFlowTime(f"theta must lie in [0, pi/2], got {theta!r}")
+    theta = _mehler_angle(theta)
     c, s = math.cos(theta), math.sin(theta)
     if isinstance(f, (GridFunction1D, GridDensity1D)):
         if x is not None and not np.array_equal(x, f.x):
@@ -242,13 +248,6 @@ def hermite_p_theta(f, theta, x=None):
 
 # === flow diagnostics =====================================================
 
-def _flow_for(f, t):
-    ref = f.reference
-    if ref is Reference.LEBESGUE:
-        return heat_flow(f, t)
-    return ou_flow(f, t)
-
-
 def de_bruijn_check(f, t, step=1e-3):
     """|d/dt S(f_t) + I(f_t)| via a centered difference at time t.
 
@@ -260,9 +259,9 @@ def de_bruijn_check(f, t, step=1e-3):
     step = float(step)
     if not (math.isfinite(step) and 0.0 < step <= t):
         raise InvalidFlowTime(f"need 0 < step <= t, got step={step!r}, t={t!r}")
-    s_plus = entropy(_flow_for(f, t + step))
-    s_minus = entropy(_flow_for(f, t - step))
-    i_mid = fisher(_flow_for(f, t))
+    s_plus = entropy(_flow(f, t + step, f.reference))
+    s_minus = entropy(_flow(f, t - step, f.reference))
+    i_mid = fisher(_flow(f, t, f.reference))
     return abs((s_plus - s_minus) / (2.0 * step) + i_mid)
 
 
@@ -282,8 +281,8 @@ def stability_check(f, direction, t):
     t = _flow_time(t)
     if not isinstance(f, GridDensity2D):
         raise ReferenceMismatch("stability check needs a GridDensity2D")
-    via_2d = marginal(_flow_for(f, t), direction)
-    via_1d = _flow_for(marginal(f, direction), t)
+    via_2d = marginal(_flow(f, t, f.reference), direction)
+    via_1d = _flow(marginal(f, direction), t, f.reference)
     if via_2d.x.size != via_1d.x.size or abs(via_2d.x[0] - via_1d.x[0]) > 1e-9:
         raise ReferenceMismatch("flow and marginal landed on different grids")
     return float(np.max(np.abs(via_2d.values - via_1d.values)))

@@ -155,11 +155,22 @@ RUNS = [
     ("check", "shannon", "--g", "gauss:0,1", "--h", "gauss:0,1", "--tolerance", "nan", *N1),
     ("check", "shannon", "--g", "gauss:0,1", "--h", "gauss:0,1", "--tolerance", "inf", *N1),
     ("check", "shannon", "--g", "gauss:0,1", "--h", "gauss:0,1", "--tolerance=-1e-3", *N1),
+    # flags that set no density are checked first, under their flag and by
+    # the library's rule
+    ("check", "subadditivity", "--tolerance", "nan", *N2),
+    ("check", "hyper", "--f", "exp:1", "--p", "2", "--q", "4", "--theta", "nan", *N1),
+    ("check", "lsi-integrated", "--theta", "2", *N1),
     ("sweep", "--check", "hyper", "--param", "sigma", "--range", "0.5:2"),
     ("sweep", "--check", "hyper", "--param", "theta", "--range", "0.5", *N1),
     ("sweep", "--check", "hyper", "--param", "theta", "--range", "a:b", *N1),
     ("sweep", "--check", "hyper", "--param", "theta", "--range", "0.5:1", "--steps", "1", *N1),
     ("sweep", "--check", "young-conv", "--param", "sigma", "--range=1:-1", "--steps", "3", *N1),
+    # a non-finite end of --range is refused by name, and so is a row value
+    # its check refuses, before the first row runs
+    ("sweep", "--check", "young-conv", "--param", "sigma", "--range", "0.5:inf", *N1),
+    ("sweep", "--check", "hyper", "--param", "theta", "--range", "nan:1", *N1),
+    ("sweep", "--check", "shannon-limit", "--param", "s", "--range=-0.01:nan"),
+    ("sweep", "--check", "shannon-limit", "--param", "s", "--range=-0.01:0.01", "--steps", "3"),
     ("sweep", "--check", "hyper", "--param", "theta", "--f", "exp:1", "--range", "1.2:1.8",
      "--steps", "3", *N1),
     ("sweep", "--check", "hyper", "--param", "theta", "--range", "0.1:0.5", "--steps", "3",

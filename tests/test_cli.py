@@ -236,7 +236,35 @@ class TestCheckCommand:
                              "--h", "gauss:0,1", "--grid-n", "129",
                              f"--tolerance={tolerance}")
         assert code == 2 and out == ""
-        assert err == f"tolerance must be finite and >= 0, got {float(tolerance)!r}\n"
+        assert err == f"--tolerance: tolerance must be finite and >= 0, got {float(tolerance)!r}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("subadditivity", "--tolerance", "nan"),
+         "--tolerance: tolerance must be finite and >= 0, got nan"),
+        (("hyper", "--f", "exp:1", "--p", "2", "--q", "4", "--theta", "nan"),
+         "--theta: theta must lie in [0, pi/2], got nan"),
+        (("hyper", "--p", "2", "--q", "4", "--theta", "-0.1"),
+         "--theta: theta must lie in [0, pi/2], got -0.1"),
+        (("lsi-integrated", "--theta", "2"), "--theta: theta must lie in [0, pi/2), got 2.0"),
+        (("lsi-integrated", "--theta", repr(math.pi / 2)),
+         f"--theta: theta must lie in [0, pi/2), got {math.pi / 2!r}"),
+    ])
+    def test_flags_are_checked_before_any_slot(self, capsys, monkeypatch, argv, message):
+        """--tolerance and --theta are refused under their flag, by the
+        library's own rule, before any density is parsed or gridded."""
+        def no_slot(*args, **kwargs):
+            raise AssertionError("parsed a slot before checking the flags")
+        monkeypatch.setattr(cli, "parse_density_1d", no_slot)
+        monkeypatch.setattr(cli, "parse_density_2d", no_slot)
+        code, out, err = run(capsys, "check", *argv)
+        assert (code, out, err) == (2, "", message + "\n")
+
+    def test_hyper_takes_theta_up_to_pi_over_2(self, capsys):
+        """P_theta's range is closed: hyper runs at theta = pi/2, where
+        lsi-integrated's half-open range refuses it."""
+        code, out, _ = run(capsys, "check", "hyper", "--p", "2", "--q", "4",
+                           "--theta", repr(math.pi / 2), "--grid-n", "129")
+        assert code == 0 and json.loads(out)["name"] == "hyper"
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-3])
     def test_library_refuses_the_same_tolerances(self, tolerance):
@@ -607,10 +635,30 @@ class TestSweepCommand:
         assert target.read_text().splitlines()[0] == "param,lhs,rhs,slack"
 
     def test_failing_sweep_prints_nothing(self, capsys):
-        """sigma = 1 succeeds, sigma = 0 fails: no header and no row is printed."""
+        """sigma = 0 is refused: no header and no row is printed."""
         code, out, err = run(capsys, "sweep", "--check", "young-conv",
                              "--param", "sigma", "--range=1:-1", "--steps", "3")
         assert code == 2 and out == "" and "sigma must be positive" in err
+
+    @pytest.mark.parametrize("check, param, span, message", [
+        ("young-conv", "sigma", "0.5:inf", "--range ends must be finite, got '0.5:inf'"),
+        ("hyper", "theta", "nan:1", "--range ends must be finite, got 'nan:1'"),
+        ("shannon-limit", "s", "-0.01:nan", "--range ends must be finite, got '-0.01:nan'"),
+        ("hyper", "theta", "1.2:1.8", "--range: theta must lie in [0, pi/2], got 1.8"),
+        ("young-conv", "sigma", "1:-1", "--range: sigma must be positive, got 0.0"),
+        ("shannon-limit", "s", "-0.01:0.01",
+         "--range: sector violation: sector 3 measures 1.5708 ≥ π/2"),
+    ])
+    def test_range_is_checked_before_the_first_row(self, capsys, monkeypatch,
+                                                   check, param, span, message):
+        """A non-finite end, or a row value that its check refuses, is named
+        as --range before any row runs."""
+        def no_row(*args):
+            raise AssertionError("ran a row before checking --range")
+        monkeypatch.setattr(cli, "_sweep_row", no_row)
+        code, out, err = run(capsys, "sweep", "--check", check, "--param", param,
+                             f"--range={span}", "--steps", "3")
+        assert (code, out, err) == (2, "", message + "\n")
 
     def test_failing_sweep_leaves_out_untouched(self, capsys, tmp_path):
         """theta = 1.8 is past pi/2: --out is neither created nor truncated."""

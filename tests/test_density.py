@@ -108,6 +108,11 @@ class TestGridAxes:
     """Each grid owns its axes: checked once when built, steps kept."""
 
     @pytest.mark.parametrize("kind", sorted(BAD_AXES))
+    def test_validate_axis_raises_grid_error(self, kind):
+        with pytest.raises(GridError, match="x must be"):
+            validate_axis(BAD_AXES[kind](129), "x")
+
+    @pytest.mark.parametrize("kind", sorted(BAD_AXES))
     def test_from_values_1d_checks_axis_before_mass(self, kind):
         x = BAD_AXES[kind](129)
         with pytest.raises(GridError):

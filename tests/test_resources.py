@@ -12,6 +12,7 @@ import textwrap
 import pytest
 
 import entroframe
+from entroframe.cli import CHECK_TABLE
 
 try:
     import resource
@@ -44,12 +45,24 @@ INPUTS = """
 """
 
 
-def run_child(body):
-    """Run INPUTS then body in a fresh interpreter; return its stdout lines."""
+# the flags each check requires beside its default slots
+REQUIRED_FLAGS = {
+    "main-entropy": ("--exponents", "1.5,1.5,1.5"),
+    "main-integral": ("--exponents", "1.5,1.5,1.5"),
+    "young-conv": ("--p", "2", "--q", "1.6", "--r", "8"),
+    "young-entropy": ("--p", "2", "--q", "1.6", "--r", "8"),
+    "hyper": ("--p", "2", "--q", "4", "--theta", "1.2"),
+    "hyper2": ("--p", "1.5", "--r", "1.5"),
+    "lsi-integrated": ("--theta", "0.5"),
+}
+
+
+def run_child(body, inputs=INPUTS):
+    """Run inputs then body in a fresh interpreter; return its stdout lines."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(entroframe.__file__)))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = textwrap.dedent(INPUTS) + textwrap.dedent(body)
+    script = textwrap.dedent(inputs) + textwrap.dedent(body)
     done = subprocess.run([sys.executable, "-c", script], env=env, timeout=300,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -164,3 +177,26 @@ class TestResources:
         for line in lines:
             name, grown = line.split(":")
             assert int(grown) * RSS_UNIT <= bounds.get(name, slack), line
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_every_check_holds_at_most_the_density(self):
+        """Every `entroframe check`, at its default slots on the default grid
+        with only the flags it requires, raises the peak of a child that has
+        only imported the CLI by at most one n x n array of doubles (the
+        density of a 2d check) plus 16 MB.  Measured one child per check:
+        fisher +33.1 MiB, subadditivity and main-entropy +30.8, young-entropy
+        +30.7; no 1d check rose above the import's own peak."""
+        lines = run_child(f"""
+            import contextlib, io, resource
+            from entroframe.cli import CHECK_TABLE, main
+            peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            base = peak()
+            for name in CHECK_TABLE:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["check", name, *{REQUIRED_FLAGS!r}.get(name, ())])
+                print(f"{{name}}:{{code}}:{{peak() - base}}")
+        """, inputs="")
+        assert [line.split(":")[0] for line in lines] == list(CHECK_TABLE)
+        for line in lines:
+            name, code, grown = line.split(":")
+            assert code in ("0", "1") and int(grown) * RSS_UNIT <= 2049 ** 2 * 8 + 16e6, line
