@@ -244,7 +244,8 @@ def cmd_frame(args):
 # === check command ========================================================
 
 def _arg(args, flag):
-    return getattr(args, flag.lstrip("-").replace("-", "_"))
+    """The value of flag, None where args has no such field (a sweep row)."""
+    return getattr(args, flag.lstrip("-").replace("-", "_"), None)
 
 
 def _frame(args, angles="--frame-angles", weights="--frame-weights"):
@@ -304,37 +305,44 @@ def _norm_exponents(args):
     return exponents
 
 
+# the parameter flags of `check`, and the sets of them that a check reads
+_PARAMS = ("--p", "--q", "--r", "--theta", "--exponents", "--frame-angles", "--frame-weights")
+_FRAME = ("--frame-angles", "--frame-weights")
+_YOUNG = ("--p", "--q", "--r")
+
 # one row per check: (slots, dim, fixed reference or None, exp-friendly,
-# run(args, densities, reference, grid) -> report).  The exp-friendly
-# checks have function slots, which evaluate their inputs at points.
+# the _PARAMS it reads, run(args, densities, reference, grid) -> report).
+# The exp-friendly checks have function slots, which evaluate their inputs
+# at points.
 CHECK_TABLE = {
-    "subadditivity": (("f",), 2, None, False, lambda a, d, ref, grid:
+    "subadditivity": (("f",), 2, None, False, _FRAME, lambda a, d, ref, grid:
                       check_subadditivity(_frame(a), *d, tolerance=a.tolerance)),
-    "fisher": (("f",), 2, None, False, lambda a, d, ref, grid:
+    "fisher": (("f",), 2, None, False, _FRAME, lambda a, d, ref, grid:
                check_fisher_subadditivity(_frame(a), *d, tolerance=a.tolerance)),
-    "main-entropy": (("f",), 2, None, False, lambda a, d, ref, grid:
+    "main-entropy": (("f",), 2, None, False, ("--exponents",), lambda a, d, ref, grid:
                      check_main_entropy(_exponents(a), *d, tolerance=a.tolerance)),
-    "main-integral": (("g", "h"), 1, None, True, lambda a, d, ref, grid:
+    "main-integral": (("g", "h"), 1, None, True, ("--exponents",), lambda a, d, ref, grid:
                       check_main_integral(_exponents(a), *d, reference=ref,
                                           tolerance=a.tolerance, **grid)),
-    "young-conv": (("f", "g"), 1, Reference.LEBESGUE, False, lambda a, d, ref, grid:
+    "young-conv": (("f", "g"), 1, Reference.LEBESGUE, False, _YOUNG, lambda a, d, ref, grid:
                    check_young_convolution(*d, *_young(a), tolerance=a.tolerance)),
-    "young-entropy": (("f",), 2, Reference.LEBESGUE, False, lambda a, d, ref, grid:
+    "young-entropy": (("f",), 2, Reference.LEBESGUE, False, _YOUNG, lambda a, d, ref, grid:
                       check_young_entropy(*d, *_young(a), tolerance=a.tolerance)),
-    "shannon": (("g", "h"), 1, Reference.LEBESGUE, False, lambda a, d, ref, grid:
+    "shannon": (("g", "h"), 1, Reference.LEBESGUE, False, (), lambda a, d, ref, grid:
                 check_shannon(*d, tolerance=a.tolerance)),
-    "blachmann-stam": (("g", "h"), 1, Reference.LEBESGUE, False, lambda a, d, ref, grid:
+    "blachmann-stam": (("g", "h"), 1, Reference.LEBESGUE, False, (), lambda a, d, ref, grid:
                        check_blachmann_stam(*d, tolerance=a.tolerance)[0]),
-    "hyper": (("f",), 1, Reference.GAUSSIAN, True, lambda a, d, ref, grid:
-              check_hypercontractivity(*d, *_norm_exponents(a), a.theta,
-                                       tolerance=a.tolerance, **grid)),
-    "hyper2": (("g", "h"), 1, Reference.GAUSSIAN, True, lambda a, d, ref, grid:
+    "hyper": (("f",), 1, Reference.GAUSSIAN, True, ("--p", "--q", "--theta"),
+              lambda a, d, ref, grid: check_hypercontractivity(
+                  *d, *_norm_exponents(a), a.theta, tolerance=a.tolerance, **grid)),
+    "hyper2": (("g", "h"), 1, Reference.GAUSSIAN, True, ("--p", "--r"), lambda a, d, ref, grid:
                check_hyper_two_function(*d, *_hyper2(a), tolerance=a.tolerance, **grid)),
-    "lsi": (("f",), 1, Reference.GAUSSIAN, False, lambda a, d, ref, grid:
+    "lsi": (("f",), 1, Reference.GAUSSIAN, False, (), lambda a, d, ref, grid:
             check_log_sobolev(*d, tolerance=a.tolerance)),
-    "lsi-integrated": (("f",), 1, Reference.GAUSSIAN, False, lambda a, d, ref, grid:
+    "lsi-integrated": (("f",), 1, Reference.GAUSSIAN, False, ("--theta",),
+                       lambda a, d, ref, grid:
                        check_integrated_lsi(*d, a.theta, tolerance=a.tolerance)),
-    "brascamp-lieb": (("f1", "f2", "f3"), 1, None, True, lambda a, d, ref, grid:
+    "brascamp-lieb": (("f1", "f2", "f3"), 1, None, True, _FRAME, lambda a, d, ref, grid:
                       check_brascamp_lieb(_frame(a), *d, reference=ref,
                                           tolerance=a.tolerance, **grid)),
 }
@@ -346,8 +354,11 @@ _THETA_RULES = {"hyper": _mehler_angle, "lsi-integrated": _lsi_angle}
 
 
 def _run_check(args):
-    slots, dim, fixed, allow_exp, run = CHECK_TABLE[args.name]
+    slots, dim, fixed, allow_exp, params, run = CHECK_TABLE[args.name]
     # the flags that set no density are checked before any slot is parsed
+    for flag in _PARAMS:
+        if flag not in params and _arg(args, flag) is not None:
+            raise NormalizationError(f"{flag}: {args.name} does not use it; drop it")
     with _flagged("--tolerance"):
         _tolerance(args.tolerance)
     if args.name in _THETA_RULES:

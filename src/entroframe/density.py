@@ -31,7 +31,7 @@ from scipy.special import ndtr
 from .errors import (DomainTruncation, GridError, NormalizationError, NotSPD,
                      ReferenceMismatch, RenormalizationWarning, ZeroScale)
 from .frames import Direction
-from .quadrature import (BLOCK_ROWS, blocks, contract, grid_index,
+from .quadrature import (blocks, contract, grid_index,
                          sample_coefficients, sheared_sum, simpson_weights,
                          spline_coefficients, validate_axis)
 
@@ -478,14 +478,17 @@ def marginal(f, direction, x_out=None):
         s = (y - t sin a) / cos a.
 
     The integral runs over the grid's own y nodes with Simpson weights; each
-    node's term is the cubic spline of its line along x, on coefficients
-    prefiltered along x only, BLOCK_ROWS lines at a time, right before they
-    are sampled, so no whole-grid copy of them is made or kept.  The lines
-    are sampled and summed on quadrature.sheared_sum's half-step lattice
-    of x, and the spline of that sum is evaluated at t / cos a; w is taken
-    at each lattice point x = X, where s = y / cos a - X sin a.  Steeper
+    node's term is the cubic spline of its line along x.  The lines are
+    sampled and summed on quadrature.sheared_sum's half-step lattice of x,
+    and the spline of that sum is evaluated at t / cos a.  Steeper
     directions swap the roles of x and y.  w is 1 for the Lebesgue
-    reference and the standard gaussian density for the Gaussian one.
+    reference, so each line's weight is one constant: the lines' values,
+    zero-extended at their ends, are summed, and the spline prefilter runs
+    on the O(n) sum alone.  For the Gaussian reference w is the standard
+    gaussian density, taken at each lattice point x = X, where s = y / cos
+    a - X sin a; it varies along a line, so the lines are prefiltered
+    along x, BLOCK_ROWS at a time, right before they are sampled, and no
+    whole-grid copy of their coefficients is made or kept.
     Along an axis (a = 0 or pi/2), on that axis's own nodes, the splines
     would only give back the grid values, so the marginal is the Simpson
     sum of the values over the other axis.  The result is renormalized
@@ -505,9 +508,11 @@ def marginals(f, directions, x_out=None):
 
     The directions whose lines run along the same grid axis (x where
     |cos a| >= |sin a|, else y) share one quadrature.sheared_sum: each
-    block of BLOCK_ROWS lines of that axis is prefiltered once and sampled
-    for every one of them, so a frame pays one prefilter per axis, not one
-    per direction.  Axis marginals on their axis's own nodes prefilter
+    block of BLOCK_ROWS lines of that axis is read once for every one of
+    them.  Over Lebesgue measure no line is prefiltered, only each
+    direction's O(n) lattice sum; over the Gaussian reference each block is
+    prefiltered once, so a frame pays one prefilter per axis, not one per
+    direction.  Axis marginals on their axis's own nodes prefilter
     nothing.  The values are those of one direction at a time, bit for bit.
 
     Without x_out the marginals live on f.x and are memoized on f per
@@ -552,9 +557,8 @@ def _marginals(f, thetas, out):
         sheared[axis].append((k, _sheared_terms(f, axis, cos_a, sin_a, w, t)))
     for axis, group in enumerate(sheared):
         if group:
-            lines = _lines(f, axis)
             positions, terms = zip(*group)
-            for k, values in zip(positions, sheared_sum(_prefiltered(lines), len(lines), terms)):
+            for k, values in zip(positions, sheared_sum(_lines(f, axis), terms)):
                 sums[k] = values
     return _line_densities(out, "marginal", sums)
 
@@ -565,13 +569,12 @@ def _sheared_terms(f, axis, cos_a, sin_a, w, t):
     (along, h), (across, _) = f.axes[axis], f.axes[1 - axis]
 
     def weights(rows, lattice):
-        if f.reference is Reference.LEBESGUE:
-            return w[rows, None]
         # the lattice point at x = X on line j is t = X cos a, so
         # s = (y_j - t sin a) / cos a = y_j / cos a - X sin a
         x = along[0] + h * lattice
         return w[rows, None] * np.exp(log_gaussian_weight(across[rows, None] / cos_a - x * sin_a))
-    return grid_index(t / cos_a, along[0], h), across * (sin_a / cos_a / h), weights
+    return (grid_index(t / cos_a, along[0], h), across * (sin_a / cos_a / h),
+            w if f.reference is Reference.LEBESGUE else weights)
 
 
 def _shear(theta):
@@ -596,18 +599,6 @@ def _axis_sum(lines, w):
     for block in blocks(lines.shape[1]):
         sums[block] = contract(lines.T[block], w)
     return sums
-
-
-def _prefiltered(lines):
-    """sheared_sum's lines: each block of lines prefiltered along itself into
-    one reused buffer, which overwrites the last block once every sum has
-    used it up."""
-    buffer = np.empty((BLOCK_ROWS, lines.shape[1]))
-
-    def block_coefficients(rows):
-        block = lines[rows]
-        return spline_coefficients(block, out=buffer[:len(block)])
-    return block_coefficients
 
 
 def _zero_on(reference, t):
@@ -713,7 +704,9 @@ def linear_combination(f, g, a, b):
 
     a Simpson sum over g's own nodes of shifted copies of f's cubic spline,
     added on quadrature.sheared_sum's half-step lattice, which stays
-    accurate as b -> 0 where rescale-then-convolve degenerates.
+    accurate as b -> 0 where rescale-then-convolve degenerates.  Each copy's
+    weight is one constant, so the shifted values of f, zero-extended at
+    its ends, are summed and the sum alone is prefiltered.
     The output axis spans the Minkowski sum of the two scaled supports.
     Two Gaussians give N(a m_f + b m_g, a^2 v_f + b^2 v_g).
     """
@@ -729,10 +722,8 @@ def linear_combination(f, g, a, b):
     lo = min(a * f.x[0], a * f.x[-1]) + min(b * g.x[0], b * g.x[-1])
     hi = max(a * f.x[0], a * f.x[-1]) + max(b * g.x[0], b * g.x[-1])
     t = _freeze(np.linspace(lo, hi, f.x.size + g.x.size - 1))
-    # every row samples the same line of f: a zero-copy view of its coefficients
-    rows = np.broadcast_to(f.spline_coeffs(), (g.x.size, f.x.size))
-    shifts = g.x * (b / a / f.h)
-    w = (simpson_weights(g.x.size, g.h) * g.values)[:, None] / abs(a)
-    terms = (grid_index(t / a, f.x[0], f.h), shifts, lambda lines, lattice: w[lines])
-    sums = sheared_sum(lambda lines: rows[lines], len(rows), [terms])
+    # every row samples the same line of f: a zero-copy view of its values
+    rows = np.broadcast_to(f.values, (g.x.size, f.x.size))
+    w = simpson_weights(g.x.size, g.h) * g.values / abs(a)
+    sums = sheared_sum(rows, [(grid_index(t / a, f.x[0], f.h), g.x * (b / a / f.h), w)])
     return _line_densities(_zero_on(Reference.LEBESGUE, t), "combination", sums)[0]

@@ -160,6 +160,12 @@ RUNS = [
     ("check", "subadditivity", "--tolerance", "nan", *N2),
     ("check", "hyper", "--f", "exp:1", "--p", "2", "--q", "4", "--theta", "nan", *N1),
     ("check", "lsi-integrated", "--theta", "2", *N1),
+    # a parameter flag that the check does not read is refused by name
+    ("check", "shannon", "--theta", "5", "--p", "0.1", *N1),
+    ("check", "lsi", "--theta", "9", *N1),
+    ("check", "subadditivity", "--exponents", "1.5,1.5,1.5", *N2),
+    ("sweep", "--check", "hyper", "--param", "theta", "--range", "0.1:0.5", "--steps", "3",
+     "--r", "2", *N1),
     ("sweep", "--check", "hyper", "--param", "sigma", "--range", "0.5:2"),
     ("sweep", "--check", "hyper", "--param", "theta", "--range", "0.5", *N1),
     ("sweep", "--check", "hyper", "--param", "theta", "--range", "a:b", *N1),

@@ -259,6 +259,36 @@ class TestCheckCommand:
         code, out, err = run(capsys, "check", *argv)
         assert (code, out, err) == (2, "", message + "\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("shannon", "--theta", "5", "--p", "0.1"), "--p: shannon does not use it; drop it"),
+        (("lsi", "--theta", "9"), "--theta: lsi does not use it; drop it"),
+        (("hyper", "--p", "2", "--q", "4", "--theta", "0.5", "--r", "3"),
+         "--r: hyper does not use it; drop it"),
+        (("subadditivity", "--exponents", "1.5,1.5,1.5"),
+         "--exponents: subadditivity does not use it; drop it"),
+        (("main-entropy", "--exponents", "1.5,1.5,1.5", "--frame-angles", "0,1,2"),
+         "--frame-angles: main-entropy does not use it; drop it"),
+        (("brascamp-lieb", "--frame-weights", "0.6667,0.6667,0.6667", "--q", "2"),
+         "--q: brascamp-lieb does not use it; drop it"),
+    ])
+    def test_unused_parameter_flag_is_refused(self, capsys, monkeypatch, argv, message):
+        """A parameter flag that the check does not read is refused by name,
+        before any density is parsed, however valid its value."""
+        def no_slot(*args, **kwargs):
+            raise AssertionError("parsed a slot before checking the flags")
+        monkeypatch.setattr(cli, "parse_density_1d", no_slot)
+        monkeypatch.setattr(cli, "parse_density_2d", no_slot)
+        code, out, err = run(capsys, "check", *argv)
+        assert (code, out, err) == (2, "", message + "\n")
+
+    def test_flags_that_set_no_parameter_stay_accepted(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        code, out, _ = run(capsys, "check", "shannon", "--reference", "lebesgue",
+                           "--tolerance", "5", "--grid-l", "8", "--grid-n", "129",
+                           "--out", str(target))
+        assert code == 0 and out == ""
+        assert json.loads(target.read_text())["tolerance"] == 5.0
+
     def test_hyper_takes_theta_up_to_pi_over_2(self, capsys):
         """P_theta's range is closed: hyper runs at theta = pi/2, where
         lsi-integrated's half-open range refuses it."""
@@ -591,6 +621,13 @@ class TestSweepCommand:
         slacks = [float(line.split(",")[3]) for line in lines[1:]]
         # sign change brackets the threshold acos sqrt(1/3) ~ 0.9553
         assert slacks[3] < 0.0 < slacks[4]
+
+    def test_row_refuses_a_flag_its_check_does_not_use(self, capsys):
+        """A hyper row is check hyper, which does not read --r."""
+        code, out, err = run(capsys, "sweep", "--check", "hyper", "--param", "theta",
+                             "--range", "0.1:0.5", "--steps", "3", "--r", "2",
+                             "--grid-n", "129")
+        assert (code, out, err) == (2, "", "--r: hyper does not use it; drop it\n")
 
     def test_young_conv_sigma_sweep_dips_at_one(self, capsys):
         code, out, _ = run(capsys, "sweep", "--check", "young-conv",
