@@ -6,8 +6,13 @@ I_mu(f) = int |grad f|^2 / f dmu.  Both are computed by composite Simpson
 quadrature on grid densities and by closed forms on GaussianDensity.
 
 The integrand x log x is evaluated with a hard floor at 1e-300 so that
-0 log 0 = 0; the Fisher integrand |grad f|^2/f is likewise zeroed where
-f is below the floor.
+0 log 0 = 0.  The Fisher integrand |grad f|^2/f is zeroed where the
+Lebesgue density f dmu/dx is at most eps times its largest value on the
+grid: a flowed density's far tail is FFT rounding of that size, next to
+gradients of the same size, and kept it took the error of a 2d heat flow
+at t = 0.05 from -8.8e-9 to +2.3e-7 (n = 2049).  The floor is weighted
+by dmu/dx because a Gaussian-reference density may be largest at the
+grid's edge, where eps times its largest value zeroes real mass.
 """
 
 from __future__ import annotations
@@ -19,10 +24,15 @@ import numpy as np
 
 from .density import (LOG_2PI, GaussianDensity, GridDensity1D, GridDensity2D,
                       GridFunction1D, Reference, _cached, block_integral,
-                      integral, log_gaussian_weight)
+                      integral, log_gaussian_weight, reference_weight)
 from .errors import InvalidExponents, NonSmoothWarning, ReferenceMismatch
+from .quadrature import blocks
 
 VALUE_FLOOR = 1e-300
+
+# The Fisher integrand is zeroed where f dmu/dx is at most this fraction
+# of its largest value on the grid: there f is its own rounding.
+FISHER_FLOOR = np.finfo(float).eps
 
 # Relative disagreement between the h and 2h Fisher estimates above which
 # the input is flagged as insufficiently resolved.
@@ -37,13 +47,13 @@ def xlogx(values):
         return np.where(v > VALUE_FLOOR, v * np.log(np.maximum(v, VALUE_FLOOR)), 0.0)
 
 
-def _grad_sq_over_f(values, grads):
-    v = np.asarray(values, dtype=float)
-    sq = np.zeros_like(v)
+def _grad_sq_over_f(values, grads, keep):
+    """|grad f|^2 / f where keep, else 0."""
+    sq = np.zeros_like(values)
     for g in grads:
         sq += g * g
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(v > VALUE_FLOOR, sq / np.maximum(v, VALUE_FLOOR), 0.0)
+        return np.where(keep, sq / np.maximum(values, VALUE_FLOOR), 0.0)
 
 
 # === entropy ==============================================================
@@ -73,8 +83,31 @@ def entropy(f):
 
 # === Fisher information ===================================================
 
+def _above_floor(values, axes, reference):
+    """cols -> whether f dmu/dx exceeds FISHER_FLOOR times its largest value
+    on the grid, at the nodes cols of the last axis of values.
+
+    Over the Gaussian reference dmu/dx = wx wy, the product of each axis's
+    gamma (wx = 1 on a 1d grid, one row), so f dmu/dx > floor is
+    f wy > floor / wx.  Its largest value is found BLOCK_ROWS rows at a
+    time, and no block of it is kept.
+    """
+    if reference is Reference.LEBESGUE:
+        floor = FISHER_FLOOR * float(values.max())
+        return lambda cols: values[..., cols] > floor
+    *first, (y, _) = axes
+    wy = reference_weight(reference, y)
+    wx = reference_weight(reference, first[0][0]) if first else np.ones(1)
+    lines = values.reshape(wx.size, -1)
+    peak = max(float(np.max(np.max(lines[rows] * wy, axis=1) * wx[rows]))
+               for rows in blocks(wx.size))
+    limit = (FISHER_FLOOR * peak / wx).reshape(values.shape[:-1] + (1,))
+    return lambda cols: values[..., cols] * wy[cols] > limit
+
+
 def _fisher_estimate(values, axes, reference):
     m = values.shape[-1]
+    above = _above_floor(values, axes, reference)
 
     def integrand(cols):
         # The gradient along the last axis reads one column past each end
@@ -87,7 +120,7 @@ def _fisher_estimate(values, axes, reference):
         block = values[..., lo:hi]
         grads = [np.gradient(block, h, axis=i, edge_order=2)[..., keep]
                  for i, (_, h) in enumerate(axes)]
-        return _grad_sq_over_f(block[..., keep], grads)
+        return _grad_sq_over_f(block[..., keep], grads, above(cols))
     return block_integral(reference, integrand, *axes)
 
 

@@ -127,16 +127,20 @@ class TestResources:
         """The 2d grid passes run BLOCK_ROWS lines at a time, so each call
         raises the process peak by what it keeps, plus at most 16 MB:
         nothing for entropy, Fisher and the frame checks, whose marginals
-        prefilter each block of lines right before sampling it, and two
-        n x n arrays, the x pass and the result, for a flow or a stability
-        check; on its axis grown by the kernel radius heat flow held those
-        two at the grown sizes.  Their whole n x n temporaries took +38 MB
-        for entropy, +105 to +139 MB for Fisher, +166 MB for ou_flow,
-        +269 MB for heat_flow and +106 MB for check_subadditivity, each in
-        a process of its own; a copy of the flowed result in C order kept
-        heat_flow at +166 MB; a whole-grid line-spline memo per axis kept
-        +65 to +68 MB after a frame check and took stability_check to
-        +167 MB; with its n x n weights, a Gaussian-reference marginal rose
+        prefilter each block of lines right before sampling it; two n x n
+        arrays, the x pass and the result, for ou_flow; and one, the
+        result, for heat_flow and a stability check, whose 2d heat flow is
+        one FFT round trip that blurs x in y's spectrum (+38 to +40 MiB
+        against a bound of 47.3 MiB).  They held two arrays, +65 to +67 MiB,
+        while heat flow ran one pass per axis, and on its axis grown by the
+        kernel radius held those two at the grown sizes.  Whole n x n
+        temporaries took +38 MB for entropy, +105 to +139 MB for Fisher,
+        +166 MB for ou_flow, +269 MB for heat_flow and +106 MB for
+        check_subadditivity, each in a process of its own; a copy of the
+        flowed result in C order kept heat_flow at +166 MB; a whole-grid
+        line-spline memo per axis kept +65 to +68 MB after a frame check
+        and took stability_check to +167 MB; with its n x n weights, a
+        Gaussian-reference marginal rose
         +66 MB.  Every density is built before the first measurement and
         each child measures its flow last, after calls that hold no more
         than it does, so no earlier peak hides it."""
@@ -171,8 +175,8 @@ class TestResources:
             grown("heat_flow", lambda: heat_flow(f, 0.25))
         """)
         square, slack = 2049 ** 2 * 8, 16e6
-        flow = 2 * square + slack
-        bounds = {"ou_flow": flow, "heat_flow": flow, "stability": flow}
+        bounds = {"ou_flow": 2 * square + slack, "heat_flow": square + slack,
+                  "stability": square + slack}
         assert len(lines) == 12
         for line in lines:
             name, grown = line.split(":")
