@@ -31,8 +31,8 @@ from scipy.special import ndtr
 from .errors import (DomainTruncation, GridError, NormalizationError, NotSPD,
                      ReferenceMismatch, RenormalizationWarning, ZeroScale)
 from .frames import Direction
-from .quadrature import (blocks, contract, grid_index,
-                         sample_coefficients, sheared_sum, simpson_weights,
+from .quadrature import (blocks, contract, grid_index, sample_coefficients,
+                         sheared_sum, shifted_copies, simpson_weights,
                          spline_coefficients, validate_axis)
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -704,9 +704,11 @@ def linear_combination(f, g, a, b):
 
     a Simpson sum over g's own nodes of shifted copies of f's cubic spline,
     added on quadrature.sheared_sum's half-step lattice, which stays
-    accurate as b -> 0 where rescale-then-convolve degenerates.  Each copy's
-    weight is one constant, so the shifted values of f, zero-extended at
-    its ends, are summed and the sum alone is prefiltered.
+    accurate as b -> 0 where rescale-then-convolve degenerates.  Every copy
+    is of the one line f, zero-extended at its ends, with one constant
+    weight, so quadrature.shifted_copies folds the copies into one comb per
+    lattice phase and correlates f with it by FFT, O(n log n) in place of
+    one filter per copy; only the O(n) lattice sum is prefiltered.
     The output axis spans the Minkowski sum of the two scaled supports.
     Two Gaussians give N(a m_f + b m_g, a^2 v_f + b^2 v_g).
     """
@@ -722,8 +724,6 @@ def linear_combination(f, g, a, b):
     lo = min(a * f.x[0], a * f.x[-1]) + min(b * g.x[0], b * g.x[-1])
     hi = max(a * f.x[0], a * f.x[-1]) + max(b * g.x[0], b * g.x[-1])
     t = _freeze(np.linspace(lo, hi, f.x.size + g.x.size - 1))
-    # every row samples the same line of f: a zero-copy view of its values
-    rows = np.broadcast_to(f.values, (g.x.size, f.x.size))
     w = simpson_weights(g.x.size, g.h) * g.values / abs(a)
-    sums = sheared_sum(rows, [(grid_index(t / a, f.x[0], f.h), g.x * (b / a / f.h), w)])
-    return _line_densities(_zero_on(Reference.LEBESGUE, t), "combination", sums)[0]
+    sums = shifted_copies(f.values, grid_index(t / a, f.x[0], f.h), g.x * (b / a / f.h), w)
+    return _line_densities(_zero_on(Reference.LEBESGUE, t), "combination", [sums])[0]

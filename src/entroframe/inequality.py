@@ -31,13 +31,14 @@ import numpy as np
 from .density import (ExpFunction, GaussianDensity, GridDensity1D,
                       GridDensity2D, GridFunction1D, Reference, _cached,
                       convolve, default_axis, integral, linear_combination,
-                      marginals, reference_weight, scale1d)
+                      log_gaussian_weight, marginals, reference_weight, scale1d)
 from .errors import InvalidExponents, InvalidFlowTime, ReferenceMismatch
 from .frames import (ExponentTriple, Frame2, _coerce_triple, _hyper2_exponents,
                      angles_from_exponents, conjugate_exponent,
                      shannon_limit_frame, validate_young, young_frame)
 from .functional import _lp_norm, entropy, fisher, lp_norm
-from .quadrature import blocks, contract, simpson_weights, validate_axis
+from .quadrature import (blocks, contract, grid_index, shifted_copies, simpson_weights,
+                         validate_axis)
 from .semigroup import hermite_p_theta, ou_flow
 
 SQRT2 = math.sqrt(2.0)
@@ -273,8 +274,13 @@ def _frame_inner(thetas, f2, f3, axis):
     sum_i c_i sin^2(theta_i - theta_1) = 1 and c_2 + c_3 < 2 give |det| >
     1/sqrt 2 and |a|, |b| < sqrt 2, however close two directions lie.  A
     factor (f, weight) enters as weight(f(s), s), f_j read at the nodes.
-    f_k is evaluated and contracted BLOCK_ROWS rows of s_1 at a time, so no
-    n x n array is ever held."""
+
+    A grid factor f_k enters as the cubic spline of its weighted node
+    values weight(f_k.values, f_k.x), zero-extended at its ends, so the sum
+    over s_2 is one of copies of that line, shifted by -b s_2 / h_k:
+    quadrature.shifted_copies, O(n log n).  A callable f_k is evaluated
+    exactly at a s_1 + b s_2 and contracted BLOCK_ROWS rows of s_1 at a
+    time, so no n x n array is ever held."""
     (x, h), (t1, t2, t3) = axis, thetas
     if abs(math.sin(t3 - t1)) > abs(math.sin(t2 - t1)):
         (t2, f2), (t3, f3) = (t3, f3), (t2, f2)
@@ -282,10 +288,14 @@ def _frame_inner(thetas, f2, f3, axis):
     a, b = math.sin(t2 - t3) / det, math.sin(t3 - t1) / det
     (fj, wj), (fk, wk) = f2, f3
     fj_weighted = simpson_weights(x.size, h) * wj(_values_on(fj, x), x)
-    inner = np.empty(x.size)
-    for rows in blocks(x.size):
-        s = a * x[rows, None] + b * x[None, :]
-        inner[rows] = contract(wk(_eval_at(fk, s), s), fj_weighted)
+    if isinstance(fk, (GridFunction1D, GridDensity1D)):
+        inner = shifted_copies(wk(fk.values, fk.x), grid_index(a * x, fk.x[0], fk.h),
+                               -b * x / fk.h, fj_weighted)
+    else:
+        inner = np.empty(x.size)
+        for rows in blocks(x.size):
+            s = a * x[rows, None] + b * x[None, :]
+            inner[rows] = contract(wk(_eval_at(fk, s), s), fj_weighted)
     return inner / abs(det)
 
 
@@ -324,7 +334,9 @@ def _two_function_integral(triple, g, h, reference, length=None, points=None):
     axis = (x, validate_axis(x))
 
     def weight(p):
-        return lambda v, s: v * reference_weight(reference, s) ** (1.0 / p)
+        if reference is Reference.LEBESGUE:
+            return lambda v, s: v
+        return lambda v, s: v * np.exp(log_gaussian_weight(s) / p)
     thetas = angles_from_exponents(t).thetas
     inner = _frame_inner(thetas, (g, weight(t.p2)), (h, weight(t.p3)), axis)
     lhs = _lp_norm(inner, conjugate_exponent(t.p1), Reference.LEBESGUE, axis)

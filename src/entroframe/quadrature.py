@@ -35,13 +35,21 @@ measure the largest pointwise error against the closed form was 12% (n =
 same to three digits whether the values or the coefficients are sampled;
 a lattice of step 1 saved another fifth of the time but raised it 2.6
 times.
+
+Where every line is a copy of one line with a constant weight (a linear
+combination of two 1d densities, or the grid factor of a frame integral),
+shifted_copies takes the same lattice sum without the copies: on each
+phase the copies' 4-tap filters fold into one comb, and the sum is one
+real-FFT correlation of the zero-extended line with it, O(n log n) in
+place of n filters per phase.  Its values are sheared_sum's to summation
+order (within 1.1e-14 of the peak on random draws up to n = 2049).
 """
 
 import functools
 import math
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import fft, ndimage, sparse
 
 from .errors import GridError
 
@@ -240,6 +248,44 @@ def sheared_sum(lines, sums):
             for lattice in varying:
                 lattice.add(block, ext, n)
     return [lattice.resample() for lattice in lattices]
+
+
+def shifted_copies(line, index0, shifts, weights):
+    """sum_j weights[j] * s(index0 - shifts[j]) over the cubic spline s of
+    one line of n values, zero-extended at its ends: the sheared_sum of
+    copies of the line with constant weights, without the copies.
+
+    On the lattice of sheared_sum, copy j at phase p reads the line through
+    four taps at value indices base_jp - 1 .. base_jp + 2 of lattice point
+    0, each one further on at each next point.  Every copy reads the same
+    line, so np.bincount folds the 4 m weighted taps of the m copies into
+    one comb kappa_p over the offsets they reach, and the phase's lattice
+    sum is the correlation G_p[i] = sum_k kappa_p[k] line[lo_p + k + i],
+    done by a real FFT at a 5-smooth length: O(n log n) on one thread for
+    the 2 n m filter outputs of sheared_sum, and no BLAS (a long
+    np.correlate runs through numpy's dot, which can).  The phase sums are
+    then prefiltered and resampled at index0 as sheared_sum does it.
+    """
+    lattice = _Lattice(index0, shifts, weights)
+    # copy j, phase p: lattice point i reads values first[j, p] + i .. + 3
+    start = lattice.a0 + LATTICE_STEP * np.arange(lattice.PHASES) - shifts[:, None]
+    base = np.floor(start)
+    taps = np.stack(_bspline_weights(start - base), axis=-1) * (weights[:, None, None] / 6.0)
+    first = base.astype(np.intp) - 1
+    lo = first.min(axis=0)
+    widths = first.max(axis=0) - lo + 4
+    n = line.size
+    # correlation lags -(width - 1) .. n - 1 fit in nfft without wrapping
+    nfft = fft.next_fast_len(n + int(widths.max()) - 1, real=True)
+    spectrum = fft.rfft(line, nfft)
+    for p, (end, width) in enumerate(zip(lattice.ends, widths)):
+        comb = np.bincount((first[:, p, None] - lo[p] + np.arange(4)).ravel(),
+                           taps[:, p].ravel(), minlength=width)
+        # lag d of the circular correlation sits at d mod nfft
+        corr = fft.irfft(spectrum * np.conj(fft.rfft(comb, nfft)), nfft)
+        lag = lo[p] + np.arange(end)
+        lattice.phase_sums[p, :end] = np.where((lag > -width) & (lag < n), corr[lag % nfft], 0.0)
+    return lattice.resample()
 
 
 class _Lattice:

@@ -914,6 +914,31 @@ class TestLinearCombination:
         assert abs(float(entropy(d)) - float(entropy(want))) <= 1e-7
 
 
+class TestShiftedCopies:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(points=st.tuples(st.sampled_from([129, 257, 513]), st.sampled_from([129, 257, 513])),
+           lengths=st.tuples(st.floats(4.0, 12.0), st.floats(4.0, 12.0)),
+           offset=st.floats(-2.0, 2.0), log_ratio=st.floats(-3.0, 0.0),
+           negative=st.booleans(), bumps=st.tuples(st.floats(-1.5, 1.5), st.floats(0.2, 2.0)))
+    def test_is_the_sheared_sum_of_copies(self, points, lengths, offset, log_ratio,
+                                          negative, bumps):
+        """shifted_copies gives sheared_sum over zero-copy broadcast copies of
+        the line, within 1e-13 of the peak (summation order only), for |b/a|
+        from 1 down to 1e-3, both signs, f and g on different grids."""
+        (nf, ng), (lf, lg), (mean, var) = points, lengths, bumps
+        xf = np.linspace(-lf, lf, nf)
+        xg = np.linspace(offset - lg, offset + lg, ng)
+        hf, hg = validate_axis(xf), validate_axis(xg)
+        f = np.exp(-0.5 * (xf - mean) ** 2 / var) + 0.3 * np.exp(-2.0 * (xf + 1.0) ** 2)
+        ratio = -(10.0 ** log_ratio) if negative else 10.0 ** log_ratio
+        t = np.linspace(-lf - lg * abs(ratio), lf + lg * abs(ratio), nf + ng - 1) + ratio * offset
+        terms = (quadrature_module.grid_index(t, xf[0], hf), xg * (ratio / hf),
+                 simpson_weights(ng, hg) * np.exp(-0.5 * (xg - offset) ** 2))
+        want, = quadrature_module.sheared_sum(np.broadcast_to(f, (ng, nf)), [terms])
+        got = quadrature_module.shifted_copies(f, *terms)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # === closed-form Gaussians through the operations ========================
 
 F2 = gaussian(LEB, [0.4, -0.3], [[2.0, 0.6], [0.6, 1.1]])

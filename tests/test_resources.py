@@ -74,10 +74,14 @@ class TestResources:
         """A process that runs on one thread cannot use more CPU time than
         wall time, whatever the host load.  A contraction through BLAS ran
         on its thread pool, whose threads kept spinning after each call:
-        CPU time 1.4-2.0 times the wall time.  The sheared marginals and
-        linear_combination filter their lines with np.correlate and add
-        them on one lattice; they are held to the same bound, and so are the
-        2d blur-path flows, whose FFTs also carry the spline prefilter."""
+        CPU time 1.4-2.0 times the wall time.  The sheared marginals filter
+        their lines with np.correlate and add them on one lattice;
+        linear_combination and the frame checks on grid factors fold the
+        copies of one line into a comb per lattice phase and correlate the
+        line with it by a real FFT, where a long np.correlate would run
+        through numpy's dot, which can reach BLAS.  They are held to the
+        same bound, and so are the 2d blur-path flows, whose FFTs also carry
+        the spline prefilter."""
         lines = run_child("""
             import time
             from entroframe import heat_flow, linear_combination, marginal, ou_flow
@@ -106,9 +110,10 @@ class TestResources:
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
     def test_frame_checks_hold_no_square_array(self):
         """Each frame check raises the process peak by at most 48 MB, less
-        than two n x n arrays of doubles (33.6 MB each): the integrand is
-        evaluated BLOCK_ROWS (64) rows at a time.  Holding it whole took
-        +97 to +129 MB."""
+        than two n x n arrays of doubles (33.6 MB each): on a callable
+        factor the integrand is evaluated BLOCK_ROWS (64) rows at a time,
+        and a grid factor's sum over shifted copies holds O(n) values.
+        Holding the integrand whole took +97 to +129 MB."""
         lines = run_child("""
             import resource
             peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
