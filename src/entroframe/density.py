@@ -93,41 +93,44 @@ def integral(reference, values, *axes):
     values[i, ...] = g(x_i, ...); Lebesgue values are used as they are,
     with no copy.  See block_integral for the order of the sums.
     """
-    return block_integral(reference, lambda cols: values[..., cols], *axes)
+    return block_integral(reference, lambda rows: values[rows], *axes)
 
 
 def block_integral(reference, integrand, *axes):
     """int g dmu over the product grid of axes, g given one block at a time.
 
-    integrand(cols) returns g[..., cols], g restricted to the nodes cols
-    (a slice) of the last axis.  Each axis's Simpson weights carry that
+    integrand(rows) returns g[rows], g restricted to the nodes rows (a
+    slice) of the first axis.  Each axis's Simpson weights carry that
     axis's reference weight (the Gaussian reference is a product), so the
     integrand is contracted as it comes: a 1d grid in one block, a 2d grid
-    BLOCK_ROWS columns of y at a time, x first (contract(block.T, wx)), the
-    per-column sums then meeting wy.  In all wx @ g @ wy, no n x n temporary.
+    64 rows of x at a time, each block of contiguous rows with wy
+    (contract(block, wy)), the per-row sums then meeting wx.  In all
+    contract(g, wy) @ wx, no n x n temporary.
     """
-    *first, (y, k) = axes
-    wy = simpson_weights(y.size, k) * reference_weight(reference, y)
-    if not first:
-        return float(integrand(slice(None)) @ wy)
-    (x, h), = first
+    (x, h), *rest = axes
     wx = simpson_weights(x.size, h) * reference_weight(reference, x)
-    sums = np.empty(y.size)
-    for cols in blocks(y.size):
-        sums[cols] = contract(integrand(cols).T, wx)
-    return float(sums @ wy)
+    if not rest:
+        return float(integrand(slice(None)) @ wx)
+    (y, k), = rest
+    wy = simpson_weights(y.size, k) * reference_weight(reference, y)
+    sums = np.empty(x.size)
+    for rows in blocks(x.size):
+        sums[rows] = contract(integrand(rows), wy)
+    return float(sums @ wx)
 
 
 # === value policy =========================================================
 
 def _clip_values(values, what):
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise NormalizationError(f"{what}: values must be finite")
+    # max and min propagate NaN and show +-inf; with initial=0.0, low < 0
+    # only where some value is.
     peak = float(values.max(initial=0.0))
+    low = float(values.min(initial=0.0))
+    if not (math.isfinite(peak) and math.isfinite(low)):
+        raise NormalizationError(f"{what}: values must be finite")
     if peak <= 0.0:
         raise NormalizationError(f"{what}: values are identically nonpositive")
-    low = float(values.min())
     if low < -NEGATIVE_TOL * peak:
         raise NormalizationError(
             f"{what}: negative values down to {low:.3e} (peak {peak:.3e})")
@@ -368,7 +371,8 @@ class GaussianDensity:
 
         The quadratic form a dx^2 + 2b dx dy + c dy^2 is split into its
         per-axis parts and one outer product, so no per-point solve and no
-        (n, n, 2) point array is built.
+        (n, n, 2) point array is built.  The one n x n array is filled 64
+        rows of x at a time, each block finished while it is in cache.
         """
         precision, logdet = self._precision()
         (a, b), (_, c) = precision
@@ -379,10 +383,15 @@ class GaussianDensity:
         if self.reference is Reference.GAUSSIAN:
             log_x = log_x + 0.5 * x * x + LOG_2PI
             log_y = log_y + 0.5 * y * y
-        v = np.multiply.outer(-b * dx, dy)
-        v += log_x[:, None]
-        v += log_y[None, :]
-        return np.exp(v, out=v)
+        bdx = -b * dx
+        v = np.empty((x.size, y.size))
+        for rows in blocks(x.size):
+            block = v[rows]
+            np.multiply.outer(bdx[rows], dy, out=block)
+            block += log_x[rows, None]
+            block += log_y
+            np.exp(block, out=block)
+        return v
 
 
 def gaussian(reference, mean, covariance):

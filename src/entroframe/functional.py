@@ -43,17 +43,11 @@ ROUGHNESS_TOL = 0.05
 
 def xlogx(values):
     v = np.asarray(values, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(v > VALUE_FLOOR, v * np.log(np.maximum(v, VALUE_FLOOR)), 0.0)
-
-
-def _grad_sq_over_f(values, grads, keep):
-    """|grad f|^2 / f where keep, else 0."""
-    sq = np.zeros_like(values)
-    for g in grads:
-        sq += g * g
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(keep, sq / np.maximum(values, VALUE_FLOOR), 0.0)
+    out = np.maximum(v, VALUE_FLOOR)
+    np.log(out, out=out)
+    out *= v
+    np.copyto(out, 0.0, where=v <= VALUE_FLOOR)
+    return out
 
 
 # === entropy ==============================================================
@@ -77,15 +71,15 @@ def entropy(f):
         return float(_entropy_gaussian(f))
     if isinstance(f, (GridDensity1D, GridDensity2D)):
         return _cached(f, "_entropy_memo", lambda: block_integral(
-            f.reference, lambda cols: xlogx(f.values[..., cols]), *f.axes))
+            f.reference, lambda rows: xlogx(f.values[rows]), *f.axes))
     raise ReferenceMismatch(f"entropy is not defined for {type(f).__name__}")
 
 
 # === Fisher information ===================================================
 
 def _above_floor(values, axes, reference):
-    """cols -> whether f dmu/dx exceeds FISHER_FLOOR times its largest value
-    on the grid, at the nodes cols of the last axis of values.
+    """rows -> whether f dmu/dx exceeds FISHER_FLOOR times its largest value
+    on the grid, at the nodes rows of the first axis of values.
 
     Over the Gaussian reference dmu/dx = wx wy, the product of each axis's
     gamma (wx = 1 on a 1d grid, one row), so f dmu/dx > floor is
@@ -94,7 +88,7 @@ def _above_floor(values, axes, reference):
     """
     if reference is Reference.LEBESGUE:
         floor = FISHER_FLOOR * float(values.max())
-        return lambda cols: values[..., cols] > floor
+        return lambda rows: values[rows] > floor
     *first, (y, _) = axes
     wy = reference_weight(reference, y)
     wx = reference_weight(reference, first[0][0]) if first else np.ones(1)
@@ -102,25 +96,36 @@ def _above_floor(values, axes, reference):
     peak = max(float(np.max(np.max(lines[rows] * wy, axis=1) * wx[rows]))
                for rows in blocks(wx.size))
     limit = (FISHER_FLOOR * peak / wx).reshape(values.shape[:-1] + (1,))
-    return lambda cols: values[..., cols] * wy[cols] > limit
+    return lambda rows: values[rows] * wy > limit[rows]
 
 
 def _fisher_estimate(values, axes, reference):
-    m = values.shape[-1]
+    n = values.shape[0]
     above = _above_floor(values, axes, reference)
 
-    def integrand(cols):
-        # The gradient along the last axis reads one column past each end
-        # of cols, and at least 3 columns (edge_order=2), so every kept
-        # column gets the difference it gets on the whole array.
-        start, stop, _ = cols.indices(m)
-        hi = min(stop + 1, m)
+    def integrand(rows):
+        # |grad f|^2 / f where above, else 0, built in place in the x
+        # gradient's array; a block with no node above the floor is all 0,
+        # so it is not differenced.  The gradient along x reads one row
+        # past each end of rows, and at least 3 rows (edge_order=2), so
+        # every kept row gets the difference it gets on the whole array.
+        keep = above(rows)
+        if not keep.any():
+            return np.zeros(keep.shape)
+        start, stop, _ = rows.indices(n)
+        hi = min(stop + 1, n)
         lo = max(min(start - 1, hi - 3), 0)
-        keep = slice(start - lo, stop - lo)
-        block = values[..., lo:hi]
-        grads = [np.gradient(block, h, axis=i, edge_order=2)[..., keep]
-                 for i, (_, h) in enumerate(axes)]
-        return _grad_sq_over_f(block[..., keep], grads, above(cols))
+        block = values[lo:hi]
+        v = values[rows]
+        sq = np.gradient(block, axes[0][1], axis=0, edge_order=2)[start - lo:stop - lo]
+        sq *= sq
+        if len(axes) == 2:
+            t = np.gradient(v, axes[1][1], axis=1, edge_order=2)
+            t *= t
+            sq += t
+        sq /= np.maximum(v, VALUE_FLOOR)
+        np.copyto(sq, 0.0, where=~keep)
+        return sq
     return block_integral(reference, integrand, *axes)
 
 

@@ -10,15 +10,19 @@ name, with exit code null.
     PYTHONPATH=src python tests/golden/generate.py [OUT]
 
 writes the corpus to OUT, by default `corpus.json` beside this file.
-`tests/test_golden.py` re-runs the same list and compares.  A change that
-moves a number, a message or an exit code regenerates the file; its diff is
-that change's drift table.
+`tests/test_golden.py` re-runs the same list and compares, by the rule of
+`mismatches`.  A run that the rule finds unchanged keeps its entry in
+`corpus.json` as recorded, so a host whose last bits differ rewrites
+nothing.  A change that moves a number, a message or an exit code
+regenerates the file; its diff is that change's drift table.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -227,6 +231,68 @@ def record(argv):
     return entry
 
 
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+DIGEST = re.compile(r"[0-9a-f]{12}")
+
+
+def _close(want, got):
+    return want == got or math.isclose(want, got, rel_tol=1e-12, abs_tol=1e-12) \
+        or (math.isnan(want) and math.isnan(got))
+
+
+def _differences(want, got, mixture, where="output"):
+    """Where got differs from want, as a list of (where, want, got)."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        if list(want) != list(got):
+            return [(f"{where} keys", list(want), list(got))]
+        return [d for key in want for d in _differences(
+            want[key], got[key], mixture, f"{where}.{key}")]
+    if isinstance(want, list) and isinstance(got, list):
+        if len(want) != len(got):
+            return [(f"{where} length", len(want), len(got))]
+        return [d for i, (w, g) in enumerate(zip(want, got))
+                for d in _differences(w, g, mixture, f"{where}[{i}]")]
+    if isinstance(want, float) and isinstance(got, float):
+        return [] if _close(want, got) else [(where, want, got)]
+    if isinstance(want, str) and isinstance(got, str):
+        if where.endswith(".inputs_digest"):
+            same = DIGEST.fullmatch(got) if mixture else want == got
+        else:  # a line of `frame`: its text exactly, its numbers as floats
+            same = NUMBER.sub("#", want) == NUMBER.sub("#", got) and all(
+                _close(float(w), float(g))
+                for w, g in zip(NUMBER.findall(want), NUMBER.findall(got)))
+        return [] if same else [(where, want, got)]
+    return [] if want == got and type(want) is type(got) else [(where, want, got)]
+
+
+def mismatches(want, got):
+    """Where the run got differs from its recorded entry want, as a list of
+    (where, want, got).
+
+    Exit codes, exceptions, stderr, warnings, report keys and strings compare
+    exactly; floats to 1e-12 relative, or 1e-12 absolute near 0.  A report's
+    `inputs_digest` hashes the grid values bit for bit, so it compares exactly
+    too, except on runs through a Gaussian mixture (`gaussmix:` or
+    gaussmix.json): their values pass through a BLAS product, and one ulp of
+    it changes the digest, so there only its format is checked.
+    """
+    mixture = any("gaussmix" in arg for arg in want["argv"])
+    return [(key, want.get(key), got.get(key))
+            for key in ("exit", "exception", "stderr", "warnings")
+            if want.get(key) != got.get(key)] \
+        + _differences(want["output"], got["output"], mixture)
+
+
+def merge(recorded, fresh):
+    """fresh, but where a run matches its recorded entry, that entry as recorded."""
+    kept = {json.dumps(entry["argv"]): entry for entry in recorded}
+    merged = []
+    for entry in fresh:
+        old = kept.get(json.dumps(entry["argv"]))
+        merged.append(old if old is not None and not mismatches(old, entry) else entry)
+    return merged
+
+
 def generate():
     os.chdir(HERE)
     return [record(argv) for argv in RUNS]
@@ -234,5 +300,6 @@ def generate():
 
 if __name__ == "__main__":
     target = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else CORPUS
-    corpus = generate()
+    recorded = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
+    corpus = merge(recorded, generate())
     target.write_text(json.dumps(corpus, indent=1) + "\n")

@@ -47,7 +47,7 @@ from entroframe import quadrature as quadrature_module
 from entroframe.density import (DEFAULT_POINTS, LOG_2PI, integral, log_gaussian_weight,
                                 reference_weight)
 from entroframe.frames import Direction, directions_from_weights, mercedes_frame
-from entroframe.quadrature import (LATTICE_MARGIN, LATTICE_STEP, simpson_weights,
+from entroframe.quadrature import (LATTICE_MARGIN, LATTICE_STEP, contract, simpson_weights,
                                    validate_axis)
 
 LEB = Reference.LEBESGUE
@@ -179,7 +179,9 @@ class TestGridAxes:
         assert d(t)[0, 0] == 0.0 and d(t)[1, 1] == 0.0
 
     def test_integral_contracts_axes_in_order(self):
-        """The 2d Gaussian-reference integral is wx @ (v * phi(x) phi(y)) @ wy."""
+        """The 2d Gaussian-reference integral is wx @ (v * phi(x) phi(y)) @ wy;
+        the Lebesgue one sums each row of x against wy, then the row sums
+        against wx, exactly."""
         x = default_axis(points=65)
         y = default_axis(length=5.0, points=129)
         v = np.add.outer(np.cos(x), y * y)
@@ -188,7 +190,7 @@ class TestGridAxes:
         phi = np.exp(-0.5 * np.add.outer(x * x, y * y) - LOG_2PI)
         got = integral(GAM, v, (x, hx), (y, hy))
         np.testing.assert_allclose(got, wx @ (v * phi) @ wy, rtol=1e-14)
-        assert integral(LEB, v, (x, hx), (y, hy)) == float(wx @ v @ wy)
+        assert integral(LEB, v, (x, hx), (y, hy)) == float(contract(v, wy) @ wx)
 
     def test_gaussian_reference_integral_separates(self):
         """The Gaussian reference weighs each axis once: the integral of
@@ -239,6 +241,21 @@ class TestMassPolicy:
         vals[x.size // 2] = -0.1
         with pytest.raises(NormalizationError):
             GridDensity1D.from_values(LEB, x, vals)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        """A NaN or an infinity anywhere, even beside a negative value, in 1d
+        and in 2d, is refused as not finite."""
+        x = default_axis(points=129)
+        line = lebesgue_gaussian_values(x, 0.0, 1.0)
+        for place in (0, x.size // 2, x.size - 1):
+            for grid, vals in (((x,), line.copy()),
+                               ((x, x), np.outer(line, line))):
+                vals.flat[place] = bad
+                vals.flat[1] = -0.5
+                cls = GridDensity1D if len(grid) == 1 else GridDensity2D
+                with pytest.raises(NormalizationError, match="values must be finite$"):
+                    cls.from_values(LEB, *grid, vals, what="values")
 
 
 # === ownership of the caller's arrays =====================================

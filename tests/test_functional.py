@@ -15,6 +15,7 @@ import pytest
 from entroframe import (
     ExpFunction,
     GridDensity1D,
+    GridDensity2D,
     GridFunction1D,
     Reference,
     default_axis,
@@ -26,9 +27,11 @@ from entroframe import (
     marginal,
 )
 from entroframe import functional as functional_module
+from entroframe.density import reference_weight
 from entroframe.errors import (InvalidExponents, NonSmoothWarning,
                                ReferenceMismatch, RenormalizationWarning)
-from entroframe.functional import xlogx
+from entroframe.functional import FISHER_FLOOR, VALUE_FLOOR, _coarse_slice, xlogx
+from entroframe.quadrature import contract, simpson_weights
 
 LEB = Reference.LEBESGUE
 GAM = Reference.GAUSSIAN
@@ -191,6 +194,68 @@ class TestFisher:
         g = gaussian(GAM, [0.3, -0.2], [[4.0, 0.0], [0.0, 1.0]])
         got = fisher(g.to_grid(points=513))
         assert abs(got - fisher(g)) <= 1e-4 * fisher(g)
+
+
+# === 2d reductions by row blocks ==========================================
+
+def _whole_integral(ref, g, axes):
+    """int g dmu on the whole array, in block_integral's order:
+    contract(g, wy) @ wx."""
+    (x, h), (y, k) = axes
+    wx = simpson_weights(x.size, h) * reference_weight(ref, x)
+    wy = simpson_weights(y.size, k) * reference_weight(ref, y)
+    return float(contract(g, wy) @ wx)
+
+
+def _whole_fisher_estimate(ref, v, axes):
+    """The Fisher estimate at one step on the whole array: |grad f|^2 / f
+    where f wy > FISHER_FLOOR * max(f wx wy) / wx, else 0."""
+    (x, _), (y, _) = axes
+    gx, gy = np.gradient(v, *(h for _, h in axes), edge_order=2)
+    wx, wy = (np.ones(1), np.ones(1)) if ref is LEB else \
+        (reference_weight(ref, x), reference_weight(ref, y))
+    weighted = v if ref is LEB else v * wy
+    limit = FISHER_FLOOR * float(np.max(np.max(weighted, axis=1) * wx)) / wx
+    keep = weighted > limit[:, None]
+    return _whole_integral(
+        ref, np.where(keep, (gx * gx + gy * gy) / np.maximum(v, VALUE_FLOOR), 0.0), axes)
+
+
+def _whole_fisher(f):
+    """fisher(f) on the whole array: the estimates at h and 2h, then one
+    Richardson step."""
+    s = tuple(_coarse_slice(x.size) for x, _ in f.axes)
+    fine = _whole_fisher_estimate(f.reference, f.values, f.axes)
+    coarse = _whole_fisher_estimate(f.reference, f.values[s],
+                                    [(x[t], 2.0 * h) for (x, h), t in zip(f.axes, s)])
+    return fine + (fine - coarse) / 3.0
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("ref", [LEB, GAM])
+    @pytest.mark.parametrize("rows", [65, 129, 193])
+    def test_block_edges_match_the_whole_array(self, ref, rows):
+        """With 65, 129 or 193 rows the last block of 64 holds one row, and
+        the coarse Fisher grid has 33, 65 or 97 rows; mass, entropy and
+        Fisher equal their whole-array sums exactly."""
+        x = default_axis(points=rows)
+        y = default_axis(length=6.0, points=97)
+        g = gaussian(ref, [0.4, -0.3], [[1.2, 0.35], [0.35, 0.6]])
+        f = GridDensity2D(ref, x, y, g._grid_pdf_2d(x, y))
+        assert f.mass() == _whole_integral(ref, f.values, f.axes)
+        v = f.values
+        want = np.where(v > VALUE_FLOOR, v * np.log(np.maximum(v, VALUE_FLOOR)), 0.0)
+        assert entropy(f) == _whole_integral(ref, want, f.axes)
+        assert fisher(f) == _whole_fisher(f)
+
+    @pytest.mark.parametrize("ref", [LEB, GAM])
+    def test_narrow_density_matches_the_whole_array(self, ref):
+        """On the default grid most nodes of a narrow density lie below the
+        Fisher floor, whole blocks of rows among them, which are not
+        differenced; its Fisher information is still the whole array's
+        exactly."""
+        f = gaussian(ref, [0.1, -0.2], [[0.2, 0.05], [0.05, 0.1]]).to_grid()
+        assert fisher(f) == _whole_fisher(f)
 
 
 # === L^p norms ============================================================
