@@ -83,13 +83,25 @@ def blocks(n):
 # === Simpson ==============================================================
 
 def simpson_weights(n, h):
-    """Composite Simpson weights for n (odd) uniformly spaced points."""
+    """Composite Simpson weights for n (odd) uniformly spaced points.
+
+    Built once per (n, h) among the last 32 pairs asked for (the axes of a
+    few densities); the array is read-only and shared by all callers, who
+    only multiply it.
+    """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"Simpson rule needs odd n >= 3, got {n}")
+    return _simpson_weights(int(n), float(h))
+
+
+@functools.lru_cache(maxsize=32)
+def _simpson_weights(n, h):
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+    w *= h / 3.0
+    w.flags.writeable = False
+    return w
 
 
 def contract(values, weights):

@@ -7,10 +7,11 @@ the declared reference measure (Lebesgue, or standard Gaussian gamma).
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -206,6 +207,27 @@ class TestGridAxes:
 
 # === mass policy ==========================================================
 
+class TestSimpsonWeights:
+    def test_memoized_read_only_and_exact(self):
+        """Built once per (n, h): the same read-only array on every call,
+        whatever int and float types name the pair, equal to the composite
+        rule (1, 4, 2, 4, ..., 2, 4, 1) h / 3."""
+        h = 20.0 / 2048
+        w = simpson_weights(2049, h)
+        assert simpson_weights(np.int64(2049), np.float64(h)) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        want = np.ones(2049)
+        want[1:-1:2] = 4.0
+        want[2:-1:2] = 2.0
+        np.testing.assert_array_equal(w, want * (h / 3.0))
+        assert simpson_weights(65, h).size == 65
+        assert simpson_weights(2049, 2.0 * h)[0] == 2.0 * h / 3.0
+        with pytest.raises(ValueError, match="odd n >= 3"):
+            simpson_weights(2048, h)
+
+
 class TestMassPolicy:
     def test_tiny_deviation_accepted_as_is(self):
         x = default_axis()
@@ -391,6 +413,20 @@ class TestGaussianMixture:
         target_second = sum(wi * (vi + mi * mi) for wi, mi, vi in zip(w, m, v))
         np.testing.assert_allclose(mean, target_mean, atol=1e-10)
         np.testing.assert_allclose(second, target_second, atol=1e-8)
+
+    @pytest.mark.parametrize("ref", [LEB, GAM])
+    def test_is_the_sum_of_its_components(self, ref):
+        """Each component's log density (less log gamma over the Gaussian
+        reference), exponentiated and added in order: the grid values
+        within a few ulp."""
+        w, m, v = [0.2, 0.5, 0.3], [-2.0, 0.3, 1.7], [0.4, 1.5, 0.8]
+        d = gaussian_mixture(ref, w, m, v)
+        assert d.renormalization == 1.0
+        log_norms = -0.5 * (LOG_2PI + np.log(v))
+        shift = log_gaussian_weight(d.x) if ref is GAM else 0.0
+        want = sum(wk * np.exp(-0.5 * (d.x - mk) ** 2 / vk + cut - shift)
+                   for wk, mk, vk, cut in zip(w, m, v, log_norms))
+        np.testing.assert_allclose(d.values, want, rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_gamma_reference_mixture_mass(self):
         d = gaussian_mixture(GAM, [0.5, 0.5], [-0.5, 0.5], [0.7, 1.3])
@@ -838,7 +874,61 @@ class TestMarginalRotationInvariance:
 
 # === convolution and dilation =============================================
 
+def _convolve_input(kind, u, n, h):
+    """A Lebesgue density on n points of step h around 0, from draws u in
+    [0, 1]: a Gaussian of variance 0.01 to 9, a two-component mixture, or
+    a raw indicator.  Each Gaussian sits at least 8.5 sd inside the grid
+    and spans 2 or more steps per sd.  An indicator spans 140 or more
+    steps, so that its Simpson mass, off by up to 4/3 of a step, stays
+    within the mass policy: n must be at least INDICATOR_POINTS."""
+    half = h * (n - 1) / 2.0
+    lo, hi = max(0.1, 2.0 * h), min(3.0, half / 8.5)
+
+    def law(u_sd, u_mean):
+        sd = lo * (hi / lo) ** u_sd
+        return min(2.0, half - 8.5 * sd) * (2.0 * u_mean - 1.0), sd * sd
+
+    if kind == "gaussian":
+        return gaussian(LEB, *law(u[0], u[1])).to_grid(half, n)
+    if kind == "mixture":
+        (m1, v1), (m2, v2) = law(u[0], u[1]), law(u[2], u[3])
+        w = 0.2 + 0.6 * u[4]
+        return gaussian_mixture(LEB, [w, 1.0 - w], [m1, m2], [v1, v2], half, n)
+    width = 140.0 * h + (1.9 * half - 140.0 * h) * u[0]
+    a = -0.95 * half + (1.9 * half - width) * u[1]
+    return uniform_density(a, a + width, smoothing=0.0, length=half, points=n)
+
+
+INDICATOR_POINTS = 149
+
+CONVOLVE_INPUT = st.tuples(st.sampled_from(["gaussian", "mixture", "indicator"]),
+                           st.tuples(*[st.floats(0.0, 1.0)] * 5))
+
+
 class TestConvolve:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(counts=st.tuples(st.integers(32, 1024), st.integers(32, 1024)),
+           u_step=st.floats(0.0, 1.0), f_draw=CONVOLVE_INPUT, g_draw=CONVOLVE_INPUT)
+    @example(counts=(1024, 256), u_step=0.3, f_draw=("gaussian", (1.0, 0.5, 0, 0, 0)),
+             g_draw=("mixture", (0.0, 0.2, 1.0, 0.9, 0.5)))
+    @example(counts=(256, 1024), u_step=0.0, f_draw=("indicator", (0.5, 0.5, 0, 0, 0)),
+             g_draw=("gaussian", (0.0, 0.5, 0, 0, 0)))
+    def test_is_the_direct_sum(self, counts, u_step, f_draw, g_draw):
+        """The FFT product is the direct discrete convolution times the step
+        (np.convolve), within 1e-14 of the peak, for node counts 65 to 2049
+        on one shared step, Gaussians, mixtures and raw indicators."""
+        nf, ng = (2 * k + 1 for k in counts)
+        assume(all(n >= INDICATOR_POINTS for (kind, _), n in ((f_draw, nf), (g_draw, ng))
+                   if kind == "indicator"))
+        h_min = 1.7 / (min(nf, ng) - 1)
+        h = h_min + (0.05 - h_min) * u_step
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RenormalizationWarning)
+            f, g = _convolve_input(*f_draw, nf, h), _convolve_input(*g_draw, ng, h)
+            c = convolve(f, g)
+        want = np.convolve(f.values, g.values) * f.h * c.renormalization
+        np.testing.assert_allclose(c.values, want, rtol=0.0, atol=1e-14 * want.max())
+
     def test_gaussian_convolution_closed_form(self):
         g = gaussian(LEB, 0.5, 1.0).to_grid()
         h = gaussian(LEB, -0.2, 2.0).to_grid()
