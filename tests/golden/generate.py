@@ -69,6 +69,10 @@ RUNS = [
     ("check", "lsi-integrated", "--theta", "0.5", *N1),
     ("check", "brascamp-lieb", *N1),
     ("check", "brascamp-lieb", *GAM, *N1),
+    # the default density over gamma is the standard Gaussian, h = 1; these
+    # sheared marginals over gamma sample an h that varies
+    ("check", "subadditivity", "--f", "gauss2:0.3,-0.2,1.5,0.3,0.8", *GAM, *N2),
+    ("check", "fisher", "--f", "gauss2:0.3,-0.2,1.5,0.3,0.8", *GAM, *N2),
 
     # the README's checks
     ("check", "shannon", "--g", "gauss:0,1", "--h", "gauss:0,4", *N1),
