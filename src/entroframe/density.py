@@ -440,7 +440,11 @@ def uniform_density(a, b, smoothing=0.05, length=None, points=None):
 
     smoothing > 0 convolves with N(0, smoothing^2) (closed form via the
     normal CDF); smoothing = 0 gives the raw indicator, whose grid mass
-    misses 1 at O(h) and therefore triggers the renormalization warning.
+    misses 1 by up to 4/3 h / (b - a) on a grid of step h: that triggers
+    the renormalization warning where it is at most MASS_LOOSE.  Where a
+    grid step too coarse for the smoothing, or for [a, b] itself, puts the
+    mass further off, the NormalizationError names the step and the point
+    count that resolves the edges.
     """
     a, b = float(a), float(b)
     if not b > a:
@@ -454,13 +458,18 @@ def uniform_density(a, b, smoothing=0.05, length=None, points=None):
         return GridDensity1D.from_values(Reference.LEBESGUE, x, _freeze(vals), what="uniform")
     except NormalizationError as exc:
         h = validate_axis(x)
-        if not 0.0 < smoothing < h:
+        if smoothing > 0.0:
+            step = smoothing
+            cause = f"the grid step {h:.3g} exceeds the smoothing {smoothing:g}"
+        else:
+            step = 0.75 * MASS_LOOSE * (b - a)
+            cause = f"[{a:g}, {b:g}] spans {(b - a) / h:.3g} grid steps of {h:.3g}"
+        if h <= step:
             raise
-        need = math.ceil((x[-1] - x[0]) / smoothing) // 2 * 2 + 1
+        need = 2 * math.ceil((x[-1] - x[0]) / step / 2.0) + 1
         raise NormalizationError(
-            f"{exc}: the grid step {h:.3g} exceeds the smoothing {smoothing:g}, so the "
-            f"edges at {a:g} and {b:g} are not resolved; a step of at most {smoothing:g} "
-            f"takes {need} points on [{x[0]:g}, {x[-1]:g}]") from None
+            f"{exc}: {cause}, so the edges at {a:g} and {b:g} are not resolved; a step "
+            f"of at most {step:.3g} takes {need} points on [{x[0]:g}, {x[-1]:g}]") from None
 
 
 class ExpFunction:
@@ -493,13 +502,13 @@ def marginal(f, direction, x_out=None):
     sampled and summed on quadrature.sheared_sum's half-step lattice of x,
     and the spline of that sum is evaluated at t / cos a.  Steeper
     directions swap the roles of x and y.  w is 1 for the Lebesgue
-    reference, so each line's weight is one constant: the lines' values,
-    zero-extended at their ends, are summed, and the spline prefilter runs
-    on the O(n) sum alone.  For the Gaussian reference w is the standard
-    gaussian density, taken at each lattice point x = X, where s = y / cos
-    a - X sin a; it varies along a line, so the lines are prefiltered
-    along x, BLOCK_ROWS at a time, right before they are sampled, and no
-    whole-grid copy of their coefficients is made or kept.
+    reference.  For the Gaussian reference w is the standard gaussian
+    density, and s = x.u_perp = y cos a - x sin a depends on the grid node
+    alone, so each line's values are multiplied by w(s) at its nodes,
+    BLOCK_ROWS lines at a time, and the term is the spline of f w(s) along
+    the line.  In both references each line's weight is then one constant:
+    the lines' values, zero-extended at their ends, are summed, the spline
+    prefilter runs on the O(n) sum alone, and no line is prefiltered.
     Along an axis (a = 0 or pi/2), on that axis's own nodes, the splines
     would only give back the grid values, so the marginal is the Simpson
     sum of the values over the other axis.  The result is renormalized
@@ -520,11 +529,10 @@ def marginals(f, directions, x_out=None):
     The directions whose lines run along the same grid axis (x where
     |cos a| >= |sin a|, else y) share one quadrature.sheared_sum: each
     block of BLOCK_ROWS lines of that axis is read once for every one of
-    them.  Over Lebesgue measure no line is prefiltered, only each
-    direction's O(n) lattice sum; over the Gaussian reference each block is
-    prefiltered once, so a frame pays one prefilter per axis, not one per
-    direction.  Axis marginals on their axis's own nodes prefilter
-    nothing.  The values are those of one direction at a time, bit for bit.
+    them.  No line is prefiltered in either reference, only each
+    direction's O(n) lattice sum.  Axis marginals on their axis's own nodes
+    prefilter nothing.  The values are those of one direction at a time,
+    bit for bit.
 
     Without x_out the marginals live on f.x and are memoized on f per
     canonical direction angle: only directions not yet in the memo are
@@ -575,17 +583,16 @@ def _marginals(f, thetas, out):
 
 
 def _sheared_terms(f, axis, cos_a, sin_a, w, t):
-    """sheared_sum's (index0, shifts, weights) of the marginal on t whose
-    lines run along axis, with the Simpson weights w of the other axis."""
+    """sheared_sum's (index0, shifts, weights, scale) of the marginal on t
+    whose lines run along axis, with the Simpson weights w of the other
+    axis; scale is None over Lebesgue measure."""
     (along, h), (across, _) = f.axes[axis], f.axes[1 - axis]
 
-    def weights(rows, lattice):
-        # the lattice point at x = X on line j is t = X cos a, so
-        # s = (y_j - t sin a) / cos a = y_j / cos a - X sin a
-        x = along[0] + h * lattice
-        return w[rows, None] * np.exp(log_gaussian_weight(across[rows, None] / cos_a - x * sin_a))
-    return (grid_index(t / cos_a, along[0], h), across * (sin_a / cos_a / h),
-            w if f.reference is Reference.LEBESGUE else weights)
+    def scale(rows):
+        # node (x, y_j) of line j is at s = x.u_perp = y_j cos a - x sin a
+        return np.exp(log_gaussian_weight(across[rows, None] * cos_a - along * sin_a))
+    return (grid_index(t / cos_a, along[0], h), across * (sin_a / cos_a / h), w,
+            None if f.reference is Reference.LEBESGUE else scale)
 
 
 def _shear(theta):

@@ -22,19 +22,19 @@ line's points share their fractional part, so the line's samples there are
 one 4-tap filter (np.correlate).  The lines add into one O(n) lattice
 array, and its own cubic spline is evaluated once at the output points: n^2
 spline evaluations become 2 n^2 filter outputs plus O(n) evaluations, and
-the resampling adds the error of a spline at half the grid step.  Where
-each line's weight w_j is one constant (the Lebesgue reference), the
-filters read the lines' values, and the spline prefilter, which commutes
-with them, runs once on each phase of the lattice sum: two O(n) prefilters
-per sum in place of one per line.  A weight that varies along the lines
-(the Gaussian reference) does not commute with the prefilter; there each
-block of lines is prefiltered once for all the sums that read it, and the
-filters read the coefficients.  On Gaussian marginals over Lebesgue
-measure the largest pointwise error against the closed form was 12% (n =
-513) to 17% (n = 257) above that of one spline evaluation per point, the
-same to three digits whether the values or the coefficients are sampled;
-a lattice of step 1 saved another fifth of the time but raised it 2.6
-times.
+the resampling adds the error of a spline at half the grid step.  Each
+line's weight w_j is one constant, so the filters read the lines' values,
+and the spline prefilter, which commutes with them, runs once on each phase
+of the lattice sum: two O(n) prefilters per sum in place of one per line.
+A weight that varies along the lines (the Gaussian reference's gamma(s),
+s = x.u_perp) is taken at the lines' nodes: each block of lines is
+multiplied by it before it is filtered, so the sum is that of the splines
+of the weighted lines, and no line is prefiltered in either reference.
+On Gaussian marginals over Lebesgue measure the largest pointwise error
+against the closed form was 12% (n = 513) to 17% (n = 257) above that of
+one spline evaluation per point, the same to three digits whether the
+values or the coefficients are sampled; a lattice of step 1 saved another
+fifth of the time but raised it 2.6 times.
 
 Where every line is a copy of one line with a constant weight (a linear
 combination of two 1d densities, or the grid factor of a frame integral),
@@ -133,13 +133,9 @@ def _gauss_hermite(n):
 # Cubic B-spline coefficients are prefiltered once per line, so repeated
 # sampling of the same line pays the filter cost once.
 
-def spline_coefficients(lines, out=None):
-    """Prefiltered cubic spline coefficients of lines along their last axis.
-
-    out, if given, is the float array of lines' shape that receives them.
-    """
+def spline_coefficients(lines):
+    """Prefiltered cubic spline coefficients of lines along their last axis."""
     return ndimage.spline_filter1d(np.asarray(lines, dtype=float), order=3, axis=-1,
-                                   output=np.float64 if out is None else out,
                                    mode="constant")
 
 
@@ -210,55 +206,45 @@ def sheared_sum(lines, sums):
     splines s_j of the rows of lines, one array of values per sum.
 
     lines, (count, n), is read BLOCK_ROWS rows at a time, and every sum
-    reads each block.  sums holds one (index0, shifts, weights) per sum:
-    index0, (k,) fractional indices, is shifted by shifts[j] in line j.
-    weights is either a (count,) array, one constant w_j per line, or a
-    function weights(block, lattice) that returns the weights of the
-    block's lines at the lattice points lattice, broadcastable to
-    (rows, lattice.size).
+    reads each block.  sums holds one (index0, shifts, weights[, scale])
+    per sum: index0, (k,) fractional indices, is shifted by shifts[j] in
+    line j, and weights, (count,), holds one constant w_j per line.  scale,
+    if given, is a function scale(block) that returns the (rows, n) node
+    weights of the block's lines; s_j is then the spline of line j's values
+    times its node weights.
 
     Each sum samples every line on its own lattice a_m = a_0 + m LATTICE_STEP
     of fractional indices, covering its index0.  On the lattice points
     a_0 + p LATTICE_STEP + i of one phase p, line j's points a - shifts[j]
     share one fractional part, so its four B-spline weights are constant
     along the line and its samples are one 4-tap filter (np.correlate) of
-    the line.  The samples of all lines add into one lattice array G per
-    sum, and the cubic spline of G is evaluated at index0.
-
-    With constant weights the filter reads the line's values, zero-extended
-    at its ends, with w_j folded into the four taps.  The spline prefilter
-    is a shift-invariant linear filter, so it commutes with the 4-tap
-    filters, the shifts by whole indices and the sum (Unser, Aldroubi and
-    Eden, 1993): prefiltering each phase of G once gives the sum of the
-    lines' splines, and no line is prefiltered.  A weight that varies along
-    the line does not commute with the prefilter: each block of lines is
-    prefiltered along itself, once for all such sums, and the samples of
-    its coefficients are multiplied by the weights, taken only on the span
-    of the lattice on which the block's lines have points.  There taps past
-    an edge read the mirrored coefficient (c[-1] = c[1]) and points outside
-    the line evaluate to 0, as in sample_coefficients.
+    the line.  The filter reads the line's values, zero-extended at its
+    ends and multiplied by its node weights where the sum has them, with
+    w_j folded into the four taps.  The samples of all lines add into one
+    lattice array G per sum.  The spline prefilter is a shift-invariant
+    linear filter, so it commutes with the 4-tap filters, the shifts by
+    whole indices and the sum (Unser, Aldroubi and Eden, 1993):
+    prefiltering each phase of G once gives the sum of the lines' splines,
+    and no line is prefiltered.  The cubic spline of G is then evaluated at
+    index0.
     """
     lattices = [_Lattice(*terms) for terms in sums]
-    constant = [lattice for lattice in lattices if lattice.constant]
-    varying = [lattice for lattice in lattices if not lattice.constant]
+    plain = [lattice for lattice in lattices if lattice.scale is None]
+    scaled = [lattice for lattice in lattices if lattice.scale is not None]
     count, n = lines.shape
-    rows_held = min(BLOCK_ROWS, count)
-    values = np.zeros((rows_held, n + 2 * _Lattice.PAD)) if constant else None
-    coeffs = np.empty((rows_held, n)) if varying else None
+    # value k of a row sits at k + PAD, between zeros
+    values = np.zeros((min(BLOCK_ROWS, count), n + 2 * _Lattice.PAD))
     for block in blocks(count):
         rows = lines[block]
-        if constant:
-            # value k of a row sits at k + PAD, between zeros
-            ext = values[:len(rows)]
-            ext[:, _Lattice.PAD:-_Lattice.PAD] = rows
-            for lattice in constant:
-                lattice.add(block, ext, n)
-        if varying:
-            rows = spline_coefficients(rows, out=coeffs[:len(rows)])
-            # coefficient k of a row sits at k + 1; the ends are mirrored
-            ext = np.concatenate([rows[:, 1:2], rows, rows[:, -2:-4:-1]], axis=1)
-            for lattice in varying:
-                lattice.add(block, ext, n)
+        ext = values[:len(rows)]
+        held = ext[:, _Lattice.PAD:-_Lattice.PAD]
+        if plain:
+            held[...] = rows
+        for lattice in plain:
+            lattice.add(block, ext, n)
+        for lattice in scaled:
+            np.multiply(rows, lattice.scale(block), out=held)
+            lattice.add(block, ext, n)
     return [lattice.resample() for lattice in lattices]
 
 
@@ -305,72 +291,45 @@ class _Lattice:
     as one row per phase, so each line adds into contiguous values."""
 
     PHASES = round(1.0 / LATTICE_STEP)
-    # zeros on each side of a line read with constant weights: the taps of
-    # the points within two indices of its ends
+    # zeros on each side of a line: the taps of the points within two
+    # indices of its ends
     PAD = 3
 
-    def __init__(self, index0, shifts, weights):
+    def __init__(self, index0, shifts, weights, scale=None):
         self.index0 = np.asarray(index0, dtype=float)
-        self.shifts, self.weights = shifts, weights
-        self.constant = not callable(weights)
+        self.shifts, self.weights, self.scale = shifts, weights, scale
         self.a0 = self.index0.min() - LATTICE_MARGIN * LATTICE_STEP
         self.size = math.ceil((self.index0.max() - self.a0) / LATTICE_STEP) + LATTICE_MARGIN + 1
-        self.points = self.a0 + LATTICE_STEP * np.arange(self.size)
         # lattice point i of phase p, at a_0 + p LATTICE_STEP + i, is
         # G[PHASES i + p] = phase_sums[p, i], for 0 <= i < ends[p]
         self.ends = np.array([len(range(p, self.size, self.PHASES)) for p in range(self.PHASES)])
         self.phase_sums = np.zeros((self.PHASES, self.ends[0]))
 
     def add(self, block, ext, n):
-        """Add the samples of the block's lines of n points each: ext holds
-        their values between PAD zeros (constant weights) or their
-        coefficients, mirrored one past each end."""
-        phases = self.PHASES
+        """Add the samples of the block's lines of n points each, whose
+        values ext holds between PAD zeros."""
         # line j, phase p: lattice point i is at base + u + i on the line
-        start = self.a0 + LATTICE_STEP * np.arange(phases) - self.shifts[block, None]
+        start = self.a0 + LATTICE_STEP * np.arange(self.PHASES) - self.shifts[block, None]
         base = np.floor(start)
-        taps = np.stack(_bspline_weights(start - base), axis=-1) / 6.0
+        taps = np.stack(_bspline_weights(start - base), axis=-1) / 6.0 \
+            * self.weights[block, None, None]
         base = base.astype(np.intp)
-        if self.constant:
-            # the points whose taps reach the line: within 2 of [0, n - 1]
-            first = np.maximum(-2 - base, 0)
-            last = np.minimum(n - base, self.ends - 1)
-            taps *= self.weights[block, None, None]
-            # row[b + i] is the first tap of point i: value k sits at k + PAD
-            for row, line_taps, line_base, line_first, line_last in zip(
-                    ext, taps, (base + self.PAD - 1).tolist(), first.tolist(), last.tolist()):
-                for p, (tap, b, i, j) in enumerate(
-                        zip(line_taps, line_base, line_first, line_last)):
-                    if i <= j:
-                        self.phase_sums[p, i:j + 1] += np.correlate(row[b + i:b + j + 4], tap)
-            return
-        # the points in [0, n - 1]
-        first = np.maximum(-base, 0)
-        last = np.minimum(n - 1 - base - (start > base), self.ends - 1)
-        read = first <= last
-        if not read.any():
-            return
-        # the weights are taken on lattice indices lo .. hi alone, the span
-        # of the points that the block's lines read
-        phase = np.arange(phases)
-        lo = int((phases * first + phase)[read].min())
-        hi = int((phases * last + phase)[read].max())
-        weights = np.broadcast_to(self.weights(block, self.points[lo:hi + 1]),
-                                  (len(ext), hi + 1 - lo))
-        for row, w, line_taps, line_base, line_first, line_last in zip(
-                ext, weights, taps, base.tolist(), first.tolist(), last.tolist()):
+        # the points whose taps reach the line: within 2 of [0, n - 1]
+        first = np.maximum(-2 - base, 0)
+        last = np.minimum(n - base, self.ends - 1)
+        # row[b + i] is the first tap of point i: value k sits at k + PAD
+        for row, line_taps, line_base, line_first, line_last in zip(
+                ext, taps, (base + self.PAD - 1).tolist(), first.tolist(), last.tolist()):
             for p, (tap, b, i, j) in enumerate(zip(line_taps, line_base, line_first, line_last)):
                 if i <= j:
-                    self.phase_sums[p, i:j + 1] += \
-                        w[phases * i + p - lo:phases * j + p + 1 - lo:phases] \
-                        * np.correlate(row[b + i:b + j + 4], tap)
+                    self.phase_sums[p, i:j + 1] += np.correlate(row[b + i:b + j + 4], tap)
 
     def resample(self):
-        """The cubic spline of the sum G, evaluated at index0.  A sum of
-        values is first prefiltered along each phase, which makes it the
-        sum of the lines' splines."""
+        """The cubic spline of the sum G, evaluated at index0.  G is first
+        prefiltered along each phase, which makes it the sum of the lines'
+        splines."""
         total = np.empty(self.size)
         for p, (row, end) in enumerate(zip(self.phase_sums, self.ends)):
-            total[p::self.PHASES] = spline_coefficients(row[:end]) if self.constant else row[:end]
+            total[p::self.PHASES] = spline_coefficients(row[:end])
         return sample_coefficients(spline_coefficients(total),
                                    [(self.index0 - self.a0) / LATTICE_STEP])

@@ -465,6 +465,19 @@ class TestUniformDensity:
             d = uniform_density(-1.0, 1.0, smoothing=0.0)
         np.testing.assert_allclose(d.mass(), 1.0, atol=1e-13)
 
+    def test_raw_indicator_too_narrow_for_the_grid_names_the_step(self):
+        """On the default grid [-0.05, 0.05] spans 10 steps, and its grid
+        mass misses 1 by 0.107: the error names the step and a point count
+        at which the same call renormalizes."""
+        with pytest.raises(NormalizationError) as caught:
+            uniform_density(-0.05, 0.05, smoothing=0.0)
+        message = str(caught.value)
+        assert "spans 10.2 grid steps of 0.00977" in message
+        need = int(re.search(r"takes (\d+) points", message).group(1))
+        with pytest.warns(RenormalizationWarning):
+            d = uniform_density(-0.05, 0.05, smoothing=0.0, points=need)
+        np.testing.assert_allclose(d.mass(), 1.0, atol=1e-13)
+
 
 class TestExpFunction:
     def test_values(self):
@@ -583,11 +596,11 @@ class TestMarginal:
 
 class TestMarginalPaths:
     """A marginal samples its lines on the half-step lattice of
-    quadrature.sheared_sum.  Over Lebesgue measure each line's weight is
-    one constant, so the lines' values are sampled and each phase of the
-    lattice sum is prefiltered once; over the Gaussian reference the lines
-    are prefiltered BLOCK_ROWS at a time, right before they are sampled.
-    An axis marginal on the axis's own nodes sums the values."""
+    quadrature.sheared_sum.  Each line's weight is one constant, so the
+    lines' values are sampled and each phase of the lattice sum is
+    prefiltered once; over the Gaussian reference the values are first
+    multiplied by gamma(s), s = x.u_perp, at the lines' nodes.  An axis
+    marginal on the axis's own nodes sums the values."""
 
     POINTS = 513
     COV = [[1.1, 0.3], [0.3, 0.8]]
@@ -599,7 +612,8 @@ class TestMarginalPaths:
     @staticmethod
     def sheared_lines(d, theta):
         """Every line, as one (n, n) array, with the weights and the
-        fractional indices of the marginal on d.x."""
+        fractional indices of the marginal on d.x.  Over the Gaussian
+        reference each line is multiplied by gamma(s) at its nodes."""
         cos_a, sin_a = math.cos(theta), math.sin(theta)
         (along, h), (across, k) = d.axes
         lines = d.values.T
@@ -607,8 +621,10 @@ class TestMarginalPaths:
             (across, k), (along, h) = d.axes
             lines = d.values
             cos_a, sin_a = sin_a, cos_a
-        return (lines, simpson_weights(across.size, k) / abs(cos_a), across, along, h,
-                cos_a, sin_a, (d.x / cos_a - along[0]) / h, across * (sin_a / cos_a / h))
+        if d.reference is GAM:
+            lines = lines * np.exp(log_gaussian_weight(across[:, None] * cos_a - along * sin_a))
+        return (lines, simpson_weights(across.size, k) / abs(cos_a),
+                (d.x / cos_a - along[0]) / h, across * (sin_a / cos_a / h))
 
     @staticmethod
     def renormalized(d, vals):
@@ -639,38 +655,32 @@ class TestMarginalPaths:
     def prefiltered_lines_marginal(self, d, theta):
         """The lattice algorithm on prefiltered lines, on the whole grid:
         line j's samples on the lattice points of one phase are a 4-tap
-        filter of its mirrored coefficients, times the weights there, and
-        the cubic spline of their sum is evaluated at the output points.
-        The weights are constant along a line for the Lebesgue reference."""
-        lines, w, across, along, h, cos_a, sin_a, index0, shifts = self.sheared_lines(d, theta)
+        filter of its mirrored coefficients, times its weight, and the cubic
+        spline of their sum is evaluated at the output points."""
+        lines, w, index0, shifts = self.sheared_lines(d, theta)
         coeffs = ndimage.spline_filter1d(lines, order=3, axis=-1, mode="constant")
-        n = along.size
+        n = lines.shape[1]
         a0, size, phases = self.lattice(index0)
-        lattice = a0 + LATTICE_STEP * np.arange(size)
-        w = w[:, None]
-        if d.reference is GAM:
-            w = w * np.exp(log_gaussian_weight(across[:, None] / cos_a
-                                               - (along[0] + h * lattice) * sin_a))
         total = np.zeros(size)
-        for c, shift, wj in zip(coeffs, shifts, np.broadcast_to(w, (n, size))):
+        for c, shift, wj in zip(coeffs, shifts, w):
             ext = np.concatenate([c[1:2], c, c[-2:-4:-1]])
             for p in range(phases):
                 b, u, taps = self.taps(a0 + LATTICE_STEP * p - shift)
                 lo = max(-b, 0)
                 hi = min(n - 1 - b - (u > 0), len(range(p, size, phases)) - 1)
                 if lo <= hi:
-                    on = slice(phases * lo + p, phases * hi + p + 1, phases)
-                    total[on] += wj[on] * np.correlate(ext[b + lo:b + hi + 4], taps)
+                    total[phases * lo + p:phases * hi + p + 1:phases] += \
+                        wj * np.correlate(ext[b + lo:b + hi + 4], taps)
         return self.resampled(d, total, index0, a0)
 
     def lebesgue_lattice_marginal(self, d, theta):
-        """The Lebesgue lattice algorithm on the whole grid: line j's
-        samples on the lattice points of one phase are a 4-tap filter of its
-        zero-extended values, the weight folded into the taps; each phase
-        of their sum is prefiltered, and the cubic spline of the sum is
-        evaluated at the output points."""
-        lines, w, _, along, _, _, _, index0, shifts = self.sheared_lines(d, theta)
-        n = along.size
+        """The lattice algorithm of constant line weights on the whole grid:
+        line j's samples on the lattice points of one phase are a 4-tap
+        filter of its zero-extended values, the weight folded into the taps;
+        each phase of their sum is prefiltered, and the cubic spline of the
+        sum is evaluated at the output points."""
+        lines, w, index0, shifts = self.sheared_lines(d, theta)
+        n = lines.shape[1]
         a0, size, phases = self.lattice(index0)
         total = np.zeros(size)
         for line, shift, wj in zip(lines, shifts, w):
@@ -690,13 +700,10 @@ class TestMarginalPaths:
     def per_point_marginal(self, d, theta):
         """The marginal as one 4-tap spline evaluation per output point of
         every line, each line sampled by its own map_coordinates."""
-        lines, w, across, along, h, cos_a, sin_a, index0, shifts = self.sheared_lines(d, theta)
+        lines, w, index0, shifts = self.sheared_lines(d, theta)
         coeffs = ndimage.spline_filter1d(lines, order=3, axis=-1, mode="constant")
-        w = w[:, None]
-        if d.reference is GAM:
-            w = w * np.exp(log_gaussian_weight((across[:, None] - d.x * sin_a) / cos_a))
         vals = np.zeros(d.x.size)
-        for row, shift, wj in zip(coeffs, shifts, np.broadcast_to(w, (across.size, d.x.size))):
+        for row, shift, wj in zip(coeffs, shifts, w):
             vals += wj * ndimage.map_coordinates(row, (index0 - shift)[None, :], order=3,
                                                  mode="constant", cval=0.0, prefilter=False)
         return self.renormalized(d, vals)
@@ -705,9 +712,8 @@ class TestMarginalPaths:
     @pytest.mark.parametrize("theta", THETAS)
     def test_blocks_give_the_whole_grid_values(self, ref, theta):
         d = self.density(ref)
-        whole_grid = (self.lebesgue_lattice_marginal if ref is LEB
-                      else self.prefiltered_lines_marginal)
-        np.testing.assert_array_equal(marginal(d, theta).values, whole_grid(d, theta))
+        np.testing.assert_array_equal(marginal(d, theta).values,
+                                      self.lebesgue_lattice_marginal(d, theta))
 
     @pytest.mark.parametrize("points", [POINTS, DEFAULT_POINTS])
     @pytest.mark.parametrize("theta", THETAS)
@@ -727,8 +733,8 @@ class TestMarginalPaths:
         the peak (measured <= 2e-9), and entropy and Fisher information by
         at most 1e-9 (measured <= 3.1e-11 and 1.4e-10).  Over the Gaussian
         reference the values are compared as densities of Lebesgue measure,
-        times gamma: unweighted, both paths miss the closed form by ~25 at
-        x = 10, on a peak of 5.8e4."""
+        times gamma: unweighted, the two paths miss the closed form by 19
+        and 24 at x = 10, on a peak of 5.8e4."""
         d = self.density(ref)
         got = marginal(d, theta)
         want = GridDensity1D(ref, d.x, self.per_point_marginal(d, theta))
@@ -805,32 +811,28 @@ class TestMarginalBatch:
         assert batch[1] is first and batch[3] is first
         assert all(marginal(d, theta) is m for theta, m in zip(thetas, batch))
 
-    def test_one_prefilter_per_axis(self, monkeypatch):
-        """Over the Gaussian reference, two sheared directions along one axis
-        prefilter its n lines once, not once each, and a repeated call
-        prefilters nothing.  Over Lebesgue measure no line is prefiltered:
-        each direction prefilters the two phases of its lattice sum and then
-        the sum, three 1d arrays of at most 2 sqrt(2) n + 33 values."""
+    @pytest.mark.parametrize("ref", [LEB, GAM])
+    def test_no_line_is_prefiltered(self, ref, monkeypatch):
+        """In either reference, each sheared direction prefilters the two
+        phases of its lattice sum and then the sum, three 1d arrays of at
+        most 2 sqrt(2) n + 33 values, and no line; a repeated call
+        prefilters nothing."""
         lines, sums = [], []
         prefilter = quadrature_module.spline_coefficients
 
-        def counting(block, out=None):
+        def counting(block):
             (lines if np.ndim(block) == 2 else sums).append(len(block))
-            return prefilter(block, out)
+            return prefilter(block)
         monkeypatch.setattr(quadrature_module, "spline_coefficients", counting)
-        thetas = self.DIRECTION_SETS["mercedes"]
-        d = self.density(GAM)
-        marginals(d, thetas)
-        assert sum(lines) == self.POINTS
-        lines.clear()
-        marginals(d, thetas)
-        assert lines == []
-        marginals(self.fresh(d), self.DIRECTION_SETS["split weight triple"])
-        assert sum(lines) == 2 * self.POINTS
-        lines.clear()
+        d = self.density(ref)
+        for name in ("mercedes", "split weight triple"):
+            sums.clear()
+            marginals(self.fresh(d), self.DIRECTION_SETS[name])
+            assert lines == [] and len(sums) == 3 * 2 and max(sums) <= 3 * self.POINTS
+        marginals(d, self.DIRECTION_SETS["mercedes"])
         sums.clear()
-        marginals(self.density(LEB), thetas)
-        assert lines == [] and len(sums) == 3 * 2 and max(sums) <= 3 * self.POINTS
+        marginals(d, self.DIRECTION_SETS["mercedes"])
+        assert sums == []
 
     def test_closed_form_and_errors(self):
         g = gaussian(LEB, [0.2, -0.3], [[2.0, 0.7], [0.7, 1.2]])
@@ -1044,6 +1046,24 @@ class TestShiftedCopies:
         want, = quadrature_module.sheared_sum(np.broadcast_to(f, (ng, nf)), [terms])
         got = quadrature_module.shifted_copies(f, *terms)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_sheared_sum_scales_only_the_sums_with_node_weights():
+    """In one call, a sum with node weights reads the lines times them and a
+    sum without reads the lines as they are, in any order: each gives, bit
+    for bit, the sum without node weights of the lines it reads."""
+    rng = np.random.default_rng(7)
+    count, n = 150, 129
+    lines = rng.random((count, n))
+    nodes = rng.random((count, n))
+    plain = (np.linspace(-10.0, n + 10.0, 301), rng.uniform(-20.0, 20.0, count),
+             rng.random(count))
+    scaled = (*plain[:2], rng.random(count), lambda rows: nodes[rows])
+    got = quadrature_module.sheared_sum(lines, [plain, scaled, plain])
+    want_plain, = quadrature_module.sheared_sum(lines, [plain])
+    want_scaled, = quadrature_module.sheared_sum(lines * nodes, [scaled[:3]])
+    for values, want in zip(got, (want_plain, want_scaled, want_plain)):
+        np.testing.assert_array_equal(values, want)
 
 
 # === closed-form Gaussians through the operations ========================

@@ -6,9 +6,9 @@ law of TestScale1d, the closed-form subadditivity gaps of
 TestSubadditivity, and the equality cases of TestBrascampLieb and
 TestMainIntegral.  The frame checks' batched marginals are compared with
 single ones bit for bit, on n = 129 grids; the grid subadditivity slack of
-a turned mixture is bounded by 10x the gaps measured on n = 257 and 513
-grids.  Runs are derandomized, so every run draws the same
-examples.
+a turned mixture, and its change from one reference to the other, are
+bounded by 10x the gaps measured on n = 257 and 513 grids.  Runs are
+derandomized, so every run draws the same examples.
 """
 
 import functools
@@ -209,9 +209,39 @@ def test_grid_subadditivity_slack_is_rotation_invariant(points, ref, phi):
     """Turning a gridded mixture and the Mercedes frame by the same phi
     leaves the grid subadditivity slack unchanged within ROTATION_GAP.  The
     turned frame's directions are sheared along either grid axis at every
-    slope, so this runs both marginal paths: the Lebesgue sum of values and
-    the Gaussian reference's prefiltered lines."""
+    slope, in both references: the lines' values are summed as they are
+    over Lebesgue measure, and times gamma(x.u_perp) at their nodes over
+    the Gaussian reference."""
     frame = mercedes_frame()
     turned = Frame2(tuple(t + phi for t in frame.thetas), frame.weights)
     slack = check_subadditivity(turned, turned_mixture(ref, phi, points)).slack
     assert abs(slack - unturned_slack(ref, points)) <= ROTATION_GAP[ref, points]
+
+
+# 10x the largest slack gap between the two references measured on this
+# test's draws and on seven frames (weights from 0.25 to 0.95) at phi in
+# {0, 0.37, 1, -2.2, 2.9} when the property was added: 2.2e-8 at n = 257
+# and 1.1e-9 at 513
+REFERENCE_GAP = {257: 2.2e-7, 513: 1.1e-8}
+
+
+@pytest.mark.parametrize("points", [257, 513])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(weights=st.tuples(st.floats(0.2, 0.9), st.floats(0.2, 0.9)),
+       phi=st.floats(-math.pi, math.pi))
+@example(weights=(2.0 / 3.0, 2.0 / 3.0), phi=0.37)
+def test_grid_subadditivity_slack_is_reference_invariant(points, weights, phi):
+    """One law gridded over Lebesgue measure and over gamma has one
+    subadditivity slack.  Its entropy relative to gamma_2 is the Lebesgue
+    one moved by E|X|^2 / 2 + log 2 pi, each marginal's by
+    E(X.u_i)^2 / 2 + log(2 pi) / 2, and sum c_i = 2 with
+    sum c_i (x.u_i)^2 = |x|^2, so the moves cancel in the slack.  Over
+    gamma each sheared marginal weights its lines by gamma(x.u_perp) at
+    their nodes, so this ties that path to the Lebesgue one."""
+    c1, c2 = weights
+    c3 = 2.0 - c1 - c2
+    assume(0.2 < c3 < 0.9)
+    frame = directions_from_weights(c1, c2, c3)
+    leb, gam = (check_subadditivity(frame, turned_mixture(ref, phi, points)).slack
+                for ref in (LEB, GAM))
+    assert abs(leb - gam) <= REFERENCE_GAP[points]
