@@ -477,6 +477,8 @@ class ExpFunction:
 
     def __init__(self, a):
         self.a = float(a)
+        if not math.isfinite(self.a):
+            raise NormalizationError(f"exp rate must be finite, got {self.a!r}")
 
     def __call__(self, points):
         return np.exp(self.a * np.asarray(points, dtype=float))

@@ -37,8 +37,8 @@ from .frames import (ExponentTriple, Frame2, _coerce_triple, _hyper2_exponents,
                      angles_from_exponents, conjugate_exponent,
                      shannon_limit_frame, validate_young, young_frame)
 from .functional import _lp_norm, entropy, fisher, lp_norm
-from .quadrature import (blocks, contract, grid_index, shifted_copies, simpson_weights,
-                         validate_axis)
+from .quadrature import (call_blocks, contract, grid_index, shifted_copies,
+                         simpson_weights, validate_axis)
 from .semigroup import hermite_p_theta, ou_flow
 
 SQRT2 = math.sqrt(2.0)
@@ -224,11 +224,13 @@ class GaussianExtremizer:
     a3: float = 0.0
 
     def __post_init__(self):
-        if not float(self.lam) > 0.0:
+        for field in ("lam", "a2", "a3"):
+            value = float(getattr(self, field))
+            if not math.isfinite(value):
+                raise InvalidExponents(f"{field} must be finite, got {value!r}")
+            object.__setattr__(self, field, value)
+        if not self.lam > 0.0:
             raise InvalidExponents(f"lam must be positive, got {self.lam!r}")
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "a2", float(self.a2))
-        object.__setattr__(self, "a3", float(self.a3))
 
     def factor(self, slot, p, reference):
         """Callable g with |g|^p = e^{-lam (t - a)^2} against the reference,
@@ -279,8 +281,10 @@ def _frame_inner(thetas, f2, f3, axis):
     values weight(f_k.values, f_k.x), zero-extended at its ends, so the sum
     over s_2 is one of copies of that line, shifted by -b s_2 / h_k:
     quadrature.shifted_copies, O(n log n).  A callable f_k is evaluated
-    exactly at a s_1 + b s_2 and contracted BLOCK_ROWS rows of s_1 at a
-    time, so no n x n array is ever held."""
+    exactly at a s_1 + b s_2 on the rows of s_1 of quadrature.call_blocks,
+    CALL_POINTS // n of them at a time (7 at n = 2049), and each row is
+    contracted on its own, so no n x n array is ever held and every
+    temporary stays small enough for the allocator to reuse."""
     (x, h), (t1, t2, t3) = axis, thetas
     if abs(math.sin(t3 - t1)) > abs(math.sin(t2 - t1)):
         (t2, f2), (t3, f3) = (t3, f3), (t2, f2)
@@ -293,7 +297,7 @@ def _frame_inner(thetas, f2, f3, axis):
                                -b * x / fk.h, fj_weighted)
     else:
         inner = np.empty(x.size)
-        for rows in blocks(x.size):
+        for rows in call_blocks(x.size, x.size):
             s = a * x[rows, None] + b * x[None, :]
             inner[rows] = contract(wk(_eval_at(fk, s), s), fj_weighted)
     return inner / abs(det)

@@ -6,9 +6,13 @@ endpoints.
 
 Every pass over an n x n grid runs BLOCK_ROWS lines at a time (blocks
 returns the slices), so it holds O(BLOCK_ROWS n) working values, never a
-whole n x n temporary.  Every contraction of such a block, or of an
-n x 64 array of Gauss-Hermite samples, with a weight vector goes through
-contract, which uses np.einsum and so never calls BLAS.  A
+whole n x n temporary.  A caller's function (a callable frame factor, or a
+callable under the Mehler formula at 64 Gauss-Hermite nodes per point) is
+evaluated on at most CALL_POINTS points at a time (call_blocks returns the
+slices of rows), so that its temporaries stay small enough for the
+allocator to reuse from block to block.  Every contraction of
+such a block with a weight vector goes through contract, which uses
+np.einsum and so never calls BLAS.  A
 BLAS product of that size runs on the BLAS thread pool, whose threads
 keep spinning on the other cores after the call returns: they cost CPU
 time and save no wall time at this size.  einsum runs on the calling
@@ -74,10 +78,23 @@ def validate_axis(x, name="axis"):
 # Lines of an n x n grid that one pass holds at a time.
 BLOCK_ROWS = 64
 
+# Points at which one call evaluates a caller's function: the rows of one
+# block of an (n, width) point set.  2^14 doubles are 128 KiB, which glibc
+# keeps on its heap for reuse; the 1 MiB temporaries of 64 rows of 2049
+# points, or of a whole (2049, 64) Gauss-Hermite array, went back to the
+# kernel when freed, and every next block zero-filled fresh pages.
+CALL_POINTS = 2 ** 14
 
-def blocks(n):
-    """Slices of BLOCK_ROWS consecutive indices covering range(n)."""
-    return [slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS)]
+
+def blocks(n, rows=BLOCK_ROWS):
+    """Slices of rows consecutive indices covering range(n)."""
+    return [slice(start, start + rows) for start in range(0, n, rows)]
+
+
+def call_blocks(n, width):
+    """Slices covering range(n), each of max(1, CALL_POINTS // width)
+    consecutive rows of an (n, width) point set."""
+    return blocks(n, max(1, CALL_POINTS // width))
 
 
 # === Simpson ==============================================================

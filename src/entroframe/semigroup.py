@@ -54,8 +54,8 @@ from .density import (GaussianDensity, GridDensity1D, GridDensity2D,
                       marginal)
 from .errors import GridError, InvalidFlowTime, ReferenceMismatch
 from .functional import entropy, fisher
-from .quadrature import (blocks, contract, gauss_hermite, grid_index,
-                         sample_coefficients, spline_coefficients,
+from .quadrature import (blocks, call_blocks, contract, gauss_hermite,
+                         grid_index, sample_coefficients, spline_coefficients,
                          spline_matrix)
 
 # Below this blur width (in grid steps) the sampled kernel is too coarse
@@ -310,8 +310,10 @@ def hermite_p_theta(f, theta, x=None):
     signed) goes through the OU flow's operator _gauss_rows on its own
     axis; an x that is not that axis raises GridError.  A callable is
     summed at 64 Gauss-Hermite nodes per point of x (default axis when
-    omitted).  theta in [0, pi/2]; P_0 is the identity and P_{pi/2}
-    averages f against gamma.
+    omitted), evaluated on the rows of x of quadrature.call_blocks, 256
+    points of x at a time, so no (n, 64) array of samples is held.  theta
+    in [0, pi/2]; P_0 is the identity and P_{pi/2} averages f against
+    gamma.
     """
     theta = _mehler_angle(theta)
     c, s = math.cos(theta), math.sin(theta)
@@ -324,8 +326,11 @@ def hermite_p_theta(f, theta, x=None):
         raise ReferenceMismatch(f"cannot evaluate {type(f).__name__} at Mehler points")
     x = default_axis() if x is None else np.asarray(x, dtype=float)
     z, w = gauss_hermite()
-    samples = np.asarray(f(c * x[:, None] + s * z[None, :]), dtype=float)
-    return GridFunction1D(x, _freeze(contract(samples, w)))
+    values = np.empty(x.size)
+    for rows in call_blocks(x.size, z.size):
+        samples = np.asarray(f(c * x[rows, None] + s * z[None, :]), dtype=float)
+        values[rows] = contract(samples, w)
+    return GridFunction1D(x, _freeze(values))
 
 
 # === flow diagnostics =====================================================

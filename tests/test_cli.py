@@ -374,6 +374,15 @@ class TestCheckCommand:
         assert "test function, not a density" in err
         assert "gauss:A,1" in err
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_exp_rate_must_be_finite(self, capsys, rate):
+        """A non-finite rate is refused by ExpFunction, under the slot's flag,
+        before a grid sees the non-finite values it would give."""
+        code, out, err = run(capsys, "check", "hyper", "--f", f"exp:{rate}",
+                             "--p", "2", "--q", "4", "--theta", "0.7")
+        assert (code, out) == (2, "")
+        assert err == f"--f: exp rate must be finite, got {float(rate)!r}\n"
+
     def test_bad_spec_count(self, capsys):
         code, _, err = run(capsys, "check", "shannon", "--g", "gauss:0")
         assert code == 2 and "expected 2 comma-separated values" in err

@@ -1048,6 +1048,19 @@ class TestShiftedCopies:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 5000), width=st.integers(1, 40000))
+@example(n=2049, width=2049)
+@example(n=2049, width=64)
+def test_call_blocks_cover_the_rows_in_order(n, width):
+    """call_blocks cuts range(n) into consecutive slices, in order, of at
+    most max(1, CALL_POINTS // width) rows: every row is in exactly one."""
+    rows = max(1, quadrature_module.CALL_POINTS // width)
+    parts = [range(n)[block] for block in quadrature_module.call_blocks(n, width)]
+    assert [i for part in parts for i in part] == list(range(n))
+    assert all(1 <= len(part) <= rows for part in parts)
+
+
 def test_sheared_sum_scales_only_the_sums_with_node_weights():
     """In one call, a sum with node weights reads the lines times them and a
     sum without reads the lines as they are, in any order: each gives, bit

@@ -28,6 +28,8 @@ from entroframe import (
     weights_from_directions,
     young_frame,
 )
+from entroframe import inequality
+from entroframe.density import log_gaussian_weight
 from entroframe.errors import InvalidExponents, ReferenceMismatch
 from entroframe.inequality import (
     CHECK_NAMES,
@@ -50,6 +52,7 @@ from entroframe.inequality import (
     exp_norm_gamma,
     hyper_threshold,
     _canon,
+    _frame_inner,
     inputs_digest,
     mehler_exp_norm,
     shannon_taylor_check,
@@ -57,6 +60,7 @@ from entroframe.inequality import (
     young_extremal_covariance,
     young_log_constant,
 )
+from entroframe.quadrature import validate_axis
 
 LEB = Reference.LEBESGUE
 GAM = Reference.GAUSSIAN
@@ -322,6 +326,34 @@ class TestMainIntegral:
     def test_extremizer_rejects_bad_lam(self):
         with pytest.raises(InvalidExponents):
             GaussianExtremizer(0.0)
+
+    @pytest.mark.parametrize("field", ["lam", "a2", "a3"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_extremizer_rejects_non_finite_parameters(self, field, value):
+        """An infinite centre made both sides 0, a report that passed, and a
+        NaN one made every side NaN; each is refused by name."""
+        params = {"lam": 1.0, "a2": 0.0, "a3": 0.0, field: value}
+        with pytest.raises(InvalidExponents, match=f"^{field} must be finite, got {value!r}$"):
+            GaussianExtremizer(**params)
+
+    @pytest.mark.parametrize("ref", [LEB, GAM])
+    def test_callable_factor_blocks_match_one_block(self, monkeypatch, ref):
+        """The callable branch of _frame_inner, evaluated on the rows of
+        quadrature.call_blocks, equals bit for bit the same branch run on all
+        n = 2049 rows at once: each row is contracted on its own."""
+        x = default_axis()
+        axis = (x, validate_axis(x))
+        g, h = GaussianExtremizer(0.8, 0.3, -0.2).pair(TRIPLE, ref)
+
+        def weight(p):
+            if ref is LEB:
+                return lambda v, s: v
+            return lambda v, s: v * np.exp(log_gaussian_weight(s) / p)
+        args = (angles_from_exponents(TRIPLE).thetas, (g, weight(TRIPLE.p2)),
+                (h, weight(TRIPLE.p3)), axis)
+        blocked = _frame_inner(*args)
+        monkeypatch.setattr(inequality, "call_blocks", lambda n, width: [slice(0, n)])
+        np.testing.assert_array_equal(blocked, _frame_inner(*args))
 
 
 # === Young's inequality ===================================================

@@ -111,9 +111,10 @@ class TestResources:
     def test_frame_checks_hold_no_square_array(self):
         """Each frame check raises the process peak by at most 48 MB, less
         than two n x n arrays of doubles (33.6 MB each): on a callable
-        factor the integrand is evaluated BLOCK_ROWS (64) rows at a time,
-        and a grid factor's sum over shifted copies holds O(n) values.
-        Holding the integrand whole took +97 to +129 MB."""
+        factor the integrand is evaluated on at most CALL_POINTS points
+        (7 rows of s_1) at a time, and a grid factor's sum over shifted
+        copies holds O(n) values.  Holding the integrand whole took +97 to
+        +129 MB."""
         lines = run_child("""
             import resource
             peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -126,6 +127,29 @@ class TestResources:
         for line in lines:
             name, grown = line.split(":")
             assert int(grown) * RSS_UNIT <= 48e6, line
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_callable_checks_reuse_their_pages(self):
+        """The extremizer main-integral checks in both references and 31
+        hypercontractivity checks of exp(t), as a benchmark pass of 1d checks
+        runs them, take fewer than 1,000 minor page faults together: a
+        caller's function is evaluated on at most CALL_POINTS points at a
+        time, whose temporaries the allocator keeps for the next block.
+        With 64 rows of s_1 (1 MiB) per frame block and a whole (2049, 64)
+        Gauss-Hermite array per Mehler call, every freed temporary went back
+        to the kernel and the next block faulted its pages in again: 58.5k
+        faults, 1.4 us each.  Measured 25 after the change."""
+        lines = run_child("""
+            import math, resource
+            faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            base = faults()
+            check_main_integral(t, *ext.pair(t, LEB), LEB)
+            check_main_integral(t, *ext.pair(t, GAM), GAM)
+            for k in range(31):
+                check_hypercontractivity(ExpFunction(1.0), 2.0, 4.0, k * math.pi / 60)
+            print(faults() - base)
+        """)
+        assert len(lines) == 1 and int(lines[0]) < 1000, lines
 
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
     def test_grid_passes_hold_no_square_temporaries(self):

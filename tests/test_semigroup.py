@@ -29,6 +29,7 @@ from entroframe import (
     gaussian_mixture,
     independent_product,
 )
+from entroframe import semigroup
 from entroframe.errors import GridError, InvalidFlowTime, ReferenceMismatch
 from entroframe.quadrature import (contract, gauss_hermite,
                                    sample_coefficients, simpson_weights,
@@ -435,6 +436,15 @@ class TestHermitePTheta:
         c, s = math.cos(theta), math.sin(theta)
         want = np.exp(a * c * p.x + a * a * s * s / 2.0)
         np.testing.assert_allclose(p.values, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("a, theta", [(0.9, 0.7), (-1.5, 0.2), (1.0, math.pi / 2.0)])
+    def test_callable_blocks_match_one_block(self, monkeypatch, a, theta):
+        """A callable evaluated on the rows of quadrature.call_blocks, 256
+        points of the default axis at a time, gives bit for bit the sum over
+        the whole (n, 64) array of Gauss-Hermite samples."""
+        blocked = hermite_p_theta(ExpFunction(a), theta).values
+        monkeypatch.setattr(semigroup, "call_blocks", lambda n, width: [slice(0, n)])
+        np.testing.assert_array_equal(blocked, hermite_p_theta(ExpFunction(a), theta).values)
 
     def test_grid_density_input(self):
         """Sampling through the spline agrees with the closed form in the
