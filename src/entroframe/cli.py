@@ -355,8 +355,10 @@ _THETA_RULES = {"hyper": _mehler_angle, "lsi-integrated": _lsi_angle}
 
 def _run_check(args):
     slots, dim, fixed, allow_exp, params, run = CHECK_TABLE[args.name]
-    # the flags that set no density are checked before any slot is parsed
-    for flag in _PARAMS:
+    # the flags that set no density are checked before any slot is parsed,
+    # and so is every slot flag of another check
+    others = [f"--{s}" for row in CHECK_TABLE.values() for s in row[0] if s not in slots]
+    for flag in [*_PARAMS, *others]:
         if flag not in params and _arg(args, flag) is not None:
             raise NormalizationError(f"{flag}: {args.name} does not use it; drop it")
     with _flagged("--tolerance"):

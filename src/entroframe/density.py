@@ -561,7 +561,12 @@ def marginals(f, directions, x_out=None):
 
 def _marginals(f, thetas, out):
     """The marginals of grid density f along the angles thetas, on the axis
-    of the zero density out (see _zero_on)."""
+    of the zero density out (see _zero_on).
+
+    An axis marginal on the grid's own nodes is one contract of the values
+    with the other axis's weights; every other direction is a sheared_sum,
+    one call for all the directions whose lines run along the same axis.
+    """
     t = out.x
     sums = [None] * len(thetas)
     # (position in thetas, sheared_sum terms) of the directions along x, along y
@@ -573,7 +578,7 @@ def _marginals(f, thetas, out):
         if theta in (0.0, math.pi / 2.0) and np.array_equal(t, along):
             # an axis marginal at the nodes: each line's spline there gives
             # back the line's values, so the sum contracts the values themselves
-            sums[k] = _axis_sum(_lines(f, axis), w * reference_weight(f.reference, across))
+            sums[k] = contract(_lines(f, axis).T, w * reference_weight(f.reference, across))
             continue
         sheared[axis].append((k, _sheared_terms(f, axis, cos_a, sin_a, w, t)))
     for axis, group in enumerate(sheared):
@@ -611,14 +616,6 @@ def _shear(theta):
 def _lines(f, axis):
     """The grid lines of f along axis, one per row: the rows of values.T run along x."""
     return f.values.T if axis == 0 else f.values
-
-
-def _axis_sum(lines, w):
-    """sum_j w_j lines[j], the lines' nodes BLOCK_ROWS at a time."""
-    sums = np.empty(lines.shape[1])
-    for block in blocks(lines.shape[1]):
-        sums[block] = contract(lines.T[block], w)
-    return sums
 
 
 def _zero_on(reference, t):

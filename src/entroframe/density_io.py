@@ -16,7 +16,7 @@ import numpy as np
 
 from .density import (GaussianDensity, GridDensity1D, GridDensity2D,
                       Reference, gaussian_mixture, uniform_density)
-from .errors import GridError, NormalizationError
+from .errors import GridError, NormalizationError, ReferenceMismatch
 
 
 def _parse_reference(raw):
@@ -106,7 +106,7 @@ def density_from_spec(spec, length=None, points=None):
         return gaussian_mixture(reference, w, m, v, length=length, points=points)
     if family == "uniform":
         if reference is not Reference.LEBESGUE:
-            raise NormalizationError("uniform is a Lebesgue-reference family")
+            raise ReferenceMismatch("uniform is a Lebesgue-reference family")
         return uniform_density(_field(spec, "a", "uniform"), _field(spec, "b", "uniform"),
                                smoothing=_field(spec, "smoothing", "uniform", 0.05),
                                length=length, points=points)

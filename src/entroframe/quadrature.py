@@ -282,11 +282,9 @@ def shifted_copies(line, index0, shifts, weights):
     then prefiltered and resampled at index0 as sheared_sum does it.
     """
     lattice = _Lattice(index0, shifts, weights)
+    base, taps = lattice.taps(slice(None))
     # copy j, phase p: lattice point i reads values first[j, p] + i .. + 3
-    start = lattice.a0 + LATTICE_STEP * np.arange(lattice.PHASES) - shifts[:, None]
-    base = np.floor(start)
-    taps = np.stack(_bspline_weights(start - base), axis=-1) * (weights[:, None, None] / 6.0)
-    first = base.astype(np.intp) - 1
+    first = base - 1
     lo = first.min(axis=0)
     widths = first.max(axis=0) - lo + 4
     n = line.size
@@ -305,7 +303,9 @@ def shifted_copies(line, index0, shifts, weights):
 
 class _Lattice:
     """One sum of sheared_sum: its lattice and the O(n) sum G on it, kept
-    as one row per phase, so each line adds into contiguous values."""
+    as one row per phase, so each line adds into contiguous values.  taps
+    gives each line's phase bases and 4-tap filters, to add for a block of
+    lines and to shifted_copies for every copy of its one line."""
 
     PHASES = round(1.0 / LATTICE_STEP)
     # zeros on each side of a line: the taps of the points within two
@@ -322,15 +322,21 @@ class _Lattice:
         self.ends = np.array([len(range(p, self.size, self.PHASES)) for p in range(self.PHASES)])
         self.phase_sums = np.zeros((self.PHASES, self.ends[0]))
 
+    def taps(self, rows):
+        """(base, taps) of the lines rows: at phase p, lattice point i lies
+        at base[j, p] + u + i on line j, 0 <= u < 1, so it reads the line's
+        values base - 1 + i .. base + 2 + i with the weights taps[j, p], the
+        four B-spline weights of u times w_j."""
+        start = self.a0 + LATTICE_STEP * np.arange(self.PHASES) - self.shifts[rows, None]
+        base = np.floor(start)
+        taps = np.stack(_bspline_weights(start - base), axis=-1) / 6.0 \
+            * self.weights[rows, None, None]
+        return base.astype(np.intp), taps
+
     def add(self, block, ext, n):
         """Add the samples of the block's lines of n points each, whose
         values ext holds between PAD zeros."""
-        # line j, phase p: lattice point i is at base + u + i on the line
-        start = self.a0 + LATTICE_STEP * np.arange(self.PHASES) - self.shifts[block, None]
-        base = np.floor(start)
-        taps = np.stack(_bspline_weights(start - base), axis=-1) / 6.0 \
-            * self.weights[block, None, None]
-        base = base.astype(np.intp)
+        base, taps = self.taps(block)
         # the points whose taps reach the line: within 2 of [0, n - 1]
         first = np.maximum(-2 - base, 0)
         last = np.minimum(n - base, self.ends - 1)

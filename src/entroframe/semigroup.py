@@ -34,8 +34,9 @@ values, the x pass comes first and the y pass ends in f's orientation,
 C-contiguous, so a flow holds the x pass's result and its output and
 O(BLOCK_ROWS n) working values.  A 2d heat flow whose blur is sampled on
 both axes is instead one FFT round trip (_blur_round_trip): y's transform
-keeps only the bins where the Gaussian factor is above 2^-53, x is blurred
-in that band, and the flow holds its output alone.  OU keeps its passes: a
+keeps only the bins where the Gaussian factor is above 2^-53, the real and
+imaginary parts of that band go through _gauss_rows along x as real lines,
+and the flow holds its output and the band alone.  OU keeps its passes: a
 Gaussian-reference density grows toward the grid's corners, and a transform
 that mixes all rows rounds every value by eps times the corner's.
 de Bruijn's identity dS/dt = -I holds along both flows and is checked by
@@ -109,12 +110,11 @@ def _blur_kernel(sigma, h):
     return w / w.sum(), radius
 
 
-def _blur_spectrum(sigma, h, n, transform):
-    """The spectrum that blurs lines of n nodes by the sampled N(0, sigma^2)
-    and prefilters them: (spectrum, nfft, size, radius).
+def _blur_spectrum(sigma, h, n):
+    """The real-FFT spectrum that blurs real lines of n nodes by the sampled
+    N(0, sigma^2) and prefilters them: (spectrum, nfft, size, radius).
 
-    transform is fft.rfft (real lines) or fft.fft (complex ones); the
-    product of a line's transform at length nfft with the spectrum
+    The product of a line's rfft at length nfft with the spectrum
     transforms back to the cubic-spline coefficients of the blurred line
     on its first size = n + 2 radius nodes, the axis grown by the kernel
     radius at each end.  The prefilter, the inverse of the filter
@@ -125,8 +125,8 @@ def _blur_spectrum(sigma, h, n, transform):
     """
     w, radius = _blur_kernel(sigma, h)
     size = n + w.size - 1
-    nfft = fft.next_fast_len(size, transform is fft.rfft)
-    spectrum = transform(w, nfft)
+    nfft = fft.next_fast_len(size, True)
+    spectrum = fft.rfft(w, nfft)
     spectrum *= 6.0 / (4.0 + 2.0 * np.cos(2.0 * np.pi / nfft * np.arange(spectrum.size)))
     return spectrum, nfft, size, radius
 
@@ -146,7 +146,7 @@ def _line_blur(sigma, h, shape):
     if len(shape) == 1:
         w, radius = _blur_kernel(sigma, h)
         return (lambda line: spline_coefficients(np.convolve(line, w))), radius
-    spectrum, nfft, size, radius = _blur_spectrum(sigma, h, shape[-1], fft.rfft)
+    spectrum, nfft, size, radius = _blur_spectrum(sigma, h, shape[-1])
     return (lambda lines: fft.irfft(fft.rfft(lines, nfft) * spectrum, nfft)[:, :size]), radius
 
 
@@ -212,27 +212,23 @@ def _blur_round_trip(values, axes, c, a):
     transformed at the y blur's length and multiplied by its spectrum
     (_blur_spectrum), of which only the K bins with a w < SPECTRUM_REACH
     are kept; past them the sampled kernel's spectrum is its truncation
-    floor, about 7e-16.  x, in the spectrum: the (n_x, K) band is blurred
-    along x by a complex FFT round trip at the x blur's length, and its
-    coefficients are read at c x.  y, back: each block of rows is
-    transformed back at the y length, and its coefficients are read at
-    c y.  The flow holds its output and the band, O(n K) values: on the
-    default grid K is 86 of 1441 bins at t = 0.1 and 50 of 1876 at
+    floor, about 7e-16.  x, in the spectrum: the real and imaginary parts
+    of the (n_x, K) band are 2K real lines along x, which _gauss_rows
+    blurs and reads at c x, as every other pass does.  y, back: each block
+    of rows is transformed back at the y length, and its coefficients are
+    read at c y.  The flow holds its output and the band, O(n K) values:
+    on the default grid K is 86 of 1441 bins at t = 0.1 and 50 of 1876 at
     t = 0.5, where two passes hold two n x n arrays.
     """
     (x, hx), (y, hy) = axes
-    spectrum, nfft, size, radius = _blur_spectrum(a, hy, y.size, fft.rfft)
+    spectrum, nfft, size, radius = _blur_spectrum(a, hy, y.size)
     spectrum = spectrum[:math.ceil(SPECTRUM_REACH * nfft * hy / (2.0 * math.pi * a))]
     band = np.empty((x.size, spectrum.size), dtype=complex)
     for rows in blocks(x.size):
         band[rows] = fft.rfft(values[rows], nfft)[:, :spectrum.size] * spectrum
-    x_spectrum, x_nfft, x_size, x_radius = _blur_spectrum(a, hx, x.size, fft.fft)
-    coeffs = fft.fft(band, x_nfft, axis=0)
-    coeffs *= x_spectrum[:, None]
-    coeffs = fft.ifft(coeffs, axis=0, overwrite_x=True)[:x_size]
-    # real and imaginary parts are read alike: the band, viewed as floats
-    sample = spline_matrix(_blur_index(x, hx, c, x_radius), np.ones(1), x_size)
-    band = (sample @ coeffs.view(float)).view(complex)
+    # the x pass returns the lines flowed axis first, (n_x, 2K) in Fortran
+    # order: one C-ordered copy views it as the complex band again
+    band = np.ascontiguousarray(_gauss_rows(band.view(float).T, x, hx, c, a)).view(complex)
     sample = spline_matrix(_blur_index(y, hy, c, radius), np.ones(1), size)
     out = np.empty((x.size, y.size))
     for rows in blocks(x.size):

@@ -9,7 +9,13 @@ name, with exit code null.
 
     PYTHONPATH=src python tests/golden/generate.py [OUT]
 
-writes the corpus to OUT, by default `corpus.json` beside this file.
+writes the corpus to OUT, by default `corpus.json` beside this file, and
+
+    PYTHONPATH=src python tests/golden/generate.py --drift
+
+writes nothing: it prints each run that differs at all from its entry in
+`corpus.json`, floats compared exactly, with every changed value and its
+absolute and relative change, and last the count of unchanged runs.
 `tests/test_golden.py` re-runs the same list and compares, by the rule of
 `mismatches`.  A run that the rule finds unchanged keeps its entry in
 `corpus.json` as recorded, so a host whose last bits differ rewrites
@@ -202,6 +208,8 @@ RUNS = [
     ("sweep", "--check", "young-conv", "--param", "sigma", "--range", "0.5:1", "--steps", "3",
      "--p", "5", "--grid-n", "128"),
     ("check", "young-conv", "--p", "5", "--q", "1.3333", "--r", "2", "--grid-n", "128"),
+    # a slot flag that the check does not read is refused by name
+    ("check", "hyper2", "--f", "exp:nan", "--p", "1.5", "--r", "1.5"),
 ]
 
 
@@ -244,47 +252,53 @@ def _close(want, got):
         or (math.isnan(want) and math.isnan(got))
 
 
-def _differences(want, got, mixture, where="output"):
-    """Where got differs from want, as a list of (where, want, got)."""
+def _equal(want, got):
+    return want == got or (math.isnan(want) and math.isnan(got))
+
+
+def _differences(want, got, mixture, close, where="output"):
+    """Where got differs from want, floats compared by close, as a list of
+    (where, want, got)."""
     if isinstance(want, dict) and isinstance(got, dict):
         if list(want) != list(got):
             return [(f"{where} keys", list(want), list(got))]
         return [d for key in want for d in _differences(
-            want[key], got[key], mixture, f"{where}.{key}")]
+            want[key], got[key], mixture, close, f"{where}.{key}")]
     if isinstance(want, list) and isinstance(got, list):
         if len(want) != len(got):
             return [(f"{where} length", len(want), len(got))]
         return [d for i, (w, g) in enumerate(zip(want, got))
-                for d in _differences(w, g, mixture, f"{where}[{i}]")]
+                for d in _differences(w, g, mixture, close, f"{where}[{i}]")]
     if isinstance(want, float) and isinstance(got, float):
-        return [] if _close(want, got) else [(where, want, got)]
+        return [] if close(want, got) else [(where, want, got)]
     if isinstance(want, str) and isinstance(got, str):
         if where.endswith(".inputs_digest"):
             same = DIGEST.fullmatch(got) if mixture else want == got
         else:  # a line of `frame`: its text exactly, its numbers as floats
             same = NUMBER.sub("#", want) == NUMBER.sub("#", got) and all(
-                _close(float(w), float(g))
+                close(float(w), float(g))
                 for w, g in zip(NUMBER.findall(want), NUMBER.findall(got)))
         return [] if same else [(where, want, got)]
     return [] if want == got and type(want) is type(got) else [(where, want, got)]
 
 
-def mismatches(want, got):
+def mismatches(want, got, close=_close):
     """Where the run got differs from its recorded entry want, as a list of
     (where, want, got).
 
     Exit codes, exceptions, stderr, warnings, report keys and strings compare
-    exactly; floats to 1e-12 relative, or 1e-12 absolute near 0.  A report's
-    `inputs_digest` hashes the grid values bit for bit, so it compares exactly
-    too, except on runs through a Gaussian mixture (`gaussmix:` or
-    gaussmix.json): their values pass through a BLAS product, and one ulp of
-    it changes the digest, so there only its format is checked.
+    exactly; floats by close, by default to 1e-12 relative, or 1e-12 absolute
+    near 0.  A report's `inputs_digest` hashes the grid values bit for bit,
+    so it compares exactly too, except on runs through a Gaussian mixture
+    (`gaussmix:` or gaussmix.json): their values pass through a BLAS
+    product, and one ulp of it changes the digest, so there only its format
+    is checked.
     """
     mixture = any("gaussmix" in arg for arg in want["argv"])
     return [(key, want.get(key), got.get(key))
             for key in ("exit", "exception", "stderr", "warnings")
             if want.get(key) != got.get(key)] \
-        + _differences(want["output"], got["output"], mixture)
+        + _differences(want["output"], got["output"], mixture, close)
 
 
 def merge(recorded, fresh):
@@ -297,13 +311,45 @@ def merge(recorded, fresh):
     return merged
 
 
+def drift(recorded, fresh):
+    """The lines that --drift prints: each run of fresh that differs at all
+    from its recorded entry, floats compared exactly, with each difference
+    under it (a float's two values and its absolute and relative change),
+    then the count of unchanged runs."""
+    kept = {json.dumps(entry["argv"]): entry for entry in recorded}
+    lines, unchanged = [], 0
+    for entry in fresh:
+        old = kept.get(json.dumps(entry["argv"]))
+        if old is None:
+            lines.append(f"{' '.join(entry['argv'])}: not recorded")
+            continue
+        changes = mismatches(old, entry, _equal)
+        if not changes:
+            unchanged += 1
+            continue
+        lines.append(" ".join(entry["argv"]))
+        for where, want, got in changes:
+            if isinstance(want, float) and isinstance(got, float):
+                change = got - want
+                relative = change / abs(want) if want else math.inf
+                lines.append(f"  {where}: {want!r} -> {got!r}"
+                             f" (abs {change:+.3g}, rel {relative:+.3g})")
+            else:
+                lines.append(f"  {where}: {want!r} -> {got!r}")
+    lines.append(f"{unchanged} of {len(fresh)} runs unchanged")
+    return lines
+
+
 def generate():
     os.chdir(HERE)
     return [record(argv) for argv in RUNS]
 
 
 if __name__ == "__main__":
-    target = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else CORPUS
     recorded = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
-    corpus = merge(recorded, generate())
-    target.write_text(json.dumps(corpus, indent=1) + "\n")
+    if sys.argv[1:] == ["--drift"]:
+        print("\n".join(drift(recorded, generate())))
+    else:
+        target = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else CORPUS
+        corpus = merge(recorded, generate())
+        target.write_text(json.dumps(corpus, indent=1) + "\n")

@@ -14,6 +14,8 @@ import pytest
 from entroframe import cli
 from entroframe.cli import CHECK_TABLE, main
 from entroframe.density import ExpFunction, Reference, gaussian
+from entroframe.density_io import density_from_spec
+from entroframe.errors import ReferenceMismatch
 from entroframe.frames import ExponentTriple, mercedes_frame, young_frame
 from entroframe.inequality import (
     CHECK_NAMES,
@@ -281,6 +283,20 @@ class TestCheckCommand:
         code, out, err = run(capsys, "check", *argv)
         assert (code, out, err) == (2, "", message + "\n")
 
+    @pytest.mark.parametrize("name, slot", [
+        (name, slot) for name, row in CHECK_TABLE.items()
+        for slot in ("f", "g", "h", "f1", "f2", "f3") if slot not in row[0]])
+    def test_unused_slot_flag_is_refused(self, capsys, monkeypatch, name, slot):
+        """A slot flag that the check does not read is refused by name, as an
+        unused parameter flag is, before any slot is parsed, however invalid
+        its spec: hyper2 reads --g and --h, so --f exp:nan is an error."""
+        def no_slot(*args, **kwargs):
+            raise AssertionError("parsed a slot before checking the flags")
+        monkeypatch.setattr(cli, "parse_density_1d", no_slot)
+        monkeypatch.setattr(cli, "parse_density_2d", no_slot)
+        code, out, err = run(capsys, "check", name, f"--{slot}", "exp:nan")
+        assert (code, out, err) == (2, "", f"--{slot}: {name} does not use it; drop it\n")
+
     def test_flags_that_set_no_parameter_stay_accepted(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "check", "shannon", "--reference", "lebesgue",
@@ -525,6 +541,21 @@ class TestJsonGaussians:
         assert report == check_subadditivity(
             mercedes_frame(), gaussian(LEB, [0, 0], [[4, 0], [0, 1]])).to_dict()
         assert abs(report["slack"] - math.log(49 / 32) / 3) < 1e-12
+
+
+def test_uniform_over_gamma_is_one_error_from_either_spec(capsys, tmp_path):
+    """Uniform is Lebesgue-only: an inline and a JSON spec over gamma raise
+    the same ReferenceMismatch, and the CLI gives both the same message."""
+    for make in (lambda: density_from_spec({"family": "uniform", "a": -1, "b": 1,
+                                            "reference": "gaussian"}),
+                 lambda: cli.parse_density_1d("uniform:-1,1", GAM, None, 129)):
+        with pytest.raises(ReferenceMismatch, match="^uniform is a Lebesgue-reference family$"):
+            make()
+    spec = _write_json(tmp_path / "u.json", {"family": "uniform", "a": -1, "b": 1,
+                                             "reference": "gaussian"})
+    for slot in (spec, "uniform:-1,1"):
+        assert run(capsys, "check", "lsi", "--f", slot, "--grid-n", "129") \
+            == (2, "", "--f: uniform is a Lebesgue-reference family\n")
 
 
 class TestCsvLoaders:

@@ -44,3 +44,18 @@ def test_regenerating_keeps_every_recorded_entry(runs):
     corpus, fresh = runs
     assert json.dumps(generate.merge(corpus, fresh), indent=1) \
         == json.dumps(corpus, indent=1)
+
+
+def test_drift_lists_changes_below_the_corpus_rule():
+    """--drift compares floats exactly: a slack moved by 1e-14 passes the
+    corpus's 1e-12 rule but is listed, and an identical run is counted."""
+    entry = {"argv": ["check", "shannon"], "exit": 0, "stderr": "", "warnings": [],
+             "output": {"lhs": 1.0, "slack": 0.25}}
+    same = dict(entry, argv=["check", "lsi"])
+    moved = dict(entry, output={"lhs": 1.0, "slack": 0.25 + 1e-14})
+    assert not generate.mismatches(entry, moved)
+    lines = generate.drift([entry, same], [moved, same])
+    assert lines[0] == "check shannon"
+    # 0.25 + 1e-14 rounds to 0.25 + 9.992e-15
+    assert lines[1] == "  output.slack: 0.25 -> 0.25000000000001 (abs +9.99e-15, rel +4e-14)"
+    assert lines[2:] == ["1 of 2 runs unchanged"]
