@@ -80,12 +80,13 @@ def log_gaussian_weight(x):
     return -0.5 * x * x - 0.5 * LOG_2PI
 
 
-def reference_weight(reference, x):
-    """d(mu)/dx at the points x, an array of any shape: 1 for Lebesgue, else
-    the standard gaussian density."""
+def reference_weight(reference, x, p=1.0):
+    """(d(mu)/dx)^{1/p} at the points x, an array of any shape: 1 for
+    Lebesgue, else the standard gaussian density to the power 1/p, taken
+    as exp(log gamma / p), which neither over- nor underflows on its own."""
     if reference is Reference.LEBESGUE:
         return 1.0
-    return np.exp(log_gaussian_weight(x))
+    return np.exp(log_gaussian_weight(x) / p)
 
 
 def integral(reference, values, *axes):
@@ -597,7 +598,7 @@ def _sheared_terms(f, axis, cos_a, sin_a, w, t):
 
     def scale(rows):
         # node (x, y_j) of line j is at s = x.u_perp = y_j cos a - x sin a
-        return np.exp(log_gaussian_weight(across[rows, None] * cos_a - along * sin_a))
+        return reference_weight(f.reference, across[rows, None] * cos_a - along * sin_a)
     return (grid_index(t / cos_a, along[0], h), across * (sin_a / cos_a / h), w,
             None if f.reference is Reference.LEBESGUE else scale)
 

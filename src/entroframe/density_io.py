@@ -40,9 +40,10 @@ def _read_csv(path, header):
     if not rows:
         raise GridError(f"{path}: no data rows")
     for r in rows:
-        if len(r) < len(header):
-            raise GridError(f"{path}: row {r!r} has fewer than {len(header)} values")
-    return np.array([[float(v) for v in r[:len(header)]] for r in rows])
+        if len(r) != len(header):
+            side = "fewer" if len(r) < len(header) else "more"
+            raise GridError(f"{path}: row {r!r} has {side} than {len(header)} values")
+    return np.array([[float(v) for v in r] for r in rows])
 
 
 def load_csv_1d(path, reference):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .density import (LOG_2PI, GaussianDensity, GridDensity1D, GridDensity2D,
                       GridFunction1D, Reference, _cached, block_integral,
-                      integral, log_gaussian_weight, reference_weight)
+                      integral, reference_weight)
 from .errors import InvalidExponents, NonSmoothWarning, ReferenceMismatch
 from .quadrature import blocks
 
@@ -187,9 +187,7 @@ def _lp_norm(values, p, reference, axis):
     """||values||_{L^p(mu)} = m ||v / m||_{L^p(ds)}, v = |values| (dmu/ds)^{1/p},
     m = max v: no power over- or underflows however large p or the values."""
     p = _norm_exponent(p)
-    v = np.abs(np.asarray(values, dtype=float))
-    if reference is not Reference.LEBESGUE:
-        v = v * np.exp(log_gaussian_weight(axis[0]) / p)
+    v = np.abs(np.asarray(values, dtype=float)) * reference_weight(reference, axis[0], p)
     m = float(np.max(v))
     return 0.0 if m == 0.0 else m * integral(Reference.LEBESGUE, (v / m) ** p, axis) ** (1.0 / p)
 

@@ -31,13 +31,13 @@ import numpy as np
 from .density import (ExpFunction, GaussianDensity, GridDensity1D,
                       GridDensity2D, GridFunction1D, Reference, _cached,
                       convolve, default_axis, integral, linear_combination,
-                      log_gaussian_weight, marginals, reference_weight, scale1d)
+                      marginals, reference_weight, scale1d)
 from .errors import InvalidExponents, InvalidFlowTime, ReferenceMismatch
 from .frames import (ExponentTriple, Frame2, _coerce_triple, _hyper2_exponents,
                      angles_from_exponents, conjugate_exponent,
                      shannon_limit_frame, validate_young, young_frame)
 from .functional import _lp_norm, entropy, fisher, lp_norm
-from .quadrature import (call_blocks, contract, grid_index, shifted_copies,
+from .quadrature import (affine_sums, grid_index, shifted_copies,
                          simpson_weights, validate_axis)
 from .semigroup import hermite_p_theta, ou_flow
 
@@ -281,10 +281,10 @@ def _frame_inner(thetas, f2, f3, axis):
     values weight(f_k.values, f_k.x), zero-extended at its ends, so the sum
     over s_2 is one of copies of that line, shifted by -b s_2 / h_k:
     quadrature.shifted_copies, O(n log n).  A callable f_k is evaluated
-    exactly at a s_1 + b s_2 on the rows of s_1 of quadrature.call_blocks,
-    CALL_POINTS // n of them at a time (7 at n = 2049), and each row is
-    contracted on its own, so no n x n array is ever held and every
-    temporary stays small enough for the allocator to reuse."""
+    exactly at a s_1 + b s_2 by quadrature.affine_sums, on CALL_POINTS // n
+    rows of s_1 at a time (7 at n = 2049), each contracted on its own, so
+    no n x n array is ever held and every temporary stays small enough for
+    the allocator to reuse."""
     (x, h), (t1, t2, t3) = axis, thetas
     if abs(math.sin(t3 - t1)) > abs(math.sin(t2 - t1)):
         (t2, f2), (t3, f3) = (t3, f3), (t2, f2)
@@ -293,14 +293,9 @@ def _frame_inner(thetas, f2, f3, axis):
     (fj, wj), (fk, wk) = f2, f3
     fj_weighted = simpson_weights(x.size, h) * wj(_values_on(fj, x), x)
     if isinstance(fk, (GridFunction1D, GridDensity1D)):
-        inner = shifted_copies(wk(fk.values, fk.x), grid_index(a * x, fk.x[0], fk.h),
-                               -b * x / fk.h, fj_weighted)
-    else:
-        inner = np.empty(x.size)
-        for rows in call_blocks(x.size, x.size):
-            s = a * x[rows, None] + b * x[None, :]
-            inner[rows] = contract(wk(_eval_at(fk, s), s), fj_weighted)
-    return inner / abs(det)
+        return shifted_copies(wk(fk.values, fk.x), grid_index(a * x, fk.x[0], fk.h),
+                              -b * x / fk.h, fj_weighted) / abs(det)
+    return affine_sums(lambda s: wk(_eval_at(fk, s), s), x, a, x, b, fj_weighted) / abs(det)
 
 
 # === marginal entropy / Fisher subadditivity ==============================
@@ -340,7 +335,7 @@ def _two_function_integral(triple, g, h, reference, length=None, points=None):
     def weight(p):
         if reference is Reference.LEBESGUE:
             return lambda v, s: v
-        return lambda v, s: v * np.exp(log_gaussian_weight(s) / p)
+        return lambda v, s: v * reference_weight(reference, s, p)
     thetas = angles_from_exponents(t).thetas
     inner = _frame_inner(thetas, (g, weight(t.p2)), (h, weight(t.p3)), axis)
     lhs = _lp_norm(inner, conjugate_exponent(t.p1), Reference.LEBESGUE, axis)

@@ -6,18 +6,18 @@ endpoints.
 
 Every pass over an n x n grid runs BLOCK_ROWS lines at a time (blocks
 returns the slices), so it holds O(BLOCK_ROWS n) working values, never a
-whole n x n temporary.  A caller's function (a callable frame factor, or a
-callable under the Mehler formula at 64 Gauss-Hermite nodes per point) is
-evaluated on at most CALL_POINTS points at a time (call_blocks returns the
-slices of rows), so that its temporaries stay small enough for the
-allocator to reuse from block to block.  Every contraction of
-such a block with a weight vector goes through contract, which uses
-np.einsum and so never calls BLAS.  A
-BLAS product of that size runs on the BLAS thread pool, whose threads
-keep spinning on the other cores after the call returns: they cost CPU
-time and save no wall time at this size.  einsum runs on the calling
-thread alone.  A 1d Simpson sum of n values stays a dot product, which
-BLAS runs on one thread.
+whole n x n temporary.  A sum sum_k w_k f(c x_i + s y_k) at affine points
+(a callable frame factor, a callable under the Mehler formula at 64
+Gauss-Hermite nodes per point, or the spline of a lone grid line under a
+flow) is one affine_sums, which evaluates f on at most CALL_POINTS points
+at a time, so that its temporaries stay small enough for the allocator to
+reuse from block to block.  Every contraction of such a block with a
+weight vector goes through contract, which uses np.einsum and so never
+calls BLAS.  A BLAS product of that size runs on the BLAS thread pool,
+whose threads keep spinning on the other cores after the call returns:
+they cost CPU time and save no wall time at this size.  einsum runs on the
+calling thread alone.  A 1d Simpson sum of n values stays a dot product,
+which BLAS runs on one thread.
 
 A sheared sum, sum_j w_j s_j(a - shift_j) over the splines s_j of n lines
 (the marginals and linear combinations), is sampled on one lattice of step
@@ -91,12 +91,6 @@ def blocks(n, rows=BLOCK_ROWS):
     return [slice(start, start + rows) for start in range(0, n, rows)]
 
 
-def call_blocks(n, width):
-    """Slices covering range(n), each of max(1, CALL_POINTS // width)
-    consecutive rows of an (n, width) point set."""
-    return blocks(n, max(1, CALL_POINTS // width))
-
-
 # === Simpson ==============================================================
 
 def simpson_weights(n, h):
@@ -124,6 +118,17 @@ def _simpson_weights(n, h):
 def contract(values, weights):
     """sum_k values[..., k] * weights[k], on the calling thread alone."""
     return np.einsum("...k,k->...", values, weights)
+
+
+def affine_sums(f, x, c, y, s, w):
+    """[sum_k w[k] f(c x[i] + s y[k])]_i for a function f of an array of
+    points.  f is called on whole rows i of the (x.size, y.size) point set,
+    max(1, CALL_POINTS // y.size) rows at a time, in order, and each row
+    is contracted with w on its own."""
+    out = np.empty(x.size)
+    for rows in blocks(x.size, max(1, CALL_POINTS // y.size)):
+        out[rows] = contract(np.asarray(f(c * x[rows, None] + s * y), dtype=float), w)
+    return out
 
 
 # === Gauss-Hermite ========================================================

@@ -23,7 +23,8 @@ than MIN_BLUR_STEPS grid steps is the 64-node Gauss-Hermite sum of the
 spline; a wider one convolves with the sampled N(0, a^2) on the axis grown
 by the kernel radius and reads that spline at c y.  Splines are
 prefiltered along the flowed axis only and sampled through one banded
-sparse matrix (quadrature.spline_matrix), so no 2d spline is evaluated.
+sparse matrix (quadrature.spline_matrix), so no 2d spline is evaluated; a
+lone line's spline is summed at its points by quadrature.affine_sums.
 A block of lines is blurred through the FFT, whose kernel spectrum carries
 the prefilter too (_line_blur), so that blur costs no prefilter pass.
 
@@ -55,8 +56,8 @@ from .density import (GaussianDensity, GridDensity1D, GridDensity2D,
                       marginal)
 from .errors import GridError, InvalidFlowTime, ReferenceMismatch
 from .functional import entropy, fisher
-from .quadrature import (blocks, call_blocks, contract, gauss_hermite,
-                         grid_index, sample_coefficients, spline_coefficients,
+from .quadrature import (affine_sums, blocks, gauss_hermite, grid_index,
+                         sample_coefficients, spline_coefficients,
                          spline_matrix)
 
 # Below this blur width (in grid steps) the sampled kernel is too coarse
@@ -150,12 +151,6 @@ def _line_blur(sigma, h, shape):
     return (lambda lines: fft.irfft(fft.rfft(lines, nfft) * spectrum, nfft)[:, :size]), radius
 
 
-def _blur_index(x, h, c, radius):
-    """The fractional indices of the points c x on x grown by radius nodes
-    at each end, where a blurred line's coefficients are read, as (n, 1)."""
-    return grid_index(c * x, x[0] - radius * h, h)[:, None]
-
-
 def _line_pass(values, flow):
     """flow on every line of a 2d array along its last axis, flowed axis first.
 
@@ -175,26 +170,30 @@ def _line_pass(values, flow):
 def _gauss_rows(values, x, h, c, a):
     """y -> int s(c y + a z) dgamma(z), s the spline of a line, on every line
     of values along its last axis, at the nodes y = x: the lines, flowed
-    axis first (see _line_pass), on x's n nodes.  a < MIN_BLUR_STEPS h is
-    the 64-node Gauss-Hermite sum; else the lines are blurred by the
-    sampled N(0, a^2) on x grown by the kernel radius, and that spline is
-    read at c x.
+    axis first (see _line_pass), on x's n nodes.
+
+    Both regimes are sum_k w_k s'(c y + a z_k) over one point set (z, w),
+    s' the spline of a line's coefficients on x grown by radius nodes at
+    each end.  a < MIN_BLUR_STEPS h is the 64-node Gauss-Hermite sum (z, w)
+    of the line's own spline; else the lines are blurred by the sampled
+    N(0, a^2) on the grown axis, and that spline is read at c y: z = [0],
+    w = [1].  A lone line is sampled at those points by
+    quadrature.affine_sums, which is cheaper than building the matrix; the
+    lines of a 2d pass are read through one spline_matrix.
     """
     if a == 0.0:
         return values.T
     if a < MIN_BLUR_STEPS * h:
-        z, w = gauss_hermite()
-        index = grid_index(c * x[:, None] + a * z[None, :], x[0], h)
-        coeffs, radius = spline_coefficients, 0
+        (z, w), coeffs, radius = gauss_hermite(), spline_coefficients, 0
     else:
         coeffs, radius = _line_blur(a, h, values.shape)
-        index, w = _blur_index(x, h, c, radius), np.ones(1)
+        z, w = np.zeros(1), np.ones(1)
+    x0 = x[0] - radius * h
     if values.ndim == 1:
-        # a lone line samples its points directly, cheaper than building
-        # the matrix
-        samples = sample_coefficients(coeffs(values), [index.ravel()])
-        return contract(samples.reshape(index.shape), w)
-    sample = spline_matrix(index, w, x.size + 2 * radius)
+        line = coeffs(values)
+        return affine_sums(lambda p: sample_coefficients(line, [grid_index(p, x0, h)]),
+                           x, c, z, a, w)
+    sample = spline_matrix(grid_index(c * x[:, None] + a * z, x0, h), w, x.size + 2 * radius)
     return _line_pass(values, lambda lines: (sample @ coeffs(lines).T).T)
 
 
@@ -229,7 +228,7 @@ def _blur_round_trip(values, axes, c, a):
     # the x pass returns the lines flowed axis first, (n_x, 2K) in Fortran
     # order: one C-ordered copy views it as the complex band again
     band = np.ascontiguousarray(_gauss_rows(band.view(float).T, x, hx, c, a)).view(complex)
-    sample = spline_matrix(_blur_index(y, hy, c, radius), np.ones(1), size)
+    sample = spline_matrix(grid_index(c * y[:, None], y[0] - radius * hy, hy), np.ones(1), size)
     out = np.empty((x.size, y.size))
     for rows in blocks(x.size):
         out[rows] = (sample @ fft.irfft(band[rows], nfft)[:, :size].T).T
@@ -306,10 +305,9 @@ def hermite_p_theta(f, theta, x=None):
     signed) goes through the OU flow's operator _gauss_rows on its own
     axis; an x that is not that axis raises GridError.  A callable is
     summed at 64 Gauss-Hermite nodes per point of x (default axis when
-    omitted), evaluated on the rows of x of quadrature.call_blocks, 256
-    points of x at a time, so no (n, 64) array of samples is held.  theta
-    in [0, pi/2]; P_0 is the identity and P_{pi/2} averages f against
-    gamma.
+    omitted) by quadrature.affine_sums, 256 points of x at a time, so no
+    (n, 64) array of samples is held.  theta in [0, pi/2]; P_0 is the
+    identity and P_{pi/2} averages f against gamma.
     """
     theta = _mehler_angle(theta)
     c, s = math.cos(theta), math.sin(theta)
@@ -322,11 +320,7 @@ def hermite_p_theta(f, theta, x=None):
         raise ReferenceMismatch(f"cannot evaluate {type(f).__name__} at Mehler points")
     x = default_axis() if x is None else np.asarray(x, dtype=float)
     z, w = gauss_hermite()
-    values = np.empty(x.size)
-    for rows in call_blocks(x.size, z.size):
-        samples = np.asarray(f(c * x[rows, None] + s * z[None, :]), dtype=float)
-        values[rows] = contract(samples, w)
-    return GridFunction1D(x, _freeze(values))
+    return GridFunction1D(x, _freeze(affine_sums(f, x, c, z, s, w)))
 
 
 # === flow diagnostics =====================================================

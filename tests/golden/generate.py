@@ -11,16 +11,21 @@ name, with exit code null.
 
 writes the corpus to OUT, by default `corpus.json` beside this file, and
 
-    PYTHONPATH=src python tests/golden/generate.py --drift
+    PYTHONPATH=src python tests/golden/generate.py --drift [BASELINE]
 
 writes nothing: it prints each run that differs at all from its entry in
-`corpus.json`, floats compared exactly, with every changed value and its
-absolute and relative change, and last the count of unchanged runs.
+BASELINE, by default `corpus.json`, floats compared exactly, with every
+changed value and its absolute and relative change, and last the count of
+unchanged runs; it exits 1 if any run differs and 0 otherwise.
 `tests/test_golden.py` re-runs the same list and compares, by the rule of
-`mismatches`.  A run that the rule finds unchanged keeps its entry in
-`corpus.json` as recorded, so a host whose last bits differ rewrites
-nothing.  A change that moves a number, a message or an exit code
-regenerates the file; its diff is that change's drift table.
+`mismatches`.  Written to `corpus.json`, a run that the rule finds
+unchanged keeps its entry as recorded, so a host whose last bits differ
+rewrites nothing.  A change that moves a number, a message or an exit code
+regenerates the file; its diff is that change's drift table.  Written to
+any other OUT, the runs are this host's, unmerged: `--drift OUT` at a
+change then shows, bit for bit, what the change moved against OUT written
+at its parent on the same host, and two runs of one tree show whether the
+runs are deterministic.
 """
 
 import contextlib
@@ -135,6 +140,7 @@ RUNS = [
     ("check", "shannon", "--g", "gauss:0,1", "--h", "exp:1", *N1),
     ("check", "shannon", "--g", "csv:missing.csv", *N1),
     ("check", "subadditivity", "--f", "csv2:leb.csv"),
+    ("check", "shannon", "--g", "csv:leb-extra.csv", "--h", "csv:leb.csv"),
     ("check", "subadditivity", "--f", "product:gauss:0,1", *N2),
     ("check", "lsi", "--reference", "lebesgue", *N1),
     ("check", "young-conv", "--reference", "gaussian", *YOUNG, *N1),
@@ -345,11 +351,21 @@ def generate():
     return [record(argv) for argv in RUNS]
 
 
+def command(argv):
+    """`generate.py [OUT]` or `generate.py --drift [BASELINE]`; the exit code."""
+    if argv[:1] == ["--drift"]:
+        baseline = Path(argv[1]).resolve() if len(argv) > 1 else CORPUS
+        lines = drift(json.loads(baseline.read_text()), generate())
+        print("\n".join(lines))
+        # every line but the last, the count, belongs to a run that differs
+        return int(len(lines) > 1)
+    target = Path(argv[0]).resolve() if argv else CORPUS
+    corpus = generate()
+    if target == CORPUS and CORPUS.exists():
+        corpus = merge(json.loads(CORPUS.read_text()), corpus)
+    target.write_text(json.dumps(corpus, indent=1) + "\n")
+    return 0
+
+
 if __name__ == "__main__":
-    recorded = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
-    if sys.argv[1:] == ["--drift"]:
-        print("\n".join(drift(recorded, generate())))
-    else:
-        target = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else CORPUS
-        corpus = merge(recorded, generate())
-        target.write_text(json.dumps(corpus, indent=1) + "\n")
+    sys.exit(command(sys.argv[1:]))

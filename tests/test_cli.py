@@ -589,6 +589,8 @@ class TestCsvLoaders:
         ("csv", "t,f\n0,1\n", "expected header 'x,f'"),
         ("csv", "x,f\n", "no data rows"),
         ("csv", "x,f\n0,1\n1\n", "row ['1'] has fewer than 2 values"),
+        ("csv", "x,f\n0,1,999\n1,1\n", "row ['0', '1', '999'] has more than 2 values"),
+        ("csv2", "x,y,f\n0,0,1\n0,1,1,0\n", "row ['0', '1', '1', '0'] has more than 3 values"),
         ("csv2", "x,y\n0,0\n", "expected header 'x,y,f'"),
         ("csv2", "x,y,f\n0,0,1\n0,1,1\n1,0,1\n", "do not tile a 2 x 2 grid"),
     ])

@@ -1049,16 +1049,33 @@ class TestShiftedCopies:
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(0, 5000), width=st.integers(1, 40000))
-@example(n=2049, width=2049)
-@example(n=2049, width=64)
-def test_call_blocks_cover_the_rows_in_order(n, width):
-    """call_blocks cuts range(n) into consecutive slices, in order, of at
-    most max(1, CALL_POINTS // width) rows: every row is in exactly one."""
-    rows = max(1, quadrature_module.CALL_POINTS // width)
-    parts = [range(n)[block] for block in quadrature_module.call_blocks(n, width)]
-    assert [i for part in parts for i in part] == list(range(n))
-    assert all(1 <= len(part) <= rows for part in parts)
+@given(n=st.integers(0, 2100), width=st.integers(1, 40000), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2049, width=2049, seed=0)
+@example(n=2049, width=64, seed=1)
+@example(n=3, width=40000, seed=2)
+def test_affine_sums_call_whole_rows_in_order(n, width, seed):
+    """affine_sums calls f on whole rows of the point set c x_i + s y_k, in
+    order, each row exactly once, with at most max(y.size, CALL_POINTS)
+    points per call, and each of its sums is, bit for bit, that row's own
+    contraction with w.  (One einsum over several rows wider than 8192
+    rounds differently, so the sums are held to the rows' own, which every
+    block of affine_sums gives: it has at most CALL_POINTS points or one
+    row.)"""
+    assume(n * width <= 5_000_000)
+    rng = np.random.default_rng(seed)
+    x, y, w = rng.standard_normal(n), rng.standard_normal(width), rng.standard_normal(width)
+    c, s = rng.standard_normal(2)
+    calls = []
+
+    def f(points):
+        calls.append(points.copy())
+        return np.sin(points)
+    got = quadrature_module.affine_sums(f, x, c, y, s, w)
+    limit = max(width, quadrature_module.CALL_POINTS)
+    assert all(p.ndim == 2 and p.shape[1] == width and 1 <= p.size <= limit for p in calls)
+    rows = np.concatenate(calls) if calls else np.empty((0, width))
+    np.testing.assert_array_equal(rows, c * x[:, None] + s * y)
+    np.testing.assert_array_equal(got, [contract(np.sin(row), w) for row in rows])
 
 
 def test_sheared_sum_scales_only_the_sums_with_node_weights():

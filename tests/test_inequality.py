@@ -28,7 +28,7 @@ from entroframe import (
     weights_from_directions,
     young_frame,
 )
-from entroframe import inequality
+from entroframe import quadrature
 from entroframe.density import log_gaussian_weight
 from entroframe.errors import InvalidExponents, ReferenceMismatch
 from entroframe.inequality import (
@@ -338,9 +338,10 @@ class TestMainIntegral:
 
     @pytest.mark.parametrize("ref", [LEB, GAM])
     def test_callable_factor_blocks_match_one_block(self, monkeypatch, ref):
-        """The callable branch of _frame_inner, evaluated on the rows of
-        quadrature.call_blocks, equals bit for bit the same branch run on all
-        n = 2049 rows at once: each row is contracted on its own."""
+        """The callable branch of _frame_inner, evaluated by
+        quadrature.affine_sums on 7 rows at a time, equals bit for bit the
+        same branch run on all n = 2049 rows at once: each row is
+        contracted on its own."""
         x = default_axis()
         axis = (x, validate_axis(x))
         g, h = GaussianExtremizer(0.8, 0.3, -0.2).pair(TRIPLE, ref)
@@ -352,7 +353,7 @@ class TestMainIntegral:
         args = (angles_from_exponents(TRIPLE).thetas, (g, weight(TRIPLE.p2)),
                 (h, weight(TRIPLE.p3)), axis)
         blocked = _frame_inner(*args)
-        monkeypatch.setattr(inequality, "call_blocks", lambda n, width: [slice(0, n)])
+        monkeypatch.setattr(quadrature, "CALL_POINTS", x.size * x.size)
         np.testing.assert_array_equal(blocked, _frame_inner(*args))
 
 

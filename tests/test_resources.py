@@ -132,21 +132,29 @@ class TestResources:
     def test_callable_checks_reuse_their_pages(self):
         """The extremizer main-integral checks in both references and 31
         hypercontractivity checks of exp(t), as a benchmark pass of 1d checks
-        runs them, take fewer than 1,000 minor page faults together: a
-        caller's function is evaluated on at most CALL_POINTS points at a
-        time, whose temporaries the allocator keeps for the next block.
+        runs them, and ten calls each of the 1d OU and heat flows at
+        t = 1e-5 and of P_0.01 on a grid line, take fewer than 1,000 minor
+        page faults together: a caller's function, or a lone line's spline
+        at Gauss-Hermite points, is evaluated on at most CALL_POINTS points
+        at a time, whose temporaries the allocator keeps for the next block.
         With 64 rows of s_1 (1 MiB) per frame block and a whole (2049, 64)
         Gauss-Hermite array per Mehler call, every freed temporary went back
         to the kernel and the next block faulted its pages in again: 58.5k
-        faults, 1.4 us each.  Measured 25 after the change."""
+        faults, 1.4 us each, and 7,370 for each ten lone-line calls.
+        Measured 25, then 0 for the lone lines, after the changes."""
         lines = run_child("""
             import math, resource
+            from entroframe import heat_flow, hermite_p_theta, ou_flow
             faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             base = faults()
             check_main_integral(t, *ext.pair(t, LEB), LEB)
             check_main_integral(t, *ext.pair(t, GAM), GAM)
             for k in range(31):
                 check_hypercontractivity(ExpFunction(1.0), 2.0, 4.0, k * math.pi / 60)
+            for _ in range(10):
+                ou_flow(gs[0], 1e-5)
+                heat_flow(fs[0], 1e-5)
+                hermite_p_theta(gs[0], 0.01)
             print(faults() - base)
         """)
         assert len(lines) == 1 and int(lines[0]) < 1000, lines

@@ -29,7 +29,7 @@ from entroframe import (
     gaussian_mixture,
     independent_product,
 )
-from entroframe import semigroup
+from entroframe import quadrature, semigroup
 from entroframe.errors import GridError, InvalidFlowTime, ReferenceMismatch
 from entroframe.quadrature import (contract, gauss_hermite,
                                    sample_coefficients, simpson_weights,
@@ -452,12 +452,21 @@ class TestHermitePTheta:
 
     @pytest.mark.parametrize("a, theta", [(0.9, 0.7), (-1.5, 0.2), (1.0, math.pi / 2.0)])
     def test_callable_blocks_match_one_block(self, monkeypatch, a, theta):
-        """A callable evaluated on the rows of quadrature.call_blocks, 256
-        points of the default axis at a time, gives bit for bit the sum over
-        the whole (n, 64) array of Gauss-Hermite samples."""
+        """A callable evaluated by quadrature.affine_sums, 256 points of the
+        default axis at a time, gives bit for bit the sum over the whole
+        (n, 64) array of Gauss-Hermite samples."""
         blocked = hermite_p_theta(ExpFunction(a), theta).values
-        monkeypatch.setattr(semigroup, "call_blocks", lambda n, width: [slice(0, n)])
+        monkeypatch.setattr(quadrature, "CALL_POINTS", default_axis().size * 64)
         np.testing.assert_array_equal(blocked, hermite_p_theta(ExpFunction(a), theta).values)
+
+    def test_lone_line_blocks_match_one_block(self, monkeypatch):
+        """The 1d OU flow at t = 1e-5, a Gauss-Hermite sum of the line's
+        spline sampled by quadrature.affine_sums 256 nodes at a time, gives
+        bit for bit the sum over the whole (n, 64) array of samples."""
+        f = gaussian(GAM, 0.3, 1.4).to_grid()
+        blocked = ou_flow(f, 1e-5).values
+        monkeypatch.setattr(quadrature, "CALL_POINTS", f.x.size * 64)
+        np.testing.assert_array_equal(blocked, ou_flow(f, 1e-5).values)
 
     def test_grid_density_input(self):
         """Sampling through the spline agrees with the closed form in the
