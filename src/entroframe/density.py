@@ -26,15 +26,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
-from scipy.special import ndtr
 
 from .errors import (DomainTruncation, GridError, NormalizationError, NotSPD,
                      ReferenceMismatch, RenormalizationWarning, ZeroScale)
 from .frames import Direction
-from .quadrature import (blocks, contract, grid_index, sample_coefficients,
-                         sheared_sum, shifted_copies, simpson_weights,
-                         spline_coefficients, validate_axis)
+from .quadrature import (blocks, contract, grid_index, next_fast_len,
+                         sample_coefficients, sheared_sum, shifted_copies,
+                         simpson_weights, spline_coefficients, validate_axis)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -436,6 +434,10 @@ def gaussian_mixture(reference, weights, means, variances, length=None, points=N
     return GridDensity1D.from_values(reference, x, vals, what="gaussian mixture")
 
 
+# the standard normal CDF, Phi(t) = erfc(-t / sqrt 2) / 2, elementwise
+_normal_cdf = np.vectorize(lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0)), otypes=[float])
+
+
 def uniform_density(a, b, smoothing=0.05, length=None, points=None):
     """Lebesgue density of the uniform law on [a, b], optionally mollified.
 
@@ -452,7 +454,7 @@ def uniform_density(a, b, smoothing=0.05, length=None, points=None):
         raise NormalizationError(f"uniform needs a < b, got [{a}, {b}]")
     x = _freeze(default_axis(length, points))
     if smoothing > 0.0:
-        vals = (ndtr((x - a) / smoothing) - ndtr((x - b) / smoothing)) / (b - a)
+        vals = (_normal_cdf((x - a) / smoothing) - _normal_cdf((x - b) / smoothing)) / (b - a)
     else:
         vals = np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
     try:
@@ -681,8 +683,8 @@ def convolve(f, g):
     if abs(g.h - h) > 1e-12 * h:
         raise GridError(f"grid steps differ: {h!r} vs {g.h!r}")
     n = f.x.size + g.x.size - 1
-    nfft = fft.next_fast_len(n, real=True)
-    vals = fft.irfft(fft.rfft(f.values, nfft) * fft.rfft(g.values, nfft), nfft)[:n] * h
+    nfft = next_fast_len(n)
+    vals = np.fft.irfft(np.fft.rfft(f.values, nfft) * np.fft.rfft(g.values, nfft), nfft)[:n] * h
     x = _freeze(np.linspace(f.x[0] + g.x[0], f.x[-1] + g.x[-1], n))
     return GridDensity1D.from_values(Reference.LEBESGUE, x, _freeze(vals),
                                      what="convolution")

@@ -6,12 +6,14 @@ endpoints.
 
 Every pass over an n x n grid runs BLOCK_ROWS lines at a time (blocks
 returns the slices), so it holds O(BLOCK_ROWS n) working values, never a
-whole n x n temporary.  A sum sum_k w_k f(c x_i + s y_k) at affine points
-(a callable frame factor, a callable under the Mehler formula at 64
-Gauss-Hermite nodes per point, or the spline of a lone grid line under a
-flow) is one affine_sums, which evaluates f on at most CALL_POINTS points
-at a time, so that its temporaries stay small enough for the allocator to
-reuse from block to block.  Every contraction of such a block with a
+whole n x n temporary; the one exception is the Gauss-Hermite pass of a
+2d flow, which prefilters whole rows of all lines (prefilter_rows) in the
+arrays that the flow holds anyway.  A sum sum_k w_k f(c x_i + s y_k) at
+affine points (a callable frame factor, a callable under the Mehler
+formula at 64 Gauss-Hermite nodes per point, or the spline of a lone grid
+line under a flow) is one affine_sums, which evaluates f on at most
+CALL_POINTS points at a time, so that its temporaries stay small enough
+for the allocator to reuse from block to block.  Every contraction of such a block with a
 weight vector goes through contract, which uses np.einsum and so never
 calls BLAS.  A BLAS product of that size runs on the BLAS thread pool,
 whose threads keep spinning on the other cores after the call returns:
@@ -53,7 +55,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import fft, ndimage, sparse
 
 from .errors import GridError
 
@@ -84,6 +85,21 @@ BLOCK_ROWS = 64
 # points, or of a whole (2049, 64) Gauss-Hermite array, went back to the
 # kernel when freed, and every next block zero-filled fresh pages.
 CALL_POINTS = 2 ** 14
+
+# glibc's malloc serves a block above its mmap threshold, 128 KiB at start,
+# from a fresh mapping whose pages fault in on first use, and gives the top
+# of its heap back to the kernel once more than twice that lies free there;
+# freeing a mapping raises the threshold to the mapping's size.  The
+# temporaries of a block of lines, or of CALL_POINTS points, lie near it, so
+# whether a pass reused them or faulted them in afresh hung on what the
+# process had freed before: the imports the package no longer makes used
+# to free a few hundred KiB, and without them the callable checks and 1d
+# flows that test_callable_checks_reuse_their_pages runs took 82k faults,
+# against 25 with them.  One untouched mapping of WARM_BYTES, freed at
+# import, sets both thresholds above those temporaries; other allocators
+# ignore it.
+WARM_BYTES = 4 * 2 ** 20
+np.empty(WARM_BYTES // 8)
 
 
 def blocks(n, rows=BLOCK_ROWS):
@@ -150,15 +166,95 @@ def _gauss_hermite(n):
     return z, w
 
 
+# === FFT ==================================================================
+
+def next_fast_len(target):
+    """The least 5-smooth length 2^a 3^b 5^c >= target (a positive int),
+    at which numpy's real FFTs are fast."""
+    best = 1 << (target - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            # the least power of two times odd that reaches target
+            best = min(best, odd << (-(-target // odd) - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
+
+
 # === spline sampling ======================================================
 
-# Cubic B-spline coefficients are prefiltered once per line, so repeated
-# sampling of the same line pays the filter cost once.
+# The cubic B-spline prefilter, the inverse of the filter (1, 4, 1) / 6, is
+# -6 z / ((1 - z q^-1)(1 - z q)), z = POLE: a causal and an anticausal
+# first-order recursion (Unser, Aldroubi and Eden, 1993).  Both impulse
+# responses decay as |z|^k, below 2^-60 past PREFILTER_REACH taps, so the
+# filter reaches that far past a line's ends, where the line is mirrored
+# (value -k is value k, value n - 1 + k is value n - 1 - k), as
+# ndimage.spline_filter1d(order=3, mode="constant") mirrors it.
+# Coefficients are prefiltered once per line, so repeated sampling of the
+# same line pays the filter cost once.
+POLE = math.sqrt(3.0) - 2.0
+PREFILTER_REACH = 32
+
+
+@functools.lru_cache(maxsize=32)
+def _mirrored(n):
+    """Indices of a line of n values extended by PREFILTER_REACH mirrored
+    values at each end."""
+    k = np.abs(np.arange(-PREFILTER_REACH, n + PREFILTER_REACH)) % (2 * n - 2)
+    k = np.minimum(k, 2 * n - 2 - k)
+    k.flags.writeable = False
+    return k
+
 
 def spline_coefficients(lines):
-    """Prefiltered cubic spline coefficients of lines along their last axis."""
-    return ndimage.spline_filter1d(np.asarray(lines, dtype=float), order=3, axis=-1,
-                                   mode="constant")
+    """Prefiltered cubic spline coefficients of lines along their last axis.
+
+    Each recursion is summed over PREFILTER_REACH taps by recursive
+    doubling: after the steps of shifts 1, 2, .., 2^j the causal sum holds
+    the terms z^k x[i - k], k < 2^(j + 1), so five whole-line steps sum 32
+    taps, and so do five for the anticausal sum.
+    """
+    ext = np.take(np.asarray(lines, dtype=float), _mirrored(np.shape(lines)[-1]), axis=-1)
+    ext *= 6.0
+    power, shift = POLE, 1
+    while shift < PREFILTER_REACH:
+        ext[..., shift:] += power * ext[..., :-shift]
+        power, shift = power * power, 2 * shift
+    power, shift = POLE, 1
+    while shift < PREFILTER_REACH:
+        ext[..., :-shift] += power * ext[..., shift:]
+        power, shift = power * power, 2 * shift
+    coeffs = ext[..., PREFILTER_REACH:-PREFILTER_REACH]
+    coeffs *= -POLE
+    return coeffs
+
+
+def prefilter_rows(values, out):
+    """Write the cubic spline coefficients of values along axis 0 into out,
+    which may be values itself.
+
+    The two recursions step one row at a time, c[i] = 6 x[i] + z c[i - 1]
+    down and c[i] = z (c[i + 1] - c[i]) back up, each step one numpy
+    operation on a whole row, so a C-ordered array is read contiguously and
+    every column is one line.  The causal sum starts from its first
+    PREFILTER_REACH mirrored terms and the anticausal one from its
+    closed-form mirror start, as ndimage's spline_filter1d starts them.
+    """
+    np.multiply(values, 6.0, out=out)
+    n = len(out)
+    start = np.take(out, _mirrored(n)[PREFILTER_REACH:2 * PREFILTER_REACH], axis=0)
+    out[0] = np.einsum("k,k...->...", POLE ** np.arange(PREFILTER_REACH), start)
+    step = np.empty(out.shape[1:])
+    for i in range(1, n):
+        np.multiply(out[i - 1], POLE, out=step)
+        out[i] += step
+    out[n - 1] = (out[n - 1] + POLE * out[n - 2]) * (POLE / (POLE * POLE - 1.0))
+    for i in range(n - 2, -1, -1):
+        np.subtract(out[i + 1], out[i], out=out[i])
+        out[i] *= POLE
+    return out
 
 
 def grid_index(points, x0, h):
@@ -167,13 +263,33 @@ def grid_index(points, x0, h):
 
 
 def sample_coefficients(coeffs, indices):
-    """Evaluate prefiltered spline coefficients at fractional indices.
+    """Evaluate the cubic spline of a line's prefiltered coefficients at
+    fractional indices.
 
-    indices: sequence of index arrays, one per array axis; points outside
-    the grid evaluate to 0.
+    indices holds one index array.  Points outside [0, n - 1] evaluate to
+    0, and taps past an end read the mirrored coefficient (c[-1] = c[1],
+    c[n] = c[n - 2]), as ndimage.map_coordinates(mode="constant",
+    prefilter=False) reads them.  The points are read CALL_POINTS at a
+    time, so the temporaries stay small enough for the allocator to reuse.
     """
-    return ndimage.map_coordinates(coeffs, indices, order=3,
-                                   mode="constant", cval=0.0, prefilter=False)
+    (index,) = indices
+    index = np.asarray(index, dtype=float)
+    n = coeffs.size
+    # tap k, -1 <= k <= n + 1, is ext[k + 1]
+    ext = np.concatenate([coeffs[1:2], coeffs, coeffs[-2:-4:-1]])
+    out = np.empty(index.shape)
+    points, values = index.reshape(-1), out.reshape(-1)
+    for chunk in blocks(points.size, CALL_POINTS):
+        p = points[chunk]
+        inside = (p >= 0.0) & (p <= n - 1)
+        p = np.where(inside, p, 0.0)
+        base = np.floor(p)
+        first = base.astype(np.intp)
+        total = 0.0
+        for k, weight in enumerate(_bspline_weights(p - base)):
+            total = total + weight * ext[first + k]
+        values[chunk] = np.where(inside, total, 0.0) / 6.0
+    return out
 
 
 def _bspline_weights(u):
@@ -183,36 +299,37 @@ def _bspline_weights(u):
     return v * v * v, 4.0 - 3.0 * u * u * (2.0 - u), 4.0 - 3.0 * v * v * (2.0 - v), u * u * u
 
 
-def spline_matrix(index, weights, n):
-    """Sparse (m, n) matrix S with (S @ c)[i] = sum_k weights[k] * s(index[i, k]).
+def spline_band(index, weights, n):
+    """The rows of the (m, n) matrix S with (S @ c)[i] = sum_k weights[k] *
+    s(index[i, k]), as (lo, band): row i holds band[i] in columns lo[i] ..
+    lo[i] + band.shape[1] - 1, and is 0 elsewhere.
 
     s is the cubic spline of the n prefiltered coefficients c, evaluated as
-    sample_coefficients does: taps past an edge read the mirrored
-    coefficient (c[-1] = c[1]) and points outside [0, n - 1] evaluate to 0.
-    index is (m, k), weights (k,).  Each row is built as one dense band, so
-    no duplicate entries are summed afterwards.
+    sample_coefficients does: a tap past an end is added to the mirrored
+    coefficient's column, so every band lies in [0, n - 1], and points
+    outside [0, n - 1] evaluate to 0.  All rows have one width, that of
+    the widest band.  index is (m, k), weights (k,); the band is built for
+    CALL_POINTS points at a time, so its temporaries stay O(CALL_POINTS).
     """
     index = np.asarray(index, dtype=float)
-    m = index.shape[0]
-    base = np.floor(index)
     scale = np.asarray(weights, dtype=float) * ((index >= 0.0) & (index <= n - 1)) / 6.0
-    taps = np.empty((4,) + index.shape)
-    for tap, weight in zip(taps, _bspline_weights(index - base)):
-        np.multiply(weight, scale, out=tap)
-    # row i is one band of columns lo[i] .. lo[i] + width - 1 (before mirroring)
-    first = base.astype(np.intp) - 1
-    lo = first.min(axis=1)
-    first -= lo[:, None]
-    width = int(first.max()) + 4
-    first += np.arange(0, m * width, width)[:, None]
-    band = np.bincount((first + np.arange(4)[:, None, None]).ravel(), taps.ravel(),
-                       minlength=m * width)
-    cols = np.abs(lo[:, None] + np.arange(width))
-    cols = np.where(cols > n - 1, 2 * (n - 1) - cols, cols)
-    # columns still out of range after mirroring carry only zero weights
-    cols = np.clip(cols, 0, n - 1)
-    return sparse.csr_matrix((band, cols.ravel(), np.arange(0, m * width + 1, width)),
-                             shape=(m, n))
+    # an outside point, of weight 0, moves to its nearest end, so its taps
+    # stay within the band of its row's other points
+    index = np.clip(index, 0.0, n - 1.0)
+    base = np.floor(index)
+    lo = np.maximum(base.min(axis=1) - 1.0, 0.0).astype(np.intp)
+    width = int((np.minimum(base.max(axis=1) + 2.0, n - 1.0) - lo).max()) + 1
+    # every band has the widest row's width and ends by column n - 1
+    lo = np.minimum(lo, n - width)
+    band = np.empty((len(index), width))
+    for rows in blocks(len(index), max(1, CALL_POINTS // index.shape[1])):
+        cols = np.abs(base[rows].astype(np.intp) + np.arange(-1, 3)[:, None, None])
+        cols = np.where(cols > n - 1, 2 * (n - 1) - cols, cols)
+        taps = np.stack(_bspline_weights(index[rows] - base[rows])) * scale[rows]
+        at = cols - lo[rows, None] + np.arange(0, cols.shape[1] * width, width)[:, None]
+        band[rows] = np.bincount(at.ravel(), taps.ravel(),
+                                 minlength=cols.shape[1] * width).reshape(-1, width)
+    return lo, band
 
 
 # Step, in index units, of the lattice on which sheared_sum samples every
@@ -294,13 +411,13 @@ def shifted_copies(line, index0, shifts, weights):
     widths = first.max(axis=0) - lo + 4
     n = line.size
     # correlation lags -(width - 1) .. n - 1 fit in nfft without wrapping
-    nfft = fft.next_fast_len(n + int(widths.max()) - 1, real=True)
-    spectrum = fft.rfft(line, nfft)
+    nfft = next_fast_len(n + int(widths.max()) - 1)
+    spectrum = np.fft.rfft(line, nfft)
     for p, (end, width) in enumerate(zip(lattice.ends, widths)):
         comb = np.bincount((first[:, p, None] - lo[p] + np.arange(4)).ravel(),
                            taps[:, p].ravel(), minlength=width)
         # lag d of the circular correlation sits at d mod nfft
-        corr = fft.irfft(spectrum * np.conj(fft.rfft(comb, nfft)), nfft)
+        corr = np.fft.irfft(spectrum * np.conj(np.fft.rfft(comb, nfft)), nfft)
         lag = lo[p] + np.arange(end)
         lattice.phase_sums[p, :end] = np.where((lag > -width) & (lag < n), corr[lag % nfft], 0.0)
     return lattice.resample()

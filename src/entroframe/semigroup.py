@@ -22,14 +22,17 @@ P_theta takes (cos theta, sin theta) on its own axis.  A blur a narrower
 than MIN_BLUR_STEPS grid steps is the 64-node Gauss-Hermite sum of the
 spline; a wider one convolves with the sampled N(0, a^2) on the axis grown
 by the kernel radius and reads that spline at c y.  Splines are
-prefiltered along the flowed axis only and sampled through one banded
-sparse matrix (quadrature.spline_matrix), so no 2d spline is evaluated; a
-lone line's spline is summed at its points by quadrature.affine_sums.
-A block of lines is blurred through the FFT, whose kernel spectrum carries
-the prefilter too (_line_blur), so that blur costs no prefilter pass.
+prefiltered along the flowed axis only and read through one band of
+spline weights per output node (quadrature.spline_band), so no 2d spline
+is evaluated; a lone line's spline is summed at its points by
+quadrature.affine_sums.  A block of lines is blurred through the FFT,
+whose kernel spectrum carries the prefilter too (_line_blur), so that blur
+costs no prefilter pass; the Gauss-Hermite sum of a 2d pass runs on the
+whole array along the flowed axis, its prefilter one row of all lines per
+step (_band_down).
 
-A 2d flow is two passes, one per axis, each over BLOCK_ROWS lines at a
-time: a pass flows the last axis of its input and returns its result
+A 2d flow is two passes, one per axis, a blur pass over BLOCK_ROWS lines
+at a time: a pass flows the last axis of its input and returns its result
 transposed, the flowed axis first.  Starting from the transpose of the
 values, the x pass comes first and the y pass ends in f's orientation,
 C-contiguous, so a flow holds the x pass's result and its output and
@@ -49,16 +52,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import fft
 
 from .density import (GaussianDensity, GridDensity1D, GridDensity2D,
                       GridFunction1D, Reference, _freeze, default_axis,
                       marginal)
 from .errors import GridError, InvalidFlowTime, ReferenceMismatch
 from .functional import entropy, fisher
-from .quadrature import (affine_sums, blocks, gauss_hermite, grid_index,
-                         sample_coefficients, spline_coefficients,
-                         spline_matrix)
+from .quadrature import (BLOCK_ROWS, affine_sums, blocks, gauss_hermite, grid_index,
+                         next_fast_len, prefilter_rows, sample_coefficients,
+                         spline_band, spline_coefficients)
 
 # Below this blur width (in grid steps) the sampled kernel is too coarse
 # and a flow evaluates its Gaussian integral at Gauss-Hermite nodes.
@@ -126,44 +128,76 @@ def _blur_spectrum(sigma, h, n):
     """
     w, radius = _blur_kernel(sigma, h)
     size = n + w.size - 1
-    nfft = fft.next_fast_len(size, True)
-    spectrum = fft.rfft(w, nfft)
+    nfft = next_fast_len(size)
+    spectrum = np.fft.rfft(w, nfft)
     spectrum *= 6.0 / (4.0 + 2.0 * np.cos(2.0 * np.pi / nfft * np.arange(spectrum.size)))
     return spectrum, nfft, size, radius
+
+
+class _BlockFFT:
+    """Real FFTs at length nfft of blocks of at most BLOCK_ROWS lines of n
+    values, zero-extended, in buffers kept from block to block: each block
+    is copied into the zero-extended one, and both transforms write into
+    their own (numpy's out=).  With a fresh padded copy and fresh outputs
+    for every block, the 33 blocks of a pass on the default grid took twice
+    as long in a fresh process, which faulted in 134k pages."""
+
+    def __init__(self, n, nfft):
+        self.n, self.nfft = n, nfft
+        self.values = np.zeros((BLOCK_ROWS, nfft))
+        self.spectra = np.empty((BLOCK_ROWS, nfft // 2 + 1), dtype=complex)
+        self.coeffs = np.empty((BLOCK_ROWS, nfft))
+
+    def forward(self, lines):
+        """The spectra of a block of lines: its rows of self.spectra."""
+        m = len(lines)
+        self.values[:m, :self.n] = lines
+        return np.fft.rfft(self.values[:m], out=self.spectra[:m])
+
+    def backward(self, m):
+        """The inverse transforms of the first m rows of self.spectra: the
+        first m rows of self.coeffs."""
+        return np.fft.irfft(self.spectra[:m], self.nfft, out=self.coeffs[:m])
 
 
 def _line_blur(sigma, h, shape):
     """Cubic-spline coefficients of lines of the given shape, (n,) or (m, n),
     fully convolved with the sampled N(0, sigma^2) along their last axis.
 
-    Returns (coeffs, radius): coeffs maps such lines to (..., n + 2 radius),
-    the axis grown by the kernel radius at each end.  A single line is
-    summed directly and prefiltered by spline_coefficients, which keeps each
+    Returns (coeffs, radius): coeffs maps such lines to their coefficients
+    on the axis grown by the kernel radius at each end, whose n + 2 radius
+    nodes are the first columns of its result.  A single line is summed
+    directly and prefiltered by spline_coefficients, which keeps each
     output's rounding local; FFT rounding spreads eps * max|values| (4.5e4
     at the edge of a Gaussian-reference grid) over the whole axis.  A block
     of lines is convolved through the FFT with _blur_spectrum, so the
-    inverse transform returns the coefficients.
+    inverse transform returns the coefficients, in a _BlockFFT's buffer
+    that the next block overwrites.
     """
     if len(shape) == 1:
         w, radius = _blur_kernel(sigma, h)
         return (lambda line: spline_coefficients(np.convolve(line, w))), radius
     spectrum, nfft, size, radius = _blur_spectrum(sigma, h, shape[-1])
-    return (lambda lines: fft.irfft(fft.rfft(lines, nfft) * spectrum, nfft)[:, :size]), radius
+    transforms = _BlockFFT(shape[-1], nfft)
+
+    def blur(lines):
+        transforms.forward(lines)[...] *= spectrum
+        return transforms.backward(len(lines))
+    return blur, radius
 
 
 def _line_pass(values, flow):
     """flow on every line of a 2d array along its last axis, flowed axis first.
 
-    flow maps a block of m lines to its (m, n) result on the lines' own
-    node count.  The lines go BLOCK_ROWS at a time into a C-ordered array
-    of values' shape, returned transposed, so two passes from the transpose
-    of a 2d array flow both of its axes and end C-contiguous in its
-    orientation.  Each block is copied to contiguous memory, so every FFT,
-    prefilter and copy runs along it.
+    flow(lines, out) writes the (m, n) result of a block of m lines, on the
+    lines' own node count, into out.  The lines go BLOCK_ROWS at a time
+    into a C-ordered array of values' shape, returned transposed, so two
+    passes from the transpose of a 2d array flow both of its axes and end
+    C-contiguous in its orientation.
     """
     out = np.empty(values.shape)
     for rows in blocks(values.shape[0]):
-        out[rows] = flow(np.ascontiguousarray(values[rows]))
+        flow(values[rows], out[rows])
     return out.T
 
 
@@ -178,12 +212,16 @@ def _gauss_rows(values, x, h, c, a):
     of the line's own spline; else the lines are blurred by the sampled
     N(0, a^2) on the grown axis, and that spline is read at c y: z = [0],
     w = [1].  A lone line is sampled at those points by
-    quadrature.affine_sums, which is cheaper than building the matrix; the
-    lines of a 2d pass are read through one spline_matrix.
+    quadrature.affine_sums, which is cheaper than building the band; the
+    lines of a 2d pass are read through one quadrature.spline_band: a blur
+    pass reads each block's coefficients through it (_BandRead), and the
+    Gauss-Hermite pass prefilters and reads the whole array along its
+    flowed axis (_band_down).
     """
     if a == 0.0:
         return values.T
-    if a < MIN_BLUR_STEPS * h:
+    hermite = a < MIN_BLUR_STEPS * h
+    if hermite:
         (z, w), coeffs, radius = gauss_hermite(), spline_coefficients, 0
     else:
         coeffs, radius = _line_blur(a, h, values.shape)
@@ -193,8 +231,78 @@ def _gauss_rows(values, x, h, c, a):
         line = coeffs(values)
         return affine_sums(lambda p: sample_coefficients(line, [grid_index(p, x0, h)]),
                            x, c, z, a, w)
-    sample = spline_matrix(grid_index(c * x[:, None] + a * z, x0, h), w, x.size + 2 * radius)
-    return _line_pass(values, lambda lines: (sample @ coeffs(lines).T).T)
+    band = spline_band(grid_index(c * x[:, None] + a * z, x0, h), w, x.size + 2 * radius)
+    if hermite:
+        return _band_down(values.T, *band)
+    read = _BandRead(*band)
+    return _line_pass(values, lambda lines, out: read(coeffs(lines), out))
+
+
+class _BandRead:
+    """The (lo, band) rows of a quadrature.spline_band applied along the
+    last axis of blocks of at most BLOCK_ROWS lines of coefficients, which
+    may run past the band's columns: out[:, i] = sum_k band[i, k]
+    lines[:, lo[i] + k].
+
+    The columns the bands span (a dilation by e^-t reads the middle of
+    the grown axis) are copied, transposed, into a buffer kept from block
+    to block, so that one np.take gathers the taps of READ_POINTS outputs
+    as rows of the block's values, and one einsum sums them on the calling
+    thread into a (READ_POINTS, rows) sum that is copied into out
+    transposed.  Gathering single values along each line, and summing over
+    the taps as the last axis, took twice as long per block; gathering all
+    taps of a block at once, 4 MiB, made the 2d heat round trip about 14%
+    slower than READ_POINTS at a time (medians of 9 calls).
+    """
+
+    READ_POINTS = 256
+
+    def __init__(self, lo, band):
+        self.band = band
+        self.first = int(lo.min())
+        self.cols = (lo[:, None] - self.first + np.arange(band.shape[1])).ravel()
+        self.columns = np.empty((self.cols.max() + 1, BLOCK_ROWS))
+        self.taps = np.empty((self.READ_POINTS * band.shape[1], BLOCK_ROWS))
+        self.sums = np.empty((self.READ_POINTS, BLOCK_ROWS))
+
+    def __call__(self, lines, out):
+        m, width = len(lines), self.band.shape[1]
+        columns = self.columns[:, :m]
+        columns[...] = lines[:, self.first:self.first + len(columns)].T
+        for points in blocks(len(self.band), self.READ_POINTS):
+            weights = self.band[points]
+            taps, sums = self.taps[:weights.size, :m], self.sums[:len(weights), :m]
+            np.take(columns, self.cols[points.start * width:points.stop * width], axis=0,
+                    out=taps, mode="clip")
+            np.einsum("ikr,ik->ir", taps.reshape(weights.shape + (m,)), weights, out=sums)
+            out[:, points] = sums.T
+
+
+def _band_down(lines, lo, band):
+    """The (lo, band) rows of a quadrature.spline_band applied along axis 0
+    to the spline of every column of lines, a 2d array with the flowed axis
+    first: the lines, flowed axis first, as _line_pass returns them.
+
+    The columns are prefiltered by prefilter_rows, whose steps each take one
+    row: in place where lines is a pass's own result (writeable, and
+    C-ordered as _line_pass and this function leave it), else, on a
+    density's frozen values, into a new array.  So two passes hold two
+    n x n arrays.  Output row i is then one einsum of band[i] with the band
+    of coefficient rows it reads, on the calling thread, into a contiguous
+    block of BLOCK_ROWS rows that is copied into the output as a whole: an
+    einsum into a strided row took five times as long.
+    """
+    coeffs = lines if lines.flags.writeable else np.empty(lines.shape)
+    prefilter_rows(lines, coeffs)
+    out = np.empty(lines.shape[::-1]).T
+    width = band.shape[1]
+    block = np.empty((BLOCK_ROWS, lines.shape[1]))
+    for rows in blocks(len(out)):
+        held = block[:len(out[rows])]
+        for row, start, weights in zip(held, lo[rows].tolist(), band[rows]):
+            np.einsum("kj,k->j", coeffs[start:start + width], weights, out=row)
+        out[rows] = held
+    return out
 
 
 # a w beyond which the Gaussian factor exp(-(a w)^2 / 2) of a blur's
@@ -222,16 +330,22 @@ def _blur_round_trip(values, axes, c, a):
     (x, hx), (y, hy) = axes
     spectrum, nfft, size, radius = _blur_spectrum(a, hy, y.size)
     spectrum = spectrum[:math.ceil(SPECTRUM_REACH * nfft * hy / (2.0 * math.pi * a))]
-    band = np.empty((x.size, spectrum.size), dtype=complex)
+    bins = spectrum.size
+    transforms = _BlockFFT(y.size, nfft)
+    band = np.empty((x.size, bins), dtype=complex)
     for rows in blocks(x.size):
-        band[rows] = fft.rfft(values[rows], nfft)[:, :spectrum.size] * spectrum
+        np.multiply(transforms.forward(values[rows])[:, :bins], spectrum, out=band[rows])
     # the x pass returns the lines flowed axis first, (n_x, 2K) in Fortran
     # order: one C-ordered copy views it as the complex band again
     band = np.ascontiguousarray(_gauss_rows(band.view(float).T, x, hx, c, a)).view(complex)
-    sample = spline_matrix(grid_index(c * y[:, None], y[0] - radius * hy, hy), np.ones(1), size)
+    read = _BandRead(*spline_band(grid_index(c * y[:, None], y[0] - radius * hy, hy),
+                                  np.ones(1), size))
     out = np.empty((x.size, y.size))
+    transforms.spectra[:, bins:] = 0.0
     for rows in blocks(x.size):
-        out[rows] = (sample @ fft.irfft(band[rows], nfft)[:, :size].T).T
+        m = len(band[rows])
+        transforms.spectra[:m, :bins] = band[rows]
+        read(transforms.backward(m), out[rows])
     return out
 
 

@@ -450,6 +450,16 @@ class TestGaussianMixture:
 
 
 class TestUniformDensity:
+    def test_smoothed_values_are_the_normal_cdf_difference(self):
+        """The mollified indicator is the difference of two normal CDFs,
+        taken through math.erfc, which scipy.special.ndtr gives within a
+        few units in the last place of the plateau."""
+        from scipy.special import ndtr
+        d = uniform_density(-1.0, 2.0, smoothing=0.3)
+        want = (ndtr((d.x + 1.0) / 0.3) - ndtr((d.x - 2.0) / 0.3)) / 3.0
+        np.testing.assert_allclose(d.values / d.renormalization, want,
+                                   rtol=0.0, atol=4e-16 * want.max())
+
     def test_smoothed_mass(self):
         d = uniform_density(-1.0, 2.0)
         np.testing.assert_allclose(d.mass(), 1.0, atol=1e-13)
@@ -488,7 +498,67 @@ class TestExpFunction:
 
 # === interpolation ========================================================
 
+# a line of odd n in [65, 4097] nodes on [-10, 10]: normal draws, a Gaussian
+# bump, or a Gaussian-reference line, which grows like e^{x^2/4}
+SPLINE_LINE = st.tuples(st.integers(32, 2048), st.sampled_from(["draws", "bump", "growing"]),
+                        st.integers(0, 2 ** 32 - 1))
+
+
+def spline_line(half, kind, seed):
+    n = 2 * half + 1
+    x = np.linspace(-10.0, 10.0, n)
+    rng = np.random.default_rng(seed)
+    if kind == "draws":
+        return rng.normal(size=n)
+    if kind == "bump":
+        return np.exp(-0.5 * (x - rng.uniform(-2.0, 2.0)) ** 2 / rng.uniform(0.3, 2.0))
+    # the relative density of N(m, 2) to gamma, up to a constant
+    return np.exp(0.25 * x * x + rng.uniform(-1.0, 1.0) * x)
+
+
 class TestCubicSampling:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(line=SPLINE_LINE)
+    @example(line=(32, "growing", 0))
+    @example(line=(2048, "growing", 1))
+    def test_prefilter_is_ndimage_spline_filter1d(self, line):
+        """spline_coefficients on a line, and prefilter_rows on lines as the
+        columns of an array, into a new array and in place, give
+        ndimage.spline_filter1d(order=3, mode="constant") within 2e-15 of
+        the largest coefficient of each line."""
+        values = spline_line(*line)
+        want = ndimage.spline_filter1d(values, order=3, mode="constant")
+        np.testing.assert_allclose(quadrature_module.spline_coefficients(values), want,
+                                   rtol=0.0, atol=2e-15 * np.abs(want).max())
+        columns = np.stack([values, spline_line(line[0], "draws", line[2])], axis=1)
+        want = ndimage.spline_filter1d(columns, order=3, axis=0, mode="constant")
+        atol = 2e-15 * np.abs(want).max(axis=0)
+        got = quadrature_module.prefilter_rows(columns, np.empty(columns.shape))
+        assert np.all(np.abs(got - want) <= atol)
+        got = quadrature_module.prefilter_rows(columns, columns)
+        assert got is columns and np.all(np.abs(got - want) <= atol)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(line=SPLINE_LINE, count=st.integers(1, 40000))
+    @example(line=(2048, "growing", 1), count=40000)
+    def test_sampler_is_ndimage_map_coordinates(self, line, count):
+        """sample_coefficients gives ndimage.map_coordinates(order=3,
+        prefilter=False, mode="constant") within 2e-15 of the largest value,
+        on random points over and past the grid, more than CALL_POINTS of
+        them at a time, and at and just past its ends, where it is 0."""
+        coeffs = ndimage.spline_filter1d(spline_line(*line), order=3, mode="constant")
+        n = coeffs.size
+        ends = [0.0, 1e-13, 0.5, n - 1.5, np.nextafter(n - 1.0, 0.0), n - 1.0,
+                -1e-15, -0.5, np.nextafter(n - 1.0, n), n - 0.5, n + 2.5]
+        points = np.concatenate([np.random.default_rng(count).uniform(-3.0, n + 2.0, count),
+                                 ends])
+        want = ndimage.map_coordinates(coeffs, [points], order=3, mode="constant",
+                                       cval=0.0, prefilter=False)
+        got = quadrature_module.sample_coefficients(coeffs, [points])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-15 * np.abs(want).max())
+        assert not got[-5:].any()
+
+
     def test_off_grid_accuracy(self):
         """Cubic spline sampling of a Gaussian is ~1e-11 between nodes."""
         d = gaussian(LEB, 0.0, 1.0).to_grid()
@@ -678,7 +748,9 @@ class TestMarginalPaths:
         line j's samples on the lattice points of one phase are a 4-tap
         filter of its zero-extended values, the weight folded into the taps;
         each phase of their sum is prefiltered, and the cubic spline of the
-        sum is evaluated at the output points."""
+        sum is evaluated at the output points, by the package's own prefilter
+        and sampler (checked against ndimage in TestCubicSampling), so that
+        the blockwise marginal must match it bit for bit."""
         lines, w, index0, shifts = self.sheared_lines(d, theta)
         n = lines.shape[1]
         a0, size, phases = self.lattice(index0)
@@ -693,9 +765,9 @@ class TestMarginalPaths:
                     total[phases * lo + p:phases * hi + p + 1:phases] += \
                         np.correlate(ext[b + lo + 2:b + hi + 6], taps * wj)
         for p in range(phases):
-            total[p::phases] = ndimage.spline_filter1d(total[p::phases], order=3,
-                                                       mode="constant")
-        return self.resampled(d, total, index0, a0)
+            total[p::phases] = quadrature_module.spline_coefficients(total[p::phases])
+        return self.renormalized(d, quadrature_module.sample_coefficients(
+            quadrature_module.spline_coefficients(total), [(index0 - a0) / LATTICE_STEP]))
 
     def per_point_marginal(self, d, theta):
         """The marginal as one 4-tap spline evaluation per output point of
@@ -930,6 +1002,14 @@ class TestConvolve:
             c = convolve(f, g)
         want = np.convolve(f.values, g.values) * f.h * c.renormalization
         np.testing.assert_allclose(c.values, want, rtol=0.0, atol=1e-14 * want.max())
+
+    def test_fft_lengths_are_scipy_next_fast_len(self):
+        """next_fast_len is the least 5-smooth length, as scipy.fft's is
+        for real transforms."""
+        from scipy import fft
+        targets = list(range(1, 5000)) + [2 ** 20 + 1, 3 ** 12 + 1, 5 ** 8 + 1, 10 ** 7 + 1]
+        assert [quadrature_module.next_fast_len(t) for t in targets] \
+            == [fft.next_fast_len(t, real=True) for t in targets]
 
     def test_gaussian_convolution_closed_form(self):
         g = gaussian(LEB, 0.5, 1.0).to_grid()

@@ -81,7 +81,8 @@ class TestResources:
         line with it by a real FFT, where a long np.correlate would run
         through numpy's dot, which can reach BLAS.  They are held to the
         same bound, and so are the 2d blur-path flows, whose FFTs also carry
-        the spline prefilter."""
+        the spline prefilter, and the 2d Gauss-Hermite flow, whose band is
+        one einsum per output row."""
         lines = run_child("""
             import time
             from entroframe import heat_flow, linear_combination, marginal, ou_flow
@@ -95,14 +96,15 @@ class TestResources:
                          marginal_lebesgue=lambda: marginal(l2, 1.0),
                          linear_combination=lambda: linear_combination(fs[0], fs[1], 0.8, 0.6),
                          heat_flow2d=lambda: heat_flow(l2, 0.1),
-                         ou_flow2d=lambda: ou_flow(f2, 0.5))
+                         ou_flow2d=lambda: ou_flow(f2, 0.5),
+                         ou_flow2d_small_t=lambda: ou_flow(f2, 1e-5))
             for name, call in calls.items():
                 cpu, wall = time.process_time(), time.perf_counter()
                 call()
                 cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
                 print(f"{name}:{cpu!r}:{wall!r}")
         """)
-        assert len(lines) == 12
+        assert len(lines) == 13
         for line in lines:
             name, cpu, wall = line.split(":")
             assert float(cpu) <= 1.05 * float(wall) + 0.010, line
@@ -141,7 +143,10 @@ class TestResources:
         Gauss-Hermite array per Mehler call, every freed temporary went back
         to the kernel and the next block faulted its pages in again: 58.5k
         faults, 1.4 us each, and 7,370 for each ten lone-line calls.
-        Measured 25, then 0 for the lone lines, after the changes."""
+        Measured 25, then 0 for the lone lines, after the changes; 455 once
+        the package imported numpy alone, and 82k before quadrature raised
+        glibc's mmap threshold at import (WARM_BYTES), as importing scipy
+        had done."""
         lines = run_child("""
             import math, resource
             from entroframe import heat_flow, hermite_p_theta, ou_flow
@@ -165,7 +170,11 @@ class TestResources:
         raises the process peak by what it keeps, plus at most 16 MB:
         nothing for entropy, Fisher and the frame checks, whose marginals
         prefilter each block of lines right before sampling it; two n x n
-        arrays, the x pass and the result, for ou_flow; and one, the
+        arrays, the x pass and the result, for ou_flow at t = 0.5 and at
+        t = 1e-5, whose Gauss-Hermite passes prefilter the whole array in
+        those two (+71.5 and +72.1 MiB against a bound of 79.3 MiB; a
+        banded matrix of all (2049, 64) taps at once held +81 MiB at
+        t = 1e-5); and one, the
         result, for heat_flow and a stability check, whose 2d heat flow is
         one FFT round trip that blurs x in y's spectrum (+38 to +40 MiB
         against a bound of 47.3 MiB).  They held two arrays, +65 to +67 MiB,
@@ -205,6 +214,9 @@ class TestResources:
             grown("young-entropy", lambda: check_young_entropy(f, 4.0 / 3.0, 4.0 / 3.0, 2.0))
             grown("ou_flow", lambda: ou_flow(gam, 0.5))
         """) + run_child(grown + """
+            gam = gaussian(GAM, [0.2, -0.1], cov).to_grid()
+            grown("ou_flow", lambda: ou_flow(gam, 1e-5))
+        """) + run_child(grown + """
             grown("stability", lambda: stability_check(f, 0.7, 0.25))
         """) + run_child(grown + """
             grown("subadditivity", lambda: check_subadditivity(mercedes_frame(), f))
@@ -214,7 +226,7 @@ class TestResources:
         square, slack = 2049 ** 2 * 8, 16e6
         bounds = {"ou_flow": 2 * square + slack, "heat_flow": square + slack,
                   "stability": square + slack}
-        assert len(lines) == 12
+        assert len(lines) == 13
         for line in lines:
             name, grown = line.split(":")
             assert int(grown) * RSS_UNIT <= bounds.get(name, slack), line
@@ -225,8 +237,11 @@ class TestResources:
         with only the flags it requires, raises the peak of a child that has
         only imported the CLI by at most one n x n array of doubles (the
         density of a 2d check) plus 16 MB.  Measured one child per check:
-        fisher +33.1 MiB, subadditivity and main-entropy +30.8, young-entropy
-        +30.7; no 1d check rose above the import's own peak."""
+        fisher +26.9 MiB, subadditivity +24.4, main-entropy +24.2 and
+        young-entropy +24.4, where a package that imported scipy measured
+        +36.7, +34.4, +34.4 and +34.4 side by side (+33.1, +30.8, +30.8 and
+        +30.7 when this test was added); no 1d check rose above the
+        import's own peak."""
         lines = run_child(f"""
             import contextlib, io, resource
             from entroframe.cli import CHECK_TABLE, main

@@ -33,7 +33,7 @@ from entroframe import quadrature, semigroup
 from entroframe.errors import GridError, InvalidFlowTime, ReferenceMismatch
 from entroframe.quadrature import (contract, gauss_hermite,
                                    sample_coefficients, simpson_weights,
-                                   spline_matrix)
+                                   spline_band)
 from entroframe.semigroup import (MIN_BLUR_STEPS, _blur_kernel,
                                   de_bruijn_check, heat_flow, hermite_p_theta,
                                   ou_flow, stability_check)
@@ -279,7 +279,15 @@ def direct_ou_2d(f, t, rows):
     return np.maximum(vals.reshape(IX.shape), 0.0)
 
 
-class TestSplineMatrix:
+def band_matrix(lo, band, n):
+    """The dense (m, n) matrix whose row i holds band[i] from column lo[i]."""
+    m, width = band.shape
+    dense = np.zeros((m, n))
+    dense[np.arange(m)[:, None], lo[:, None] + np.arange(width)] = band
+    return dense
+
+
+class TestSplineBand:
     N = 40
 
     def indices(self):
@@ -289,22 +297,54 @@ class TestSplineMatrix:
         outside = [-1e-15, -0.5, -3.0, n - 1.0 + 1e-13, n - 0.5, n + 2.5]
         return np.concatenate([rng.uniform(-2.0, n + 1.0, 200), edges, outside])
 
-    def test_matches_map_coordinates(self):
-        """Column j is the spline of the j-th unit coefficient vector."""
+    def test_matches_sample_coefficients(self):
+        """Row i, laid out densely, is the spline of every unit coefficient
+        vector at index i: the band folds the taps past an end onto the
+        mirrored columns, so it lies within the n columns, and the rows of
+        the points outside the grid are 0."""
         index = self.indices()
         dense = np.stack([sample_coefficients(e, [index]) for e in np.eye(self.N)], axis=1)
-        got = spline_matrix(index[:, None], [1.0], self.N).toarray()
+        lo, band = spline_band(index[:, None], [1.0], self.N)
+        assert lo.min() >= 0 and lo.max() + band.shape[1] <= self.N
+        got = band_matrix(lo, band, self.N)
         np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-15)
         assert not got[-6:].any()
 
     def test_weighted_rows_sum_nodes(self):
+        """Applied to a block of lines by semigroup._BandRead, a row is the
+        weighted sum of the lines' splines at its nodes."""
         rng = np.random.default_rng(8)
         index = self.indices().reshape(-1, 2)
         weights = np.array([0.3, 0.7])
-        coeffs = rng.normal(size=self.N)
-        want = sample_coefficients(coeffs, [index.ravel()]).reshape(index.shape) @ weights
-        np.testing.assert_allclose(spline_matrix(index, weights, self.N) @ coeffs, want,
+        coeffs = rng.normal(size=(3, self.N))
+        want = np.stack([sample_coefficients(line, [index.ravel()]).reshape(index.shape)
+                         @ weights for line in coeffs])
+        lo, band = spline_band(index, weights, self.N)
+        np.testing.assert_allclose(band_matrix(lo, band, self.N) @ coeffs.T, want.T,
                                    rtol=0.0, atol=1e-14)
+        got = np.empty(want.shape)
+        semigroup._BandRead(lo, band)(coeffs, got)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("own", [False, True])
+    def test_band_down_prefilters_the_columns(self, own):
+        """semigroup._band_down applies the band along axis 0 to the splines
+        of the columns: the dense band times their ndimage coefficients,
+        whether it prefilters a frozen array into a new one or, on an array
+        a pass owns, in place."""
+        rng = np.random.default_rng(9)
+        n = 65
+        z, w = gauss_hermite()
+        index = (0.9 * np.arange(n))[:, None] + 0.3 * z
+        lo, band = spline_band(index, w, n)
+        values = rng.normal(size=(n, 7))
+        want = band_matrix(lo, band, n) @ ndimage.spline_filter1d(values, order=3, axis=0,
+                                                                  mode="constant")
+        given = values.copy()
+        given.flags.writeable = own
+        got = semigroup._band_down(given, lo, band)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+        assert got.T.flags.c_contiguous
 
 
 class TestTensorProductFlows:
